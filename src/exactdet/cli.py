@@ -17,10 +17,11 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .core import Matrix, format_scalar, submatrix_delete
+from .core import Matrix, format_scalar
 from .engines import (
+    DodgsonResult,
     complementary_minor,
     det_bareiss,
     det_dodgson,
@@ -31,6 +32,7 @@ from .jacobi import (
     generalized_pluecker_residual,
     jacobi_residual,
     minor_three_term_residual,
+    restricted_columns,
     verify_all_jacobi,
 )
 from .matfile import emit_matrix_json, emit_matrix_text, parse_matrix
@@ -41,7 +43,7 @@ from .pfaffian import (
     jacobi_recurrence_residual,
     pfaffian,
 )
-from .pluecker import pluecker_sum, three_term_residual
+from .pluecker import three_term_residual
 from .randgen import SplitMix64, random_matrix, trial_stream
 
 EXIT_OK = 0
@@ -54,6 +56,9 @@ VERIFY_SAMPLE_SEED = 0  # fixed stream seed for sampled verify sweeps
 LAPLACE_LIMIT = 7  # largest order fed to the Laplace oracle
 
 IDENTITY_NAMES = ("jacobi", "three-term", "generalized", "pluecker")
+
+# splitting orders r (r rows, 2r columns) swept per row-and-column family
+_SPLITTINGS = {"three-term": (2,), "generalized": (1, 2, 3), "pluecker": (1, 2)}
 
 Witness = tuple[str, Fraction]
 
@@ -139,89 +144,42 @@ def _row_col_choices(
             yield _sampled_index_set(gen, n, row_size), _sampled_index_set(gen, n, col_size)
 
 
-def _restricted_columns(
-    matrix: Matrix, del_rows: Sequence[int], cols: Sequence[int]
-) -> tuple[Matrix, list[tuple[Fraction, ...]]]:
-    """Delete rows and chosen columns; return the core block plus the
-    chosen columns restricted to the surviving rows (ascending order)."""
-    core = submatrix_delete(matrix, del_rows, cols)
-    dropped = set(del_rows)
-    vectors = [
-        tuple(v for i, v in enumerate(matrix.column_values(c), start=1) if i not in dropped)
-        for c in cols
-    ]
-    return core, vectors
+def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
+    """One row-and-column family's residual.  Pluecker splits the restricted
+    columns: order 1 through the full signed sum, order 2 through the fixed
+    three-term formula."""
+    if name == "three-term":
+        return minor_three_term_residual(matrix, rows, cols)
+    if name == "generalized" or len(rows) == 1:
+        return generalized_pluecker_residual(matrix, rows, cols)
+    core, vectors = restricted_columns(matrix, rows, cols)
+    return three_term_residual(core, *vectors)
 
 
-def _sweep_jacobi(matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
-    if matrix.rows < 2:
-        return 0, []
-    report = verify_all_jacobi(matrix)
-    witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
-    return report.residuals_checked, witnesses
-
-
-def _sweep_three_term(matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
+def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
     n = matrix.rows
+    if name == "jacobi":
+        if n < 2:
+            return 0, []
+        report = verify_all_jacobi(matrix)
+        witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
+        return report.residuals_checked, witnesses
     checked = 0
     witnesses: list[Witness] = []
-    if n >= 4:
-        for rows, cols in _row_col_choices(n, 2, 4, gen):
-            res = minor_three_term_residual(matrix, rows, cols)
-            checked += 1
-            if res != 0:
-                witnesses.append((f"rows={rows} cols={cols}", res))
-    return checked, witnesses
-
-
-def _sweep_generalized(matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
-    n = matrix.rows
-    checked = 0
-    witnesses: list[Witness] = []
-    for r in (1, 2, 3):
+    for r in _SPLITTINGS[name]:
         if 2 * r > n:
             break
         for rows, cols in _row_col_choices(n, r, 2 * r, gen):
-            res = generalized_pluecker_residual(matrix, rows, cols)
+            res = _residual(name, matrix, rows, cols)
             checked += 1
             if res != 0:
-                witnesses.append((f"r={r} rows={rows} cols={cols}", res))
+                where = f"rows={rows} cols={cols}"
+                witnesses.append((where if name == "three-term" else f"r={r} {where}", res))
     return checked, witnesses
 
 
-def _sweep_pluecker(matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
-    """Column-splitting relations on the delete-and-restrict construction:
-    splitting order 1 through the full signed sum, order 2 through the fixed
-    three-term formula."""
-    n = matrix.rows
-    checked = 0
-    witnesses: list[Witness] = []
-    if n >= 2:
-        for rows, cols in _row_col_choices(n, 1, 2, gen):
-            core, vectors = _restricted_columns(matrix, rows, cols)
-            res = pluecker_sum(core, vectors)
-            checked += 1
-            if res != 0:
-                witnesses.append((f"r=1 rows={rows} cols={cols}", res))
-    if n >= 4:
-        for rows, cols in _row_col_choices(n, 2, 4, gen):
-            core, vectors = _restricted_columns(matrix, rows, cols)
-            res = three_term_residual(core, *vectors)
-            checked += 1
-            if res != 0:
-                witnesses.append((f"r=2 rows={rows} cols={cols}", res))
-    return checked, witnesses
-
-
-_SWEEPS: dict[str, Callable[[Matrix, SplitMix64], tuple[int, list[Witness]]]] = {
-    "jacobi": _sweep_jacobi,
-    "three-term": _sweep_three_term,
-    "generalized": _sweep_generalized,
-    "pluecker": _sweep_pluecker,
-}
-
-
-def _sweep_record(name: str, matrix: Matrix, checked: int, witnesses: list[Witness]) -> dict:
+def _sweep_record(name: str, matrix: Matrix, gen: SplitMix64) -> dict:
+    checked, witnesses = _sweep(name, matrix, gen)
     n = matrix.rows
     if witnesses:
         shown = "; ".join(
@@ -246,38 +204,50 @@ def _selected_identities(selection: str) -> tuple[str, ...]:
 # commands
 
 
+def _differential(n: int) -> tuple[str, ...]:
+    """Engines cross-checked at order n: the Laplace oracle only up to LAPLACE_LIMIT."""
+    return ("laplace", "bareiss", "dodgson") if n <= LAPLACE_LIMIT else ("bareiss", "dodgson")
+
+
+def _determinants(
+    matrix: Matrix, engines: Sequence[str]
+) -> tuple[dict[str, Fraction], DodgsonResult | None]:
+    """Each engine's value, plus the Dodgson result when that engine ran."""
+    values: dict[str, Fraction] = {}
+    dodgson = None
+    for engine in engines:
+        if engine == "laplace":
+            values[engine] = det_laplace(matrix)
+        elif engine == "bareiss":
+            values[engine] = det_bareiss(matrix)
+        else:
+            dodgson = det_dodgson(matrix)
+            values[engine] = dodgson.value
+    return values, dodgson
+
+
 def _cmd_det(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.file)
     if not matrix.is_square:
         raise ValueError(f"determinant requires a square matrix, got {matrix.rows}x{matrix.cols}")
     n = matrix.rows
-    engines = ("laplace", "bareiss", "dodgson") if args.engine == "all" else (args.engine,)
+    engines = _differential(n) if args.engine == "all" else (args.engine,)
+    values, dodgson = _determinants(matrix, engines)
     records = []
-    values: dict[str, Fraction] = {}
-    for engine in engines:
-        if engine == "laplace":
-            values[engine] = det_laplace(matrix)
-            operands = f"n={n}"
-        elif engine == "bareiss":
-            values[engine] = det_bareiss(matrix)
-            operands = f"n={n}"
-        else:
-            result = det_dodgson(matrix)
-            values[engine] = result.value
-            operands = f"n={n} fallback={str(result.fallback_used).lower()}"
-            if result.fallback_used:
-                operands += f" depth={result.fallback_depth}"
-        records.append(
-            _record(engine, operands, value=format_scalar(values[engine]), passed=True)
-        )
+    for engine, value in values.items():
+        operands = f"n={n}"
+        if engine == "dodgson":
+            operands += f" fallback={str(dodgson.fallback_used).lower()}"
+            if dodgson.fallback_used:
+                operands += f" depth={dodgson.fallback_depth}"
+        records.append(_record(engine, operands, value=format_scalar(value), passed=True))
     if args.engine == "all":
-        agree = len(set(values.values())) == 1
         records.append(
             _record(
                 "engines-agree",
                 f"n={n} engines={len(values)}",
                 value=format_scalar(values["bareiss"]),
-                passed=agree,
+                passed=len(set(values.values())) == 1,
             )
         )
     report = _report({"name": "det", "file": args.file, "engine": args.engine}, records)
@@ -305,8 +275,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         gen = trial_stream(VERIFY_SAMPLE_SEED, 0)
         for name in _selected_identities(args.identity):
-            checked, witnesses = _SWEEPS[name](matrix, gen)
-            records.append(_sweep_record(name, matrix, checked, witnesses))
+            records.append(_sweep_record(name, matrix, gen))
     command = {"name": "verify", "file": args.file, "identity": args.identity}
     if args.pair:
         command["pair"] = args.pair
@@ -335,18 +304,11 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
         rows = _parse_indices(args.rows)
         cols = _parse_indices(args.cols)
         operands = f"n={matrix.rows} rows={rows} cols={cols}"
-        if name == "three-term":
-            res = minor_three_term_residual(matrix, rows, cols)
-        elif name == "generalized":
-            res = generalized_pluecker_residual(matrix, rows, cols)
-        else:  # pluecker
-            if len(cols) != 2 * len(rows) or len(rows) not in (1, 2):
-                raise ValueError("pluecker selection needs r rows and 2r columns, r in {1, 2}")
-            core, vectors = _restricted_columns(matrix, sorted(rows), sorted(cols))
-            if len(rows) == 1:
-                res = pluecker_sum(core, vectors)
-            else:
-                res = three_term_residual(core, *vectors)
+        if name == "pluecker" and (
+            len(cols) != 2 * len(rows) or len(rows) not in _SPLITTINGS[name]
+        ):
+            raise ValueError("pluecker selection needs r rows and 2r columns, r in {1, 2}")
+        res = _residual(name, matrix, rows, cols)
     return _record(name, operands, residual=format_scalar(res), passed=res == 0)
 
 
@@ -458,25 +420,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         gen = trial_stream(args.seed, trial)
         n = gen.next_int(2, args.size_max)
         matrix = random_matrix(gen, n, n, args.entry_bound)
-        value = det_bareiss(matrix)
-        dodgson = det_dodgson(matrix)
-        agree = dodgson.value == value
-        engines = 2
-        if n <= LAPLACE_LIMIT:
-            agree = agree and det_laplace(matrix) == value
-            engines = 3
+        values, dodgson = _determinants(matrix, _differential(n))
         records.append(
             _record(
                 "engines",
-                f"trial={trial} n={n} engines={engines} "
+                f"trial={trial} n={n} engines={len(values)} "
                 f"fallback={str(dodgson.fallback_used).lower()}",
-                value=format_scalar(value),
-                passed=agree,
+                value=format_scalar(values["bareiss"]),
+                passed=len(set(values.values())) == 1,
             )
         )
         for name in identities:
-            checked, witnesses = _SWEEPS[name](matrix, gen)
-            rec = _sweep_record(name, matrix, checked, witnesses)
+            rec = _sweep_record(name, matrix, gen)
             rec["operands"] = f"trial={trial} " + rec["operands"]
             records.append(rec)
     command = {
@@ -520,7 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("laplace", "bareiss", "dodgson", "all"),
         default="all",
-        help="engine selection; 'all' cross-checks every engine (default)",
+        help=(
+            f"engine selection; 'all' cross-checks Bareiss and Dodgson, plus "
+            f"Laplace up to n = {LAPLACE_LIMIT} (default)"
+        ),
     )
     det.add_argument("--json", action="store_true", help="emit the JSON run report")
     det.set_defaults(func=_cmd_det)

@@ -145,10 +145,19 @@ def generalized_pluecker_residual(
         raise IndexError(f"row {rows[-1]} out of range for order {n}")
     if cols[-1] > n:
         raise IndexError(f"column {cols[-1]} out of range for order {n}")
+    return pluecker_sum(*restricted_columns(matrix, rows, cols))
+
+
+def restricted_columns(
+    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
+) -> tuple[Matrix, list[tuple[Fraction, ...]]]:
+    """Delete the rows and the chosen columns; return that core block and the
+    chosen columns restricted to the surviving rows, in ascending column order."""
+    rows = index_set(del_rows)
+    cols = index_set(chosen_cols)
     core = submatrix_delete(matrix, rows, cols)
     dropped = set(rows)
-    restricted = [
+    return core, [
         tuple(v for i, v in enumerate(matrix.column_values(c), start=1) if i not in dropped)
         for c in cols
     ]
-    return pluecker_sum(core, restricted)

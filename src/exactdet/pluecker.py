@@ -109,15 +109,7 @@ def three_term_residual(
     Equals -1/2 times ``pluecker_sum(M, [a, b, c, d])`` term-structurally:
     each unordered splitting pair contributes the same product twice there.
     """
-    n = matrix.rows
-    if n < 2 or matrix.cols != n - 2:
-        raise ValueError(
-            f"matrix must be nx(n-2) with n >= 2, got {matrix.rows}x{matrix.cols}"
-        )
-    va, vb, vc, vd = (as_vector(v) for v in (a, b, c, d))
-    for v in (va, vb, vc, vd):
-        if len(v) != n:
-            raise ValueError(f"vector of length {len(v)} does not match {n} rows")
+    _, (va, vb, vc, vd) = _checked_vectors(matrix, (a, b, c, d))
 
     def det2(u: tuple[Fraction, ...], w: tuple[Fraction, ...]) -> Fraction:
         return det_bareiss(augment_columns(matrix, [u, w]))

@@ -3,18 +3,20 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import exactdet.cli as cli
-from exactdet import Matrix, emit_matrix_text
+from exactdet import DodgsonResult, Matrix, det_dodgson, emit_matrix_text
 from exactdet.cli import main
 from exactdet.randgen import random_matrix, trial_stream
 
 GOLDEN_TEXT = "3 3\n1 2 3\n4 5 6\n7 8 10\n"
 IDENTITY3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
+FOUR = "4 4\n2 -1 3 0\n1 5 -2 4\n0 3 1 -3\n-2 1 4 2\n"
 SKEW2 = "2 2\n0 3\n-3 0\n"
 SKEW4 = emit_matrix_text(
     Matrix.from_rows(
@@ -69,6 +71,16 @@ class TestDet:
         assert main(["det", "-", "--engine", "bareiss"]) == 0
         assert "value -3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_default_engines_respect_laplace_limit(self, n, write, capsys):
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        start = time.perf_counter()
+        assert main(["det", path, "--json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [rec["check"] for rec in results] == ["bareiss", "dodgson", "engines-agree"]
+        assert results[-1]["operands"] == f"n={n} engines=2"
+
 
 class TestVerify:
     def test_identity_jacobi(self, write, capsys):
@@ -91,7 +103,7 @@ class TestVerify:
         assert "residuals=60" in rec["operands"]  # sampled, not the 7350 exhaustive
 
     def test_generalized_selection(self, write, capsys):
-        path = write("4 4\n2 -1 3 0\n1 5 -2 4\n0 3 1 -3\n-2 1 4 2\n")
+        path = write(FOUR)
         code = main(
             ["verify", path, "--identity", "generalized", "--rows", "1,2", "--cols", "1,2,3,4"]
         )
@@ -227,6 +239,65 @@ class TestFuzz:
         engine_recs = [r for r in report["results"] if r["check"] == "engines"]
         assert any("n=8 engines=2" in r["operands"] for r in engine_recs)
         assert all(r["pass"] for r in report["results"])
+
+
+def _wrong_dodgson(matrix):
+    good = det_dodgson(matrix)
+    return DodgsonResult(good.value + 1, good.fallback_used, good.fallback_depth)
+
+
+class TestFaultInjection:
+    """Every family's residual seam and the Dodgson engine must be able to fail a run."""
+
+    SWEEP_SEAMS = [
+        ("minor_three_term_residual", {"three-term"}),
+        ("generalized_pluecker_residual", {"generalized", "pluecker"}),
+        ("three_term_residual", {"pluecker"}),
+    ]
+    SELECTION_SEAMS = [
+        ("minor_three_term_residual", ["three-term", "--rows", "1,2", "--cols", "1,2,3,4"]),
+        ("generalized_pluecker_residual", ["generalized", "--rows", "2", "--cols", "1,4"]),
+        ("generalized_pluecker_residual", ["generalized", "--rows", "1,3", "--cols", "1,2,3,4"]),
+        ("generalized_pluecker_residual", ["pluecker", "--rows", "1", "--cols", "1,2"]),
+        ("three_term_residual", ["pluecker", "--rows", "1,2", "--cols", "1,2,3,4"]),
+    ]
+
+    @staticmethod
+    def _failing(report: dict) -> set[str]:
+        return {rec["check"] for rec in report["results"] if not rec["pass"]}
+
+    @pytest.mark.parametrize("seam, families", SWEEP_SEAMS)
+    def test_verify_sweep(self, seam, families, write, capsys, monkeypatch):
+        monkeypatch.setattr(cli, seam, lambda *args: Fraction(1))
+        assert main(["verify", write(FOUR), "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == families
+
+    @pytest.mark.parametrize("seam, families", SWEEP_SEAMS)
+    def test_fuzz_sweep(self, seam, families, capsys, monkeypatch):
+        monkeypatch.setattr(cli, seam, lambda *args: Fraction(1))
+        assert main(["fuzz", "--seed", "3", "--trials", "4", "--size-max", "5"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == families
+
+    @pytest.mark.parametrize("seam, selection", SELECTION_SEAMS)
+    def test_selection(self, seam, selection, write, capsys, monkeypatch):
+        monkeypatch.setattr(cli, seam, lambda *args: Fraction(1))
+        assert main(["verify", write(FOUR), "--identity", *selection]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{selection[0]} [n=4 rows=")
+        assert "residual 1: FAIL" in out
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_wrong_dodgson_fails_det(self, n, write, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "det_dodgson", _wrong_dodgson)
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        assert main(["det", path, "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"engines-agree"}
+
+    def test_wrong_dodgson_fails_fuzz(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "det_dodgson", _wrong_dodgson)
+        args = ["fuzz", "--seed", "42", "--trials", "5", "--size-max", "8", "--identity", "jacobi"]
+        assert main(args) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"engines"}
 
 
 def test_console_entry_point(write):
