@@ -59,6 +59,14 @@ class TestDet:
         assert main(["det", write("1 2\n1 2\n")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_header_exits_2_quickly(self, write, capsys):
+        start = time.perf_counter()
+        assert main(["det", write("1000000000 1\n1\n")]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000000000" in captured.err
+
     def test_json_report_schema(self, write, capsys):
         assert main(["det", write(GOLDEN_TEXT), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -298,6 +306,44 @@ class TestFaultInjection:
         args = ["fuzz", "--seed", "42", "--trials", "5", "--size-max", "8", "--identity", "jacobi"]
         assert main(args) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == {"engines"}
+
+    @pytest.mark.parametrize("engine", ["det_laplace", "det_bareiss"])
+    def test_wrong_engine_fails_det(self, engine, write, capsys, monkeypatch):
+        good = getattr(cli, engine)
+        monkeypatch.setattr(cli, engine, lambda m: good(m) + 1)
+        assert main(["det", write(GOLDEN_TEXT), "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"engines-agree"}
+
+    @staticmethod
+    def _failing_lines(text: str) -> set[str]:
+        return {
+            line.split(" [", 1)[0]
+            for line in text.splitlines()
+            if line.endswith(": FAIL") and not line.startswith("overall")
+        }
+
+    def test_wrong_pfaffian_fails_square_check(self, write, capsys, monkeypatch):
+        good = cli.pfaffian
+        monkeypatch.setattr(cli, "pfaffian", lambda s: good(s) + 1)
+        assert main(["pfaffian", write(SKEW4), "--check", "square", "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"pfaffian-square"}
+
+    def test_wrong_pfaffian_fails_embedding(self, write, capsys, monkeypatch):
+        good = cli.pfaffian
+        monkeypatch.setattr(cli, "pfaffian", lambda s: good(s) + 1)
+        assert main(["embed", write(GOLDEN_TEXT), "--minors"]) == 1
+        assert self._failing_lines(capsys.readouterr().err) == {"embedding"}
+
+    def test_wrong_recurrence_fails_pfaffian(self, write, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "jacobi_recurrence_residual", lambda s: Fraction(1))
+        assert main(["pfaffian", write(SKEW4), "--check", "recurrence", "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"pfaffian-recurrence"}
+
+    def test_wrong_embedded_minor_fails_embed(self, write, capsys, monkeypatch):
+        good = cli.embedded_minor
+        monkeypatch.setattr(cli, "embedded_minor", lambda m, removal: good(m, removal) + 1)
+        assert main(["embed", write(GOLDEN_TEXT), "--minors"]) == 1
+        assert self._failing_lines(capsys.readouterr().err) == {"embedded-minors"}
 
 
 def test_console_entry_point(write):

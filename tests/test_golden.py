@@ -2,9 +2,12 @@
 
 Each case runs ``main`` in process on a seeded ``randgen`` matrix read from
 stdin (so no temporary path leaks into the report) and pins the SHA-256 of
-stdout together with the exit code.  The digests were captured before the
-CLI's identity layer was folded onto one residual dispatch; any change to a
-report's bytes, its record order or its witness labels shows up here.
+stdout and of stderr together with the exit code.  The digests were captured
+before the CLI's identity layer was folded onto one residual dispatch, and
+the ``pfaffian``, ``embed``, single-engine ``det`` and error cases before its
+subcommands were given one output path; any change to a report's bytes, its
+record order or its witness labels shows up here.  Error cases pin exit code
+2, an empty stdout and the diagnostic prefix, not the message text.
 """
 
 import hashlib
@@ -13,7 +16,7 @@ import sys
 
 import pytest
 
-from exactdet import emit_matrix_text
+from exactdet import Matrix, emit_matrix_text
 from exactdet.cli import main
 from exactdet.randgen import random_matrix, trial_stream
 
@@ -22,11 +25,29 @@ def _matrix_text(n: int) -> str:
     return emit_matrix_text(random_matrix(trial_stream(1000 + n, 0), n, n, 9))
 
 
-def _verify_cases() -> dict[str, tuple[list[str], int | None]]:
-    cases: dict[str, tuple[list[str], int | None]] = {}
+def _skew_text(n: int) -> str:
+    a = random_matrix(trial_stream(2000 + n, 0), n, n, 9)
+    return emit_matrix_text(
+        Matrix.from_rows(
+            [[a.at(i, j) - a.at(j, i) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        )
+    )
+
+
+def _verify_cases() -> dict[str, tuple[list[str], str]]:
+    cases: dict[str, tuple[list[str], str]] = {}
     for n in (2, 3, 4, 5, 6, 7, 9):
-        cases[f"verify-text-n{n}"] = (["verify", "-"], n)
-        cases[f"verify-json-n{n}"] = (["verify", "-", "--json"], n)
+        cases[f"verify-text-n{n}"] = (["verify", "-"], _matrix_text(n))
+        cases[f"verify-json-n{n}"] = (["verify", "-", "--json"], _matrix_text(n))
+    return cases
+
+
+def _pfaffian_cases() -> dict[str, tuple[list[str], str]]:
+    cases: dict[str, tuple[list[str], str]] = {}
+    for check in ("none", "square", "recurrence"):
+        argv = ["pfaffian", "-", "--check", check]
+        cases[f"pfaffian-{check}-text-n6"] = (argv, _skew_text(6))
+        cases[f"pfaffian-{check}-json-n6"] = ([*argv, "--json"], _skew_text(6))
     return cases
 
 
@@ -40,19 +61,53 @@ SELECTIONS = {
     "select-jacobi": ["--identity", "jacobi", "--pair", "2,5"],
 }
 
-CASES: dict[str, tuple[list[str], int | None]] = {
+CASES: dict[str, tuple[list[str], str]] = {
     **_verify_cases(),
-    **{name: (["verify", "-", "--json", *extra], 6) for name, extra in SELECTIONS.items()},
-    "det-json-n3": (["det", "-", "--json"], 3),
-    "det-text-n7": (["det", "-"], 7),
-    "fuzz-seed42": (["fuzz", "--seed", "42", "--trials", "30", "--size-max", "9"], None),
+    **{
+        name: (["verify", "-", "--json", *extra], _matrix_text(6))
+        for name, extra in SELECTIONS.items()
+    },
+    "det-json-n3": (["det", "-", "--json"], _matrix_text(3)),
+    "det-text-n7": (["det", "-"], _matrix_text(7)),
+    **{
+        f"det-{engine}-n6": (["det", "-", "--engine", engine], _matrix_text(6))
+        for engine in ("laplace", "bareiss", "dodgson")
+    },
+    "fuzz-seed42": (["fuzz", "--seed", "42", "--trials", "30", "--size-max", "9"], ""),
+    **_pfaffian_cases(),
+    "embed-text-n5": (["embed", "-"], _matrix_text(5)),
+    "embed-minors-n5": (["embed", "-", "--minors"], _matrix_text(5)),
+    "embed-json-n5": (["embed", "-", "--format", "json"], _matrix_text(5)),
+}
+
+# inputs that must be refused with exit code 2 before any report is printed
+ERRORS: dict[str, tuple[list[str], str]] = {
+    "det-non-square": (["det", "-"], "2 3\n1 2 3\n4 5 6\n"),
+    "verify-non-square": (["verify", "-"], "2 3\n1 2 3\n4 5 6\n"),
+    "embed-non-square": (["embed", "-"], "2 3\n1 2 3\n4 5 6\n"),
+    "pfaffian-not-antisymmetric": (["pfaffian", "-"], "2 2\n0 1\n2 0\n"),
+    "malformed-scalar": (["det", "-"], "1 1\n1.5\n"),
+    "selection-without-identity": (["verify", "-", "--pair", "1,2"], _matrix_text(3)),
+    "fuzz-zero-trials": (["fuzz", "--seed", "1", "--trials", "0"], ""),
 }
 
 # case -> (exit code, SHA-256 of stdout)
 GOLDEN = {
+    "det-bareiss-n6": (0, "d4baf18512f2c4171b16bfbb32903b0e87435d14a0d5abecc4bdee7707dd6951"),
+    "det-dodgson-n6": (0, "000c08cab40c98dc8bd1308b28cec47e4b837281f3ef02060c5f424607d30de7"),
     "det-json-n3": (0, "873970db9cf20b00666d1db278e5a86cd3494a7311a1550412ad741ac2970d3e"),
+    "det-laplace-n6": (0, "abdb995e274ace31fcf75b9d3952be37aadee8151764583c06a47dee8a290dfe"),
     "det-text-n7": (0, "6e6c6273a8a44f096d8eb1085907a7677e8de253b054117bfe1d2387528b2da3"),
+    "embed-json-n5": (0, "b71b65fea4598025c49cc7aaaf4f6f5e2dc3f8bf0f7f90b5ce456d5947f666f3"),
+    "embed-minors-n5": (0, "15c5ec040ec49788d4e3879310526d3abdffdf6a04be729cd033eddf70e3bccd"),
+    "embed-text-n5": (0, "15c5ec040ec49788d4e3879310526d3abdffdf6a04be729cd033eddf70e3bccd"),
     "fuzz-seed42": (0, "aac17a1c65680d9ae4dc604c4d4e2a0df2bb9da18af4afc3cd1b8d10dd443be9"),
+    "pfaffian-none-json-n6": (0, "92e7e1fd6cb5d1525f71634b313c2b82841b23baf9ffe3c67f4b4659a71dff21"),
+    "pfaffian-none-text-n6": (0, "52f1a257ec58c23d90be8bad023ef1b8a2223f17a268d93fb846da322a9f7259"),
+    "pfaffian-recurrence-json-n6": (0, "e704601af0fe9fddb6a2493e84d4ffe9d8187ddb18f551e11978759a997424b1"),
+    "pfaffian-recurrence-text-n6": (0, "4ba1468c7449e3c98beec26f4a1f3823cc5dd8af9055277c8f0a1e5216254e98"),
+    "pfaffian-square-json-n6": (0, "ff2043b33f54a35a8c7f83be5c65d56d2569566b9d522b5e96834941dceea278"),
+    "pfaffian-square-text-n6": (0, "bde2ec4fdae0072be4f193ff4081ffe65fc830df83e53bebffed253cb3c72384"),
     "select-generalized-r1": (0, "8da797c7a7abb3ae9fd626ae37f2d4c7324090e3eeec4aa3b84af4a7dabd5796"),
     "select-generalized-r2": (0, "fc2815080082a90a310c6c8438be010fadb095f2215e94024f34d9d9c942029d"),
     "select-generalized-r3": (0, "202f3c4c2cd93470fe6ed423d1e502010d9d1ec7cf6381566c3ddbfad20c1665"),
@@ -76,19 +131,41 @@ GOLDEN = {
     "verify-text-n9": (0, "d1898414e8b9285220bdd1051050a491d6f0df27955a140ec17b093d7c4302b9"),
 }
 
+# case -> SHA-256 of stderr, for the cases that write to it; every other case
+# must leave stderr empty
+GOLDEN_STDERR = {
+    "embed-json-n5": "2b8fefc7e000ebcc6b462a0dc3279d79742118c1ce115cc42af693873c8b778d",
+    "embed-minors-n5": "38c3ece1826ed498432eb0c483af4a2097e9a123488fa9ea5790fb05f07d86ee",
+    "embed-text-n5": "2b8fefc7e000ebcc6b462a0dc3279d79742118c1ce115cc42af693873c8b778d",
+}
 
-def _run_case(name: str, capsys, monkeypatch) -> tuple[int, str]:
-    argv, n = CASES[name]
-    monkeypatch.setattr(sys, "stdin", io.StringIO(_matrix_text(n) if n else ""))
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv: list[str], stdin: str, capsys, monkeypatch) -> tuple[int, str, str]:
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
-    out = capsys.readouterr().out
-    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+    assert set(GOLDEN_STDERR) <= set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_unchanged(name, capsys, monkeypatch):
-    assert _run_case(name, capsys, monkeypatch) == GOLDEN[name]
+    code, out, err = _run(*CASES[name], capsys, monkeypatch)
+    assert (code, _sha256(out)) == GOLDEN[name]
+    assert _sha256(err) == GOLDEN_STDERR.get(name, _sha256(""))
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_error_exits_2_with_empty_stdout(name, capsys, monkeypatch):
+    code, out, err = _run(*ERRORS[name], capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("exactdet: error: ")
+    assert err.count("\n") == 1

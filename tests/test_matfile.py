@@ -39,6 +39,7 @@ class TestTextFormat:
             "1 1\n1/0\n",
             "0 2\n",
             "a b\n1 2\n",
+            "1000000000 1\n1\n",
         ],
     )
     def test_rejects(self, bad):
@@ -68,6 +69,9 @@ class TestJsonFormat:
             '{"rows": 1, "cols": 2, "entries": [["1"]]}',
             '{"rows": 1, "cols": 1, "entries": [[1.5]]}',
             '{"rows": 0, "cols": 1, "entries": []}',
+            '{"rows": true, "cols": 1, "entries": [["1"]]}',
+            '{"rows": 1, "cols": 1, "entries": "1"}',
+            '{"rows": 1, "cols": 1, "entries": ["1"]}',
         ],
     )
     def test_rejects(self, bad):
