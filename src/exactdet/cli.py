@@ -1,5 +1,8 @@
 """Command-line front end: determinants, identity sweeps, Pfaffians, fuzzing.
 
+Each subcommand returns its run report; ``main`` alone prints it, in the
+format and on the stream the parser fixes, and maps its verdict to an exit code.
+
 Exit codes: 0 all checks pass, 1 a residual or engine differential failed
 (which would mean an implementation bug, the identities are theorems), and
 2 for usage, parse, or dimension errors.  Diagnostics go to stderr only.
@@ -7,7 +10,8 @@ Exit codes: 0 all checks pass, 1 a residual or engine differential failed
 Sweep policy (fixed constants, also shown in --help): index choices are
 enumerated exhaustively for matrices of order <= 6 and sampled with the
 seeded generator beyond that; the Laplace engine joins the differential
-only up to order 7.
+only up to order 7, and ``det --engine laplace`` refuses larger orders with
+exit code 2.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import combinations, product
+from typing import Iterator, Sequence, TextIO
 
 from .core import Matrix, format_scalar
 from .engines import (
@@ -70,6 +74,13 @@ def _read_matrix(path: str) -> Matrix:
         return parse_matrix(handle.read())
 
 
+def _read_square_matrix(args: argparse.Namespace) -> Matrix:
+    matrix = _read_matrix(args.file)
+    if not matrix.is_square:
+        raise ValueError(f"{args.command} needs a square matrix, got {matrix.rows}x{matrix.cols}")
+    return matrix
+
+
 def _record(
     check: str,
     operands: str,
@@ -101,8 +112,7 @@ def _report(command: dict, records: list[dict], seed: int | None = None) -> dict
     return report
 
 
-def _print_report(report: dict, as_json: bool, stream=None) -> None:
-    out = stream or sys.stdout
+def _print_report(report: dict, as_json: bool, out: TextIO) -> None:
     if as_json:
         out.write(json.dumps(report, indent=2) + "\n")
         return
@@ -115,10 +125,6 @@ def _print_report(report: dict, as_json: bool, stream=None) -> None:
     summary = report["summary"]
     status = "pass" if summary["pass"] else "FAIL"
     out.write(f"overall: {status} ({summary['checks']} checks, {summary['failures']} failures)\n")
-
-
-def _exit_code(report: dict) -> int:
-    return EXIT_OK if report["summary"]["pass"] else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +232,11 @@ def _determinants(
     return values, dodgson
 
 
-def _cmd_det(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.file)
-    if not matrix.is_square:
-        raise ValueError(f"determinant requires a square matrix, got {matrix.rows}x{matrix.cols}")
+def _cmd_det(args: argparse.Namespace) -> dict:
+    matrix = _read_square_matrix(args)
     n = matrix.rows
+    if args.engine not in _differential(n) + ("all",):
+        raise ValueError(f"--engine laplace runs only up to n = {LAPLACE_LIMIT}, got n = {n}")
     engines = _differential(n) if args.engine == "all" else (args.engine,)
     values, dodgson = _determinants(matrix, engines)
     records = []
@@ -250,9 +256,7 @@ def _cmd_det(args: argparse.Namespace) -> int:
                 passed=len(set(values.values())) == 1,
             )
         )
-    report = _report({"name": "det", "file": args.file, "engine": args.engine}, records)
-    _print_report(report, args.json)
-    return _exit_code(report)
+    return _report({"name": "det", "file": args.file, "engine": args.engine}, records)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -262,10 +266,8 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed index list {text!r}") from None
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.file)
-    if not matrix.is_square:
-        raise ValueError(f"verify requires a square matrix, got {matrix.rows}x{matrix.cols}")
+def _cmd_verify(args: argparse.Namespace) -> dict:
+    matrix = _read_square_matrix(args)
     has_selection = args.pair or args.rows or args.cols
     records = []
     if has_selection:
@@ -283,9 +285,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         command["rows"] = args.rows
     if args.cols:
         command["cols"] = args.cols
-    report = _report(command, records)
-    _print_report(report, args.json)
-    return _exit_code(report)
+    return _report(command, records)
 
 
 def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
@@ -312,7 +312,7 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
     return _record(name, operands, residual=format_scalar(res), passed=res == 0)
 
 
-def _cmd_pfaffian(args: argparse.Namespace) -> int:
+def _cmd_pfaffian(args: argparse.Namespace) -> dict:
     matrix = _read_matrix(args.file)
     skew = antisymmetric_from_matrix(matrix)
     pf = pfaffian(skew)
@@ -339,17 +339,25 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
                 passed=res == 0,
             )
         )
-    report = _report(
-        {"name": "pfaffian", "file": args.file, "check": args.check}, records
-    )
-    _print_report(report, args.json)
-    return _exit_code(report)
+    return _report({"name": "pfaffian", "file": args.file, "check": args.check}, records)
 
 
-def _cmd_embed(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.file)
-    if not matrix.is_square:
-        raise ValueError(f"embed requires a square matrix, got {matrix.rows}x{matrix.cols}")
+def _embedded_minor_cases(matrix: Matrix) -> Iterator[tuple[str, set[str], Fraction]]:
+    """Every first minor, then every principal double minor, with the
+    embedding labels whose removal must give the same value."""
+    indices = range(1, matrix.rows + 1)
+    for i, j in product(indices, repeat=2):
+        yield f"minor ({i},{j})", {f"{i}", f"{j}*"}, first_minor(matrix, i, j)
+    for i, j in combinations(indices, 2):
+        yield (
+            f"double minor ({i},{j})",
+            {f"{i}", f"{j}", f"{i}*", f"{j}*"},
+            complementary_minor(matrix, (i, j), (i, j)),
+        )
+
+
+def _cmd_embed(args: argparse.Namespace) -> dict:
+    matrix = _read_square_matrix(args)
     n = matrix.rows
     embedded = determinant_embedding(matrix)
     full = embedded.to_matrix()
@@ -368,25 +376,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     ]
     if args.minors:
         mismatch: tuple[str, Fraction] | None = None
-        checked = 0
-        cases: list[tuple[str, set[str], Fraction]] = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                cases.append(
-                    (f"minor ({i},{j})", {f"{i}", f"{j}*"}, first_minor(matrix, i, j))
-                )
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                cases.append(
-                    (
-                        f"double minor ({i},{j})",
-                        {f"{i}", f"{j}", f"{i}*", f"{j}*"},
-                        complementary_minor(matrix, (i, j), (i, j)),
-                    )
-                )
-        for label, removal, expected in cases:
+        for checked, (label, removal, expected) in enumerate(_embedded_minor_cases(matrix), 1):
             got = embedded_minor(matrix, removal)
-            checked += 1
             if got != expected and mismatch is None:
                 mismatch = (label, got - expected)
         operands = f"n={n} correspondences={checked}"
@@ -400,14 +391,10 @@ def _cmd_embed(args: argparse.Namespace) -> int:
                 passed=mismatch is None,
             )
         )
-    report = _report(
-        {"name": "embed", "file": args.file, "minors": bool(args.minors)}, records
-    )
-    _print_report(report, as_json=False, stream=sys.stderr)
-    return _exit_code(report)
+    return _report({"name": "embed", "file": args.file, "minors": bool(args.minors)}, records)
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
+def _cmd_fuzz(args: argparse.Namespace) -> dict:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     if args.size_max < 2:
@@ -442,9 +429,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         "entry_bound": args.entry_bound,
         "identity": args.identity,
     }
-    report = _report(command, records, seed=args.seed)
-    _print_report(report, as_json=True)
-    return _exit_code(report)
+    return _report(command, records, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
             f"n = {LAPLACE_LIMIT}. Exit codes: 0 pass, 1 violation, 2 usage/parse."
         ),
     )
+    # the report goes to stdout unless a subcommand fixes another stream
+    parser.set_defaults(stream="stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     det = sub.add_parser("det", help="compute a determinant")
@@ -477,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=(
             f"engine selection; 'all' cross-checks Bareiss and Dodgson, plus "
-            f"Laplace up to n = {LAPLACE_LIMIT} (default)"
+            f"Laplace up to n = {LAPLACE_LIMIT} (default); 'laplace' refuses "
+            f"n > {LAPLACE_LIMIT}"
         ),
     )
     det.add_argument("--json", action="store_true", help="emit the JSON run report")
@@ -523,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="matrix output format on stdout (default text)",
     )
-    embed.set_defaults(func=_cmd_embed)
+    embed.set_defaults(func=_cmd_embed, json=False, stream="stderr")
 
     fuzz = sub.add_parser("fuzz", help="seeded differential fuzzing")
     fuzz.add_argument("--seed", type=int, required=True, help="generator seed")
@@ -538,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="identity families to sweep per trial (default: all)",
     )
-    fuzz.set_defaults(func=_cmd_fuzz)
+    fuzz.set_defaults(func=_cmd_fuzz, json=True)
 
     return parser
 
@@ -547,10 +535,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        _print_report(report, args.json, getattr(sys, args.stream))
     except (ValueError, IndexError, OSError) as exc:
         print(f"exactdet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if report["summary"]["pass"] else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -17,58 +17,43 @@ import json
 from .core import Matrix, format_scalar, parse_scalar, scalar
 
 
+def _shaped(rows, cols, body, convert) -> Matrix:
+    """The rows x cols matrix whose body is a list of entry lists, each
+    entry converted by convert; the one shape check for both formats."""
+    if any(not isinstance(dim, int) or isinstance(dim, bool) or dim < 1 for dim in (rows, cols)):
+        raise ValueError(f"matrix dimensions must be positive integers, got {rows!r} {cols!r}")
+    if not isinstance(body, list):
+        raise ValueError(f"expected a list of {rows} matrix rows, got {body!r}")
+    if len(body) != rows:
+        raise ValueError(f"expected {rows} matrix rows, found {len(body)}")
+    for row in body:
+        if not isinstance(row, list) or len(row) != cols:
+            raise ValueError(f"expected {cols} entries per row, got {row!r}")
+    return Matrix(rows, cols, tuple(tuple(convert(v) for v in row) for row in body))
+
+
 def parse_matrix_text(text: str) -> Matrix:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"header must be 'rows cols', got {lines[0]!r}")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = (int(tok) for tok in lines[0].split())
     except ValueError:
         raise ValueError(f"header must be 'rows cols', got {lines[0]!r}") from None
-    if rows < 1 or cols < 1:
-        raise ValueError(f"header dimensions must be positive, got {rows} {cols}")
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
-    entries = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != cols:
-            raise ValueError(f"expected {cols} entries per row, got {len(tokens)}: {line!r}")
-        entries.append(tuple(parse_scalar(tok) for tok in tokens))
-    return Matrix(rows, cols, tuple(entries))
+    return _shaped(rows, cols, [line.split() for line in lines[1:]], parse_scalar)
 
 
 def parse_matrix_json(text: str) -> Matrix:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON matrix: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("JSON matrix must be an object")
     missing = {"rows", "cols", "entries"} - data.keys()
     if missing:
         raise ValueError(f"JSON matrix missing keys: {sorted(missing)}")
-    rows, cols, body = data["rows"], data["cols"], data["entries"]
-    if (
-        not isinstance(rows, int)
-        or not isinstance(cols, int)
-        or isinstance(rows, bool)
-        or isinstance(cols, bool)
-        or rows < 1
-        or cols < 1
-    ):
-        raise ValueError("JSON matrix dimensions must be positive integers")
-    if not isinstance(body, list) or len(body) != rows:
-        raise ValueError(f"JSON matrix needs {rows} entry rows")
-    entries = []
-    for row in body:
-        if not isinstance(row, list) or len(row) != cols:
-            raise ValueError(f"JSON matrix rows need {cols} entries")
-        entries.append(tuple(scalar(v) for v in row))
-    return Matrix(rows, cols, tuple(entries))
+    return _shaped(data["rows"], data["cols"], data["entries"], scalar)
 
 
 def parse_matrix(text: str) -> Matrix:

@@ -89,6 +89,16 @@ class TestDet:
         assert [rec["check"] for rec in results] == ["bareiss", "dodgson", "engines-agree"]
         assert results[-1]["operands"] == f"n={n} engines=2"
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_laplace_engine_refuses_orders_past_limit(self, n, write, capsys):
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        start = time.perf_counter()
+        assert main(["det", path, "--engine", "laplace"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"up to n = {cli.LAPLACE_LIMIT}, got n = {n}" in captured.err
+
 
 class TestVerify:
     def test_identity_jacobi(self, write, capsys):

@@ -72,6 +72,7 @@ class TestJsonFormat:
             '{"rows": true, "cols": 1, "entries": [["1"]]}',
             '{"rows": 1, "cols": 1, "entries": "1"}',
             '{"rows": 1, "cols": 1, "entries": ["1"]}',
+            '{"rows": 1, "cols": 1, "entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
         ],
     )
     def test_rejects(self, bad):
