@@ -61,7 +61,8 @@ LAPLACE_LIMIT = 7  # largest order fed to the Laplace oracle
 
 IDENTITY_NAMES = ("jacobi", "three-term", "generalized", "pluecker")
 
-# splitting orders r (r rows, 2r columns) swept per row-and-column family
+# splitting orders r (r rows, 2r columns) per row-and-column family: the
+# orders a sweep covers and the only ones a single selection accepts
 _SPLITTINGS = {"three-term": (2,), "generalized": (1, 2, 3), "pluecker": (1, 2)}
 
 Witness = tuple[str, Fraction]
@@ -304,10 +305,9 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
         rows = _parse_indices(args.rows)
         cols = _parse_indices(args.cols)
         operands = f"n={matrix.rows} rows={rows} cols={cols}"
-        if name == "pluecker" and (
-            len(cols) != 2 * len(rows) or len(rows) not in _SPLITTINGS[name]
-        ):
-            raise ValueError("pluecker selection needs r rows and 2r columns, r in {1, 2}")
+        orders = _SPLITTINGS[name]
+        if len(rows) not in orders or len(cols) != 2 * len(rows):
+            raise ValueError(f"{name} selection needs r rows and 2r columns, r in {set(orders)}")
         res = _residual(name, matrix, rows, cols)
     return _record(name, operands, residual=format_scalar(res), passed=res == 0)
 

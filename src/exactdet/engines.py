@@ -1,6 +1,6 @@
 """Three independent determinant engines plus minor and cofactor accessors.
 
-``det_laplace`` is the ground-truth oracle (exponential, fine up to n=8).
+``det_laplace`` is the ground-truth oracle (exponential; the CLI stops it at n=7).
 ``det_bareiss`` is the fraction-free workhorse.  ``det_dodgson`` condenses
 via the two-by-two minor recurrence and falls back to Bareiss whenever an
 interior divisor vanishes.  All engines agree exactly on every square input.
@@ -47,7 +47,7 @@ def det_laplace(matrix: Matrix) -> Fraction:
     """Determinant by recursive first-row cofactor expansion.
 
     Serves as the oracle for the other engines; exponential cost, so callers
-    keep it to small sizes (n <= 8) by policy.  det of the 0x0 matrix is 1.
+    keep it to n <= cli.LAPLACE_LIMIT = 7 by policy.  det of the 0x0 matrix is 1.
     """
     _require_square(matrix)
     return _laplace(matrix.entries)

@@ -36,10 +36,11 @@ def parse_matrix_text(text: str) -> Matrix:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    try:
-        rows, cols = (int(tok) for tok in lines[0].split())
-    except ValueError:
-        raise ValueError(f"header must be 'rows cols', got {lines[0]!r}") from None
+    header = lines[0].split()
+    # ASCII digits only, as in the scalar grammar: int() would also take "1_0" and "１"
+    if len(header) != 2 or not all(tok.isascii() and tok.isdigit() for tok in header):
+        raise ValueError(f"header must be 'rows cols', got {lines[0]!r}")
+    rows, cols = (int(tok) for tok in header)
     return _shaped(rows, cols, [line.split() for line in lines[1:]], parse_scalar)
 
 

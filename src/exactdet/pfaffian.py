@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Matrix, ScalarLike, format_scalar, scalar
+from .core import Matrix, ScalarLike, format_scalar, scalar, submatrix_delete
 from .engines import complementary_minor, det_bareiss, first_minor
 
 
@@ -102,42 +102,33 @@ def antisymmetric_from_matrix(matrix: Matrix) -> AntisymmetricMatrix:
     return AntisymmetricMatrix(n, tuple(upper))
 
 
-def _pfaffian_over(entry, labels: tuple[int, ...]) -> Fraction:
-    """Pfaffian by expansion along the first remaining index.
-
-    ``entry(i, j)`` supplies the skew pair value; ``labels`` is the ordered
-    index subset still in play.  Memoization is keyed on that subset and
-    lives only for the enclosing call.
-    """
-    memo: dict[tuple[int, ...], Fraction] = {}
-
-    def expand(active: tuple[int, ...]) -> Fraction:
-        if not active:
-            return Fraction(1)
-        cached = memo.get(active)
-        if cached is not None:
-            return cached
-        head = active[0]
-        rest = active[1:]
-        total = Fraction(0)
-        for pos, other in enumerate(rest, start=2):
-            a = entry(head, other)
-            if a != 0:
-                sub = tuple(x for x in rest if x != other)
-                term = a * expand(sub)
-                total += term if pos % 2 == 0 else -term
-        memo[active] = total
-        return total
-
-    return expand(labels)
-
-
 def pfaffian(matrix: AntisymmetricMatrix) -> Fraction:
     """Pfaffian of an even-order antisymmetric matrix; Pf of order 0 is 1.
 
-    Satisfies pfaffian(A)**2 == det(A) exactly.
+    Pivoted skew elimination in O(n^3) exact steps: pair index k with its
+    first nonzero partner j (swapping j into position k+1 flips the sign),
+    multiply in the pivot a[k][k+1], and replace the trailing block by its
+    Schur complement against the 2x2 pivot block, which is again
+    antisymmetric.  Satisfies pfaffian(A)**2 == det(A) exactly.
     """
-    return _pfaffian_over(matrix.entry, tuple(range(1, matrix.order + 1)))
+    a = [list(row) for row in matrix.to_matrix().entries]
+    n = matrix.order
+    result = Fraction(1)
+    for k in range(0, n, 2):
+        j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+        if j is None:
+            return Fraction(0)
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            result = -result
+        p = a[k][k + 1]
+        result *= p
+        for i in range(k + 2, n):
+            for c in range(k + 2, n):
+                a[i][c] += (a[i][k] * a[k + 1][c] - a[i][k + 1] * a[k][c]) / p
+    return result
 
 
 def pfaffian_square_residual(matrix: AntisymmetricMatrix) -> Fraction:
@@ -231,11 +222,7 @@ def embedded_minor(matrix: Matrix, remove: Iterable[str]) -> Fraction:
     else:
         raise ValueError(f"removal set must have 2 or 4 labels, got {len(parsed)}")
 
-    embedded = determinant_embedding(matrix)
-    survivors = []
-    for pos in range(1, 2 * n + 1):
-        idx = pos if pos <= n else 2 * n + 1 - pos
-        star = pos > n
-        if (idx, star) not in parsed:
-            survivors.append(pos)
-    return _pfaffian_over(embedded.entry, tuple(survivors))
+    labels = embedding_labels(n)
+    gone = [labels.index(f"{idx}*" if star else str(idx)) + 1 for idx, star in parsed]
+    full = determinant_embedding(matrix).to_matrix()
+    return pfaffian(antisymmetric_from_matrix(submatrix_delete(full, gone, gone)))

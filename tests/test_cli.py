@@ -142,6 +142,26 @@ class TestVerify:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "n,rows,cols",
+        [
+            (8, "1,2,3,4", "1,2,3,4,5,6,7,8"),  # r = 4 is past the splitting table
+            (24, ",".join(map(str, range(1, 13))), ",".join(map(str, range(1, 25)))),
+        ],
+    )
+    def test_generalized_selection_outside_splittings_exits_2_quickly(
+        self, n, rows, cols, write, capsys
+    ):
+        # r = 12 at n = 24 would sum C(24, 12) ~ 2.7M splittings
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 1), n, n, 9)))
+        start = time.perf_counter()
+        code = main(["verify", path, "--identity", "generalized", "--rows", rows, "--cols", cols])
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r in {1, 2, 3}" in captured.err
+
     def test_violation_exits_1(self, write, capsys, monkeypatch):
         monkeypatch.setattr(cli, "jacobi_residual", lambda m, i, j: Fraction(1))
         code = main(["verify", write(GOLDEN_TEXT), "--identity", "jacobi", "--pair", "1,2"])

@@ -40,6 +40,8 @@ class TestTextFormat:
             "0 2\n",
             "a b\n1 2\n",
             "1000000000 1\n1\n",
+            "１ 1\n5\n",  # full-width digit one
+            "1_0 1\n" + "1\n" * 10,  # int() would read 10 rows
         ],
     )
     def test_rejects(self, bad):

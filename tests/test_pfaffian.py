@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -90,10 +90,24 @@ class TestPfaffian:
         assert pfaffian(AntisymmetricMatrix(0, ())) == 1
 
     def test_matches_matching_enumeration(self):
-        for order in (2, 4, 6, 8):
-            skew = random_antisymmetric(trial_stream(42, order), order, 9)
+        # entry bound 1 leaves zeros in pivot rows, so these inputs also take
+        # the elimination's partner-swap and zero-row branches
+        for order, bound in product((2, 4, 6, 8), (9, 1)):
+            skew = random_antisymmetric(trial_stream(42, order), order, bound)
             expected = pfaffian_matchings(skew.entry, range(1, order + 1))
             assert pfaffian(skew) == expected
+
+    def test_congruent_order_40(self):
+        # S = B^T J B with J the block-diagonal standard form, so Pf(S) = det B
+        n = 40
+        b = random_matrix(trial_stream(51, 0), n, n, 9).entries
+        upper = [
+            sum(b[k][i] * b[k + 1][j] - b[k + 1][i] * b[k][j] for k in range(0, n, 2))
+            for i, j in combinations(range(n), 2)
+        ]
+        skew = antisymmetric_from_upper(n, upper)
+        assert pfaffian(skew) == det_bareiss(Matrix(n, n, b))
+        assert pfaffian_square_residual(skew) == 0
 
     def test_square_residual(self):
         assert pfaffian_square_residual(antisymmetric_from_upper(2, [3])) == 0
