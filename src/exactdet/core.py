@@ -18,16 +18,27 @@ ScalarLike = Union[int, str, Fraction]
 
 _SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[+-]?[0-9]+)?\Z")
 
+# Longest numerator or denominator accepted from text, in digits: Python's
+# default integer-string limit (3.11, 3.10.7 and later), enforced here so that
+# every version agrees and the diagnostic is the program's own.
+MAX_SCALAR_DIGITS = 4300
+
 
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a canonical Fraction.
 
     The grammar is strict: optional sign, digits, optionally ``/`` and a
-    signed nonzero integer.  No whitespace, no decimals, no floats.
+    signed nonzero integer.  No whitespace, no decimals, no floats, and at
+    most ``MAX_SCALAR_DIGITS`` digits in the numerator and the denominator.
     """
     if not isinstance(text, str) or not _SCALAR_RE.match(text):
         raise ValueError(f"malformed scalar {text!r}")
     num, _, den = text.partition("/")
+    if max(len(num.lstrip("+-")), len(den.lstrip("+-"))) > MAX_SCALAR_DIGITS:
+        raise ValueError(
+            f"scalar {text[:20]}... has more than {MAX_SCALAR_DIGITS} digits "
+            "in its numerator or denominator"
+        )
     if den:
         d = int(den)
         if d == 0:

@@ -1,9 +1,9 @@
-"""Three independent determinant engines plus minor and cofactor accessors.
+"""Three determinant engines plus minor and cofactor accessors.
 
-``det_laplace`` is the ground-truth oracle (exponential; the CLI stops it at n=7).
-``det_bareiss`` is the fraction-free workhorse.  ``det_dodgson`` condenses
-via the two-by-two minor recurrence and falls back to Bareiss whenever an
-interior divisor vanishes.  All engines agree exactly on every square input.
+``det_laplace`` is the ground-truth oracle (exponential; the CLI stops it at n=7),
+independent of the workhorses.  ``det_bareiss`` eliminates and ``det_dodgson``
+condenses on the same denominator-free integer rows, and Dodgson hands a block
+with a zero interior to that same elimination.  All engines agree exactly.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable
 
@@ -75,25 +76,35 @@ def _laplace(rows: tuple[tuple[Fraction, ...], ...]) -> Fraction:
 def det_bareiss(matrix: Matrix) -> Fraction:
     """Fraction-free Bareiss determinant, exact over the rationals.
 
-    Rational input is cleared to integers row by row (the determinant is
-    divided back at the end), so the elimination itself runs in pure integer
-    arithmetic with exact interior divisions.  Zero pivots are handled by row
-    swaps with sign tracking; a pivotless column means the matrix is singular.
+    ``_integer_rows`` clears each row's denominators once, ``_bareiss`` runs
+    the elimination in pure integer arithmetic with exact interior divisions,
+    and the scale is divided back at the end.
     """
-    n = _require_square(matrix)
-    if n == 0:
-        return Fraction(1)
+    _require_square(matrix)
+    scale, rows = _integer_rows(matrix)
+    return Fraction(_bareiss(rows), scale)
+
+
+def _integer_rows(matrix: Matrix) -> tuple[int, list[list[int]]]:
+    """Each row times the lcm of its denominators; det(matrix) = det(rows) / scale."""
     scale = 1
-    work: list[list[int]] = []
+    rows: list[list[int]] = []
     for row in matrix.entries:
         mult = 1
         for v in row:
             mult = lcm(mult, v.denominator)
         scale *= mult
-        work.append([v.numerator * (mult // v.denominator) for v in row])
+        rows.append([v.numerator * (mult // v.denominator) for v in row])
+    return scale, rows
+
+
+def _bareiss(work: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (1 if empty), eliminated in place;
+    a zero pivot swaps rows with sign tracking, a pivotless column gives 0."""
+    n = len(work)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if work[k][k] == 0:
             for i in range(k + 1, n):
                 if work[i][k] != 0:
@@ -101,7 +112,7 @@ def det_bareiss(matrix: Matrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = work[k][k]
         for i in range(k + 1, n):
             row_i = work[i]
@@ -111,7 +122,7 @@ def det_bareiss(matrix: Matrix) -> Fraction:
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * work[n - 1][n - 1], scale)
+    return sign * prev
 
 
 def det_dodgson(matrix: Matrix) -> DodgsonResult:
@@ -122,48 +133,36 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
         det B = (M11 * Mnn - M1n * Mn1) / interior
 
     where the M's are the corner minors of size s-1 and ``interior`` is the
-    central minor of size s-2 (det of the 0x0 block is 1).  The recursion
-    only ever visits contiguous blocks of the input, which are memoized.
-    Whenever a block's interior divisor is zero, that block's determinant is
-    computed by ``det_bareiss`` instead and the fallback is recorded.
+    central minor of size s-2 (det of the 0x0 block is 1).  The memoized
+    recursion visits contiguous blocks of the integer rows that ``det_bareiss``
+    eliminates, so each division is an exact ``//``; a block with a zero
+    interior goes to ``_bareiss`` instead, and the first such fallback is recorded.
     """
     n = _require_square(matrix)
     if n < 1:
         raise ValueError("condensation requires n >= 1")
-    memo: dict[tuple[int, int, int], Fraction] = {}
-    state = {"used": False, "depth": 0}
-    entries = matrix.entries
+    scale, rows = _integer_rows(matrix)
+    depth = 0
 
-    def block(r0: int, c0: int, size: int) -> Fraction:
-        key = (r0, c0, size)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    @cache
+    def block(r0: int, c0: int, size: int) -> int:
+        nonlocal depth
         if size == 0:
-            value = Fraction(1)
-        elif size == 1:
-            value = entries[r0][c0]
-        else:
-            interior = block(r0 + 1, c0 + 1, size - 2)
-            if interior == 0:
-                if not state["used"]:
-                    state["used"] = True
-                    state["depth"] = n - size + 1
-                sub = Matrix.from_rows(
-                    [row[c0 : c0 + size] for row in entries[r0 : r0 + size]]
-                )
-                value = det_bareiss(sub)
-            else:
-                m11 = block(r0 + 1, c0 + 1, size - 1)
-                mnn = block(r0, c0, size - 1)
-                m1n = block(r0 + 1, c0, size - 1)
-                mn1 = block(r0, c0 + 1, size - 1)
-                value = (m11 * mnn - m1n * mn1) / interior
-        memo[key] = value
-        return value
+            return 1
+        if size == 1:
+            return rows[r0][c0]
+        interior = block(r0 + 1, c0 + 1, size - 2)
+        if interior == 0:
+            depth = depth or n - size + 1
+            return _bareiss([row[c0 : c0 + size] for row in rows[r0 : r0 + size]])
+        m11 = block(r0 + 1, c0 + 1, size - 1)
+        mnn = block(r0, c0, size - 1)
+        m1n = block(r0 + 1, c0, size - 1)
+        mn1 = block(r0, c0 + 1, size - 1)
+        return (m11 * mnn - m1n * mn1) // interior
 
     value = block(0, 0, n)
-    return DodgsonResult(value, state["used"], state["depth"])
+    return DodgsonResult(Fraction(value, scale), depth > 0, depth)
 
 
 def complementary_minor(

@@ -46,7 +46,8 @@ def parse_matrix_text(text: str) -> Matrix:
 
 def parse_matrix_json(text: str) -> Matrix:
     try:
-        data = json.loads(text)
+        # integer literals obey the scalar digit limit too
+        data = json.loads(text, parse_int=lambda literal: parse_scalar(literal).numerator)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON matrix: {exc}") from None
     if not isinstance(data, dict):

@@ -165,7 +165,8 @@ def _parse_label(label: str, n: int) -> tuple[int, bool]:
     starred = text.endswith("*")
     if starred:
         text = text[:-1]
-    if not text.isdigit():
+    # ASCII digits only, as in the matrix header: isdigit() alone takes "１" and "²"
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"malformed label {label!r}")
     idx = int(text)
     if not 1 <= idx <= n:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import exactdet.cli as cli
+import exactdet.engines as engines
 from exactdet import DodgsonResult, Matrix, det_dodgson, emit_matrix_text
 from exactdet.cli import main
 from exactdet.randgen import random_matrix, trial_stream
@@ -17,6 +18,7 @@ from exactdet.randgen import random_matrix, trial_stream
 GOLDEN_TEXT = "3 3\n1 2 3\n4 5 6\n7 8 10\n"
 IDENTITY3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 FOUR = "4 4\n2 -1 3 0\n1 5 -2 4\n0 3 1 -3\n-2 1 4 2\n"
+RATIONAL3 = "3 3\n1/2 2 3\n4 5/3 6\n7 8 10/7\n"
 SKEW2 = "2 2\n0 3\n-3 0\n"
 SKEW4 = emit_matrix_text(
     Matrix.from_rows(
@@ -66,6 +68,13 @@ class TestDet:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1000000000" in captured.err
+
+    def test_oversized_scalar_exits_2_with_own_diagnostic(self, write, capsys):
+        assert main(["det", write("2 2\n" + "7" * 5000 + " 1\n2 3\n")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 4300 digits" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
 
     def test_json_report_schema(self, write, capsys):
         assert main(["det", write(GOLDEN_TEXT), "--json"]) == 0
@@ -342,6 +351,18 @@ class TestFaultInjection:
         good = getattr(cli, engine)
         monkeypatch.setattr(cli, engine, lambda m: good(m) + 1)
         assert main(["det", write(GOLDEN_TEXT), "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"engines-agree"}
+
+    def test_wrong_shared_clearing_fails_det(self, write, capsys, monkeypatch):
+        # Bareiss and Dodgson share one denominator clearing; Laplace does not
+        good = engines._integer_rows
+
+        def doubled_scale(matrix):
+            scale, rows = good(matrix)
+            return 2 * scale, rows
+
+        monkeypatch.setattr(engines, "_integer_rows", doubled_scale)
+        assert main(["det", write(RATIONAL3), "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == {"engines-agree"}
 
     @staticmethod

@@ -25,6 +25,15 @@ def seeded(seed, n, bound=9):
     return random_matrix(trial_stream(seed, 0), n, n, bound)
 
 
+def seeded_rational(seed, n, bound=9):
+    """Entries p/q with p in [-bound, bound] and q in [1, bound], drawn row-major."""
+    gen = trial_stream(seed, 0)
+    return Matrix.from_rows(
+        [[Fraction(gen.next_int(-bound, bound), gen.next_int(1, bound)) for _ in range(n)]
+         for _ in range(n)]
+    )
+
+
 class TestLaplace:
     def test_identity(self):
         assert det_laplace(Matrix.identity(3)) == 1
@@ -132,6 +141,45 @@ class TestDodgson:
             result = det_dodgson(m)
             if not result.fallback_used:
                 assert result.fallback_depth == 0
+            assert result.value == det_bareiss(m)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rational_entries_match_bareiss_and_laplace(self, n):
+        for seed in range(4):
+            m = seeded_rational(400 + 10 * n + seed, n)
+            reference = det_laplace(m)
+            assert det_bareiss(m) == reference
+            assert det_dodgson(m).value == reference
+
+    def test_scaled_zero_interior_fallback(self):
+        factors = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+        scaled = Matrix.from_rows(
+            [tuple(c * v for v in ZERO_INTERIOR.row_values(i + 1)) for i, c in enumerate(factors)]
+        )
+        reference = det_laplace(scaled)
+        assert reference == 60 * factors[0] * factors[1] * factors[2]
+        assert det_bareiss(scaled) == reference
+        assert det_dodgson(scaled) == DodgsonResult(reference, True, 1)
+
+    # (seed, n, bound, fallback_used, fallback_depth): fallback_depth is the
+    # level of the first fallback in the recursion's visit order (interior,
+    # then m11, mnn, m1n, mn1), so any change of that order moves these levels.
+    VISIT_ORDER = [
+        (500, 3, 1, True, 1), (501, 4, 2, True, 2), (502, 5, 3, False, 0),
+        (503, 6, 1, True, 3), (504, 7, 2, True, 4), (505, 8, 3, True, 6),
+        (506, 9, 1, True, 6), (507, 10, 2, True, 8), (508, 11, 3, True, 8),
+        (509, 12, 1, True, 10), (510, 3, 2, False, 0), (511, 4, 3, False, 0),
+        (512, 5, 1, True, 3), (513, 6, 2, True, 4), (514, 7, 3, True, 5),
+        (515, 8, 1, True, 6), (516, 9, 2, True, 7), (517, 10, 3, True, 8),
+        (518, 11, 1, True, 9), (519, 12, 2, True, 9), (520, 3, 3, False, 0),
+        (521, 4, 1, True, 2), (522, 5, 2, True, 3), (523, 6, 3, True, 4),
+    ]
+
+    def test_fallback_visit_order_pinned(self):
+        for seed, n, bound, used, depth in self.VISIT_ORDER:
+            m = seeded(seed, n, bound)
+            result = det_dodgson(m)
+            assert (result.fallback_used, result.fallback_depth) == (used, depth), seed
             assert result.value == det_bareiss(m)
 
     def test_rejects_empty(self):

@@ -10,9 +10,13 @@ from exactdet import (
     parse_matrix_json,
     parse_matrix_text,
 )
+from exactdet.core import MAX_SCALAR_DIGITS
 from exactdet.randgen import trial_stream
 
 SAMPLE = Matrix.from_rows([["1/2", "-3"], ["0", "7/5"]])
+LONGEST = "9" * MAX_SCALAR_DIGITS
+TOO_LONG = LONGEST + "9"
+ONE_ENTRY_JSON = '{"rows": 1, "cols": 1, "entries": [[%s]]}'
 
 
 class TestTextFormat:
@@ -42,6 +46,7 @@ class TestTextFormat:
             "1000000000 1\n1\n",
             "１ 1\n5\n",  # full-width digit one
             "1_0 1\n" + "1\n" * 10,  # int() would read 10 rows
+            pytest.param(f"1 1\n{TOO_LONG}\n", id="4301-digit-token"),
         ],
     )
     def test_rejects(self, bad):
@@ -75,11 +80,36 @@ class TestJsonFormat:
             '{"rows": 1, "cols": 1, "entries": "1"}',
             '{"rows": 1, "cols": 1, "entries": ["1"]}',
             '{"rows": 1, "cols": 1, "entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            pytest.param(ONE_ENTRY_JSON % f'"{TOO_LONG}"', id="4301-digit-string"),
+            pytest.param(ONE_ENTRY_JSON % TOO_LONG, id="4301-digit-integer"),
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_matrix_json(bad)
+
+
+class TestScalarDigitLimit:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"1 1\n{TOO_LONG}\n",
+            f"1 1\n-1/{TOO_LONG}\n",
+            ONE_ENTRY_JSON % f'"{TOO_LONG}"',
+            ONE_ENTRY_JSON % f"-{TOO_LONG}",
+            '{"rows": %s, "cols": 1, "entries": [["1"]]}' % TOO_LONG,
+        ],
+        ids=["text-numerator", "text-denominator", "json-string", "json-integer", "json-rows"],
+    )
+    def test_own_diagnostic(self, text):
+        with pytest.raises(ValueError, match=f"more than {MAX_SCALAR_DIGITS} digits"):
+            parse_matrix(text)
+
+    def test_longest_scalars_parse(self):
+        expected = Matrix.from_rows([[-int(LONGEST), f"1/{LONGEST}"]])
+        assert parse_matrix(f"1 2\n-{LONGEST} -1/-{LONGEST}\n") == expected
+        json_text = '{"rows": 1, "cols": 2, "entries": [[-%s, "1/%s"]]}' % (LONGEST, LONGEST)
+        assert parse_matrix(json_text) == expected
 
 
 class TestSniffing:

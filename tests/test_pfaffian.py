@@ -244,9 +244,17 @@ class TestEmbeddedMinor:
             {"1", "2", "1*", "3*"},  # quadruple not twinned
             {"1", "5*"},  # out of range for a 2x2
             {"x", "1*"},  # malformed
+            {"１", "2*"},  # full-width digit one
+            {"²", "2*"},  # superscript two: isdigit() but not int()
         ],
     )
     def test_malformed_removals(self, removal):
         m = Matrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             embedded_minor(m, removal)
+
+    @pytest.mark.parametrize("digit", ["１", "²"])
+    def test_non_ascii_digit_label_is_malformed(self, digit):
+        m = Matrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="malformed label"):
+            embedded_minor(m, {digit, "2*"})
