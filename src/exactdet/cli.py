@@ -360,10 +360,6 @@ def _cmd_embed(args: argparse.Namespace) -> dict:
     matrix = _read_square_matrix(args)
     n = matrix.rows
     embedded = determinant_embedding(matrix)
-    full = embedded.to_matrix()
-    sys.stdout.write(
-        emit_matrix_json(full) if args.format == "json" else emit_matrix_text(full)
-    )
     det = det_bareiss(matrix)
     pf = pfaffian(embedded)
     records = [
@@ -391,6 +387,10 @@ def _cmd_embed(args: argparse.Namespace) -> dict:
                 passed=mismatch is None,
             )
         )
+    full = embedded.to_matrix()
+    sys.stdout.write(
+        emit_matrix_json(full) if args.format == "json" else emit_matrix_text(full)
+    )
     return _report({"name": "embed", "file": args.file, "minors": bool(args.minors)}, records)
 
 

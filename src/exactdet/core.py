@@ -22,6 +22,7 @@ _SCALAR_RE = re.compile(r"[+-]?[0-9]+(?:/[+-]?[0-9]+)?\Z")
 # default integer-string limit (3.11, 3.10.7 and later), enforced here so that
 # every version agrees and the diagnostic is the program's own.
 MAX_SCALAR_DIGITS = 4300
+_TOO_MANY_DIGITS = 10**MAX_SCALAR_DIGITS  # the least integer with more digits
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -48,7 +49,10 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value: Fraction) -> str:
-    """Canonical text form: ``p`` for integers, ``p/q`` otherwise."""
+    """Canonical text form: ``p`` for integers, ``p/q`` otherwise.  More than
+    ``MAX_SCALAR_DIGITS`` digits in either part is refused, like such input."""
+    if abs(value.numerator) >= _TOO_MANY_DIGITS or value.denominator >= _TOO_MANY_DIGITS:
+        raise ValueError(f"a value has more than {MAX_SCALAR_DIGITS} digits to print")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

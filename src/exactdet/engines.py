@@ -1,9 +1,10 @@
 """Three determinant engines plus minor and cofactor accessors.
 
 ``det_laplace`` is the ground-truth oracle (exponential; the CLI stops it at n=7),
-independent of the workhorses.  ``det_bareiss`` eliminates and ``det_dodgson``
-condenses on the same denominator-free integer rows, and Dodgson hands a block
-with a zero interior to that same elimination.  All engines agree exactly.
+independent of the workhorses.  Every other determinant and minor comes from
+``_minors``, which clears a matrix's denominators once and eliminates integer
+row and column slices; ``det_dodgson`` condenses on the same integer rows and
+hands a block with a zero interior to that elimination.  All engines agree exactly.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -14,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
-from typing import Iterable
+from math import lcm, prod
+from typing import Callable, Iterable
 
-from .core import Matrix, index_set, submatrix_delete
+from .core import Matrix, index_set
 
 
 @dataclass(frozen=True)
@@ -76,26 +77,46 @@ def _laplace(rows: tuple[tuple[Fraction, ...], ...]) -> Fraction:
 def det_bareiss(matrix: Matrix) -> Fraction:
     """Fraction-free Bareiss determinant, exact over the rationals.
 
-    ``_integer_rows`` clears each row's denominators once, ``_bareiss`` runs
-    the elimination in pure integer arithmetic with exact interior divisions,
-    and the scale is divided back at the end.
+    The minor that deletes nothing: ``_integer_rows`` clears each row's
+    denominators, ``_bareiss`` eliminates in pure integer arithmetic with exact
+    interior divisions, and the row multipliers are divided back at the end.
     """
-    _require_square(matrix)
-    scale, rows = _integer_rows(matrix)
-    return Fraction(_bareiss(rows), scale)
+    return _minors(matrix)((), ())
 
 
-def _integer_rows(matrix: Matrix) -> tuple[int, list[list[int]]]:
-    """Each row times the lcm of its denominators; det(matrix) = det(rows) / scale."""
-    scale = 1
+def _integer_rows(matrix: Matrix) -> tuple[list[int], list[list[int]]]:
+    """Each row times the lcm of its denominators, and those per-row multipliers."""
+    mults: list[int] = []
     rows: list[list[int]] = []
     for row in matrix.entries:
         mult = 1
         for v in row:
             mult = lcm(mult, v.denominator)
-        scale *= mult
+        mults.append(mult)
         rows.append([v.numerator * (mult // v.denominator) for v in row])
-    return scale, rows
+    return mults, rows
+
+
+def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Fraction]:
+    """The one minor source: cached ``minor(drop_rows, drop_cols)`` deletes those 1-based
+    rows and columns and eliminates the integer slice over its kept rows' multipliers.
+    An index past the matrix deletes nothing, so the counts expose it (IndexError)."""
+    mults, rows = _integer_rows(matrix)
+    shape = f"the {matrix.rows}x{matrix.cols} matrix"
+    size = matrix.rows + matrix.cols
+
+    @cache
+    def minor(drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]) -> Fraction:
+        keep_rows = [i for i in range(matrix.rows) if i + 1 not in drop_rows]
+        keep_cols = [j for j in range(matrix.cols) if j + 1 not in drop_cols]
+        if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != size:
+            raise IndexError(f"rows {drop_rows} or columns {drop_cols} out of range for {shape}")
+        if len(keep_rows) != len(keep_cols):
+            raise ValueError(f"{shape} minus rows {drop_rows}, columns {drop_cols} is not square")
+        block = [[rows[i][j] for j in keep_cols] for i in keep_rows]
+        return Fraction(_bareiss(block), prod(mults[i] for i in keep_rows))
+
+    return minor
 
 
 def _bareiss(work: list[list[int]]) -> int:
@@ -141,7 +162,7 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
     n = _require_square(matrix)
     if n < 1:
         raise ValueError("condensation requires n >= 1")
-    scale, rows = _integer_rows(matrix)
+    mults, rows = _integer_rows(matrix)
     depth = 0
 
     @cache
@@ -162,34 +183,24 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
         return (m11 * mnn - m1n * mn1) // interior
 
     value = block(0, 0, n)
-    return DodgsonResult(Fraction(value, scale), depth > 0, depth)
+    return DodgsonResult(Fraction(value, prod(mults)), depth > 0, depth)
 
 
 def complementary_minor(
     matrix: Matrix, rows: Iterable[int], cols: Iterable[int]
 ) -> Fraction:
-    """Unsigned minor: determinant after deleting row set and column set.
+    """Unsigned minor from a fresh ``_minors`` source, deleting a row and a column set.
 
-    Deleting nothing gives det(A); deleting everything gives 1 (empty
-    determinant convention).  Row and column sets must have equal size.
+    Deleting nothing gives det(A), everything 1 (empty determinant convention).
+    The sets must have equal size; an index past the matrix raises IndexError.
     """
     _require_square(matrix)
-    drop_rows = index_set(rows)
-    drop_cols = index_set(cols)
-    if len(drop_rows) != len(drop_cols):
-        raise ValueError(
-            f"minor needs equally many deleted rows and columns, "
-            f"got {len(drop_rows)} rows and {len(drop_cols)} columns"
-        )
-    return det_bareiss(submatrix_delete(matrix, drop_rows, drop_cols))
+    return _minors(matrix)(index_set(rows), index_set(cols))
 
 
 def first_minor(matrix: Matrix, i: int, j: int) -> Fraction:
     """Unsigned first minor: determinant with row i and column j deleted."""
-    n = _require_square(matrix)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"minor index ({i},{j}) out of range for order {n}")
-    return complementary_minor(matrix, (i,), (j,))
+    return _minors(matrix)((i,), (j,))
 
 
 def signed_cofactor(

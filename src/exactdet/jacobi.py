@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import Matrix, index_set, submatrix_delete
-from .engines import complementary_minor, det_bareiss, first_minor
+from .engines import _minors
 from .pluecker import pluecker_sum
 
 
@@ -55,14 +55,13 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
     n = matrix.rows
     if not matrix.is_square or n < 2:
         raise ValueError(f"need a square matrix of order >= 2, got {matrix.rows}x{matrix.cols}")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"pair ({i},{j}) out of range for order {n}")
     if i == j:
         raise ValueError("indices i and j must differ")
+    minor = _minors(matrix)
     return (
-        first_minor(matrix, i, i) * first_minor(matrix, j, j)
-        - first_minor(matrix, i, j) * first_minor(matrix, j, i)
-        - complementary_minor(matrix, (i, j), (i, j)) * det_bareiss(matrix)
+        minor((i,), (i,)) * minor((j,), (j,))
+        - minor((i,), (j,)) * minor((j,), (i,))
+        - minor((i, j), (i, j)) * minor((), ())
     )
 
 
@@ -111,9 +110,10 @@ def minor_three_term_residual(
     if not matrix.is_square or n < 4:
         raise ValueError(f"need a square matrix of order >= 4, got {matrix.rows}x{matrix.cols}")
     k, l, s, r = quad
+    minor = _minors(matrix)
 
     def comp(x: int, y: int) -> Fraction:
-        return complementary_minor(matrix, rows, (x, y))
+        return minor(rows, (x, y))
 
     return comp(k, l) * comp(s, r) - comp(k, s) * comp(l, r) + comp(k, r) * comp(l, s)
 
@@ -141,10 +141,6 @@ def generalized_pluecker_residual(
         raise ValueError(f"need a square matrix, got {matrix.rows}x{matrix.cols}")
     if n < 2 * r:
         raise ValueError(f"order {n} too small for 2r = {2 * r} chosen columns")
-    if rows[-1] > n:
-        raise IndexError(f"row {rows[-1]} out of range for order {n}")
-    if cols[-1] > n:
-        raise IndexError(f"column {cols[-1]} out of range for order {n}")
     return pluecker_sum(*restricted_columns(matrix, rows, cols))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Matrix, ScalarLike, format_scalar, scalar, submatrix_delete
-from .engines import complementary_minor, det_bareiss, first_minor
+from .engines import _minors, det_bareiss
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,9 @@ def jacobi_recurrence_residual(matrix: AntisymmetricMatrix) -> Fraction:
     """
     if matrix.order < 2:
         raise ValueError("recurrence needs order >= 2")
-    full = matrix.to_matrix()
-    m12 = first_minor(full, 1, 2)
-    return complementary_minor(full, (1, 2), (1, 2)) * det_bareiss(full) - m12 * m12
+    minor = _minors(matrix.to_matrix())
+    m12 = minor((1,), (2,))
+    return minor((1, 2), (1, 2)) * minor((), ()) - m12 * m12
 
 
 def embedding_labels(n: int) -> tuple[str, ...]:

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .core import Matrix, ScalarLike, as_vector, augment_columns
-from .engines import det_bareiss
+from .core import Matrix, ScalarLike, augment_columns
+from .engines import _minors
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,11 @@ def split_enumeration(r: int) -> list[SplitTerm]:
     return terms
 
 
-def _checked_vectors(
+def _half_dets(
     matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
-) -> tuple[int, list[tuple[Fraction, ...]]]:
+) -> tuple[int, Callable[[tuple[int, ...]], Fraction]]:
+    """The splitting order r and ``half(positions)`` = det(M | the vectors at those
+    ascending positions): the minor of M | all vectors without the others' columns."""
     if len(vectors) < 2 or len(vectors) % 2:
         raise ValueError(f"need an even number (2r) of vectors, got {len(vectors)}")
     r = len(vectors) // 2
@@ -59,30 +61,21 @@ def _checked_vectors(
         raise ValueError(
             f"matrix must be {n}x{n - r} for a splitting of order {r}, got {n}x{matrix.cols}"
         )
-    vecs = [as_vector(v) for v in vectors]
-    for v in vecs:
-        if len(v) != n:
-            raise ValueError(f"vector of length {len(v)} does not match {n} rows")
-    return r, vecs
+    minor = _minors(augment_columns(matrix, vectors))
+
+    def half(positions: tuple[int, ...]) -> Fraction:
+        return minor((), tuple(n - r + p for p in range(1, 2 * r + 1) if p not in positions))
+
+    return r, half
 
 
 def pluecker_terms(
     matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
 ) -> list[tuple[SplitTerm, Fraction]]:
     """Per-splitting signed products sign * det(M|left) * det(M|right)."""
-    r, vecs = _checked_vectors(matrix, vectors)
-    dets: dict[tuple[int, ...], Fraction] = {}
-
-    def half_det(positions: tuple[int, ...]) -> Fraction:
-        value = dets.get(positions)
-        if value is None:
-            value = det_bareiss(augment_columns(matrix, [vecs[p - 1] for p in positions]))
-            dets[positions] = value
-        return value
-
+    r, half = _half_dets(matrix, vectors)
     return [
-        (term, term.sign * half_det(term.left) * half_det(term.right))
-        for term in split_enumeration(r)
+        (term, term.sign * half(term.left) * half(term.right)) for term in split_enumeration(r)
     ]
 
 
@@ -109,13 +102,9 @@ def three_term_residual(
     Equals -1/2 times ``pluecker_sum(M, [a, b, c, d])`` term-structurally:
     each unordered splitting pair contributes the same product twice there.
     """
-    _, (va, vb, vc, vd) = _checked_vectors(matrix, (a, b, c, d))
-
-    def det2(u: tuple[Fraction, ...], w: tuple[Fraction, ...]) -> Fraction:
-        return det_bareiss(augment_columns(matrix, [u, w]))
-
+    _, half = _half_dets(matrix, (a, b, c, d))
     return (
-        det2(va, vb) * det2(vc, vd)
-        - det2(va, vc) * det2(vb, vd)
-        + det2(va, vd) * det2(vb, vc)
+        half((1, 2)) * half((3, 4))
+        - half((1, 3)) * half((2, 4))
+        + half((1, 4)) * half((2, 3))
     )

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -76,6 +77,24 @@ class TestDet:
         assert "more than 4300 digits" in captured.err
         assert "set_int_max_str_digits" not in captured.err
 
+    @pytest.mark.parametrize("command", [["det", "--engine", "bareiss"], ["embed"]])
+    def test_oversized_output_exits_2_with_own_diagnostic(self, command, write, capsys):
+        # each entry passes the input cap; det = pf has about 6000 digits
+        big = "7" * 3000
+        path = write(f"2 2\n{big} 0\n0 {big}\n")
+        start = time.perf_counter()
+        assert main([command[0], path, *command[1:]]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 4300 digits" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
+
+    def test_largest_printable_value_prints(self, write, capsys):
+        big = "7" * 4300
+        assert main(["det", write(f"1 1\n{big}\n")]) == 0
+        assert f"value {big}: pass" in capsys.readouterr().out
+
     def test_json_report_schema(self, write, capsys):
         assert main(["det", write(GOLDEN_TEXT), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -150,6 +169,31 @@ class TestVerify:
             main(["verify", write(GOLDEN_TEXT), "--identity", "three-term", "--rows", "1", "--cols", "1,2,3,4"])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            ["three-term", "--rows", "1,7", "--cols", "1,2,3,4"],
+            ["three-term", "--rows", "1,2", "--cols", "1,2,3,7"],
+            ["generalized", "--rows", "7", "--cols", "1,2"],
+            ["generalized", "--rows", "1", "--cols", "2,7"],
+            ["generalized", "--rows", "2,7", "--cols", "1,3,4,6"],
+            ["generalized", "--rows", "1,3,5", "--cols", "1,2,3,4,5,7"],
+            ["pluecker", "--rows", "7", "--cols", "3,5"],
+            ["pluecker", "--rows", "2", "--cols", "3,7"],
+            ["pluecker", "--rows", "4,7", "--cols", "2,3,5,6"],
+            ["pluecker", "--rows", "1,4", "--cols", "2,3,5,7"],
+            ["jacobi", "--pair", "1,7"],
+        ],
+    )
+    def test_index_past_the_matrix_exits_2(self, selection, write, capsys):
+        # n + 1 = 7 must be refused, never dropped from the deleted index set
+        path = write(emit_matrix_text(random_matrix(trial_stream(6, 0), 6, 6, 9)))
+        assert main(["verify", path, "--identity", *selection]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range" in captured.err
+        assert re.search(r"\b7\b", captured.err)
 
     @pytest.mark.parametrize(
         "n,rows,cols",
@@ -353,17 +397,28 @@ class TestFaultInjection:
         assert main(["det", write(GOLDEN_TEXT), "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == {"engines-agree"}
 
-    def test_wrong_shared_clearing_fails_det(self, write, capsys, monkeypatch):
-        # Bareiss and Dodgson share one denominator clearing; Laplace does not
+    @staticmethod
+    def _double_first_multiplier(monkeypatch):
+        """Every minor keeping row 1, and every determinant, comes out doubled."""
         good = engines._integer_rows
 
-        def doubled_scale(matrix):
-            scale, rows = good(matrix)
-            return 2 * scale, rows
+        def doubled(matrix):
+            mults, rows = good(matrix)
+            return [2 * mults[0], *mults[1:]], rows
 
-        monkeypatch.setattr(engines, "_integer_rows", doubled_scale)
+        monkeypatch.setattr(engines, "_integer_rows", doubled)
+
+    def test_wrong_shared_clearing_fails_det(self, write, capsys, monkeypatch):
+        # Bareiss and Dodgson share one denominator clearing; Laplace does not
+        self._double_first_multiplier(monkeypatch)
         assert main(["det", write(RATIONAL3), "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == {"engines-agree"}
+
+    def test_wrong_shared_clearing_fails_embed(self, write, capsys, monkeypatch):
+        # every minor shares that clearing; the Pfaffian embedding does not
+        self._double_first_multiplier(monkeypatch)
+        assert main(["embed", write(GOLDEN_TEXT), "--minors"]) == 1
+        assert self._failing_lines(capsys.readouterr().err) == {"embedding", "embedded-minors"}
 
     @staticmethod
     def _failing_lines(text: str) -> set[str]:

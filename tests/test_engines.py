@@ -1,17 +1,28 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from exactdet import (
     DodgsonResult,
     Matrix,
+    antisymmetric_from_matrix,
+    augment_columns,
     complementary_minor,
     det_bareiss,
     det_dodgson,
     det_laplace,
     first_minor,
+    generalized_pluecker_residual,
+    jacobi_recurrence_residual,
+    minor_three_term_residual,
+    pluecker_sum,
+    pluecker_terms,
     signed_cofactor,
+    submatrix_delete,
+    three_term_residual,
+    verify_all_jacobi,
 )
 from exactdet.randgen import random_matrix, trial_stream
 
@@ -25,11 +36,13 @@ def seeded(seed, n, bound=9):
     return random_matrix(trial_stream(seed, 0), n, n, bound)
 
 
-def seeded_rational(seed, n, bound=9):
-    """Entries p/q with p in [-bound, bound] and q in [1, bound], drawn row-major."""
+def seeded_rational(seed, n, bound=9, cols=None):
+    """Entries p/q with p in [-bound, bound] and q in [1, bound], drawn row-major;
+    n x n unless ``cols`` is given."""
     gen = trial_stream(seed, 0)
     return Matrix.from_rows(
-        [[Fraction(gen.next_int(-bound, bound), gen.next_int(1, bound)) for _ in range(n)]
+        [[Fraction(gen.next_int(-bound, bound), gen.next_int(1, bound))
+          for _ in range(n if cols is None else cols)]
          for _ in range(n)]
     )
 
@@ -243,3 +256,59 @@ class TestMinors:
         two = Matrix.from_rows([[1, 2], [3, 4]])
         assert signed_cofactor(two, {1}, {1}) == 4
         assert signed_cofactor(two, {1}, {2}) == -3
+
+
+class TestRationalMinors:
+    """Every minor and half-determinant on p/q entries against the oracles.
+
+    Each row of a p/q matrix clears with its own multiplier, so a minor that
+    divides by a deleted row's multiplier is wrong here; integer entries, and
+    the residuals, which are homogeneous in the minors, cannot show it.
+    """
+
+    N = 5
+    SEEDS = (0, 1, 2)
+
+    def test_complementary_minors_match_laplace(self):
+        indices = range(1, self.N + 1)
+        for seed in self.SEEDS:
+            m = seeded_rational(500 + seed, self.N)
+            for size in range(3):
+                for rows in combinations(indices, size):
+                    for cols in combinations(indices, size):
+                        expected = det_laplace(submatrix_delete(m, rows, cols))
+                        assert complementary_minor(m, rows, cols) == expected, (seed, rows, cols)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_pluecker_terms_match_leibniz(self, r):
+        for seed in self.SEEDS:
+            m = seeded_rational(510 + seed, self.N, cols=self.N - r)
+            vectors = seeded_rational(520 + seed, 2 * r, cols=self.N).entries
+
+            def half(positions):
+                return det_leibniz(augment_columns(m, [vectors[p - 1] for p in positions]))
+
+            for term, value in pluecker_terms(m, vectors):
+                assert value == term.sign * half(term.left) * half(term.right), (seed, term)
+
+    def test_every_residual_family_vanishes(self):
+        indices = range(1, self.N + 1)
+        for seed in self.SEEDS:
+            m = seeded_rational(530 + seed, self.N)
+            assert verify_all_jacobi(m).passed
+            for rows in combinations(indices, 2):
+                for quad in combinations(indices, 4):
+                    assert minor_three_term_residual(m, rows, quad) == 0
+                    assert generalized_pluecker_residual(m, rows, quad) == 0
+            for row in indices:
+                for pair in combinations(indices, 2):
+                    assert generalized_pluecker_residual(m, (row,), pair) == 0
+            core = seeded_rational(540 + seed, self.N, cols=self.N - 2)
+            vectors = seeded_rational(550 + seed, 4, cols=self.N).entries
+            assert pluecker_sum(core, vectors) == 0
+            assert three_term_residual(core, *vectors) == 0
+            a = seeded_rational(560 + seed, 6)
+            skew = Matrix.from_rows(
+                [[a.at(i, j) - a.at(j, i) for j in range(1, 7)] for i in range(1, 7)]
+            )
+            assert jacobi_recurrence_residual(antisymmetric_from_matrix(skew)) == 0
