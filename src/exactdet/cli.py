@@ -36,7 +36,7 @@ from .jacobi import (
     generalized_pluecker_residual,
     jacobi_residual,
     minor_three_term_residual,
-    restricted_columns,
+    restricted_three_term_residual,
     verify_all_jacobi,
 )
 from .matfile import emit_matrix_json, emit_matrix_text, parse_matrix
@@ -47,7 +47,6 @@ from .pfaffian import (
     jacobi_recurrence_residual,
     pfaffian,
 )
-from .pluecker import three_term_residual
 from .randgen import SplitMix64, random_matrix, trial_stream
 
 EXIT_OK = 0
@@ -154,13 +153,12 @@ def _row_col_choices(
 def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
     """One row-and-column family's residual.  Pluecker splits the restricted
     columns: order 1 through the full signed sum, order 2 through the fixed
-    three-term formula."""
+    three-term formula; all of them read the matrix's one minor table."""
     if name == "three-term":
         return minor_three_term_residual(matrix, rows, cols)
     if name == "generalized" or len(rows) == 1:
         return generalized_pluecker_residual(matrix, rows, cols)
-    core, vectors = restricted_columns(matrix, rows, cols)
-    return three_term_residual(core, *vectors)
+    return restricted_three_term_residual(matrix, rows, cols)
 
 
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:

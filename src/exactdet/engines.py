@@ -2,9 +2,9 @@
 
 ``det_laplace`` is the ground-truth oracle (exponential; the CLI stops it at n=7),
 independent of the workhorses.  Every other determinant and minor comes from
-``_minors``, which clears a matrix's denominators once and eliminates integer
-row and column slices; ``det_dodgson`` condenses on the same integer rows and
-hands a block with a zero interior to that elimination.  All engines agree exactly.
+``_minors``, one table per matrix that clears its denominators once and eliminates
+integer row and column slices; ``det_dodgson`` condenses on the same integer rows
+and hands a block with a zero interior to that elimination.  All engines agree exactly.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -97,10 +97,20 @@ def _integer_rows(matrix: Matrix) -> tuple[list[int], list[list[int]]]:
     return mults, rows
 
 
+# the last matrix asked about, held strongly so no new object reuses its id, and its table
+_held: tuple[Matrix | None, Callable | None] = (None, None)
+
+
 def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Fraction]:
-    """The one minor source: cached ``minor(drop_rows, drop_cols)`` deletes those 1-based
-    rows and columns and eliminates the integer slice over its kept rows' multipliers.
-    An index past the matrix deletes nothing, so the counts expose it (IndexError)."""
+    """The matrix's one minor table, kept while callers ask about this same object (by
+    identity: no lookup hashes the entries; a freshly parsed matrix is cleared afresh).
+    Cached ``minor(drop_rows, drop_cols)`` deletes those ascending 1-based rows and
+    columns and eliminates the integer slice over its kept rows' multipliers; an index
+    past the matrix deletes nothing, so the counts expose it (IndexError)."""
+    global _held
+    held, table = _held
+    if held is matrix:
+        return table
     mults, rows = _integer_rows(matrix)
     shape = f"the {matrix.rows}x{matrix.cols} matrix"
     size = matrix.rows + matrix.cols
@@ -116,6 +126,7 @@ def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Frac
         block = [[rows[i][j] for j in keep_cols] for i in keep_rows]
         return Fraction(_bareiss(block), prod(mults[i] for i in keep_rows))
 
+    _held = (matrix, minor)
     return minor
 
 
@@ -189,7 +200,7 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
 def complementary_minor(
     matrix: Matrix, rows: Iterable[int], cols: Iterable[int]
 ) -> Fraction:
-    """Unsigned minor from a fresh ``_minors`` source, deleting a row and a column set.
+    """Unsigned minor from the matrix's ``_minors`` table, deleting a row and a column set.
 
     Deleting nothing gives det(A), everything 1 (empty determinant convention).
     The sets must have equal size; an index past the matrix raises IndexError.

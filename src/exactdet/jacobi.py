@@ -8,8 +8,8 @@ classical statements cancel pairwise or contribute one common factor):
 * its three-term sibling on the minors obtained by deleting one fixed row
   pair and two of four chosen columns,
 * the generalized splitting relation over r deleted rows and 2r chosen
-  columns, evaluated in column-append form where the sign bookkeeping is
-  unambiguous.
+  columns, and its r = 2 three-term form, each half-determinant read as a
+  minor of A times its column-append sign.
 
 Every function returns the residual as an exact Scalar so callers assert
 zero themselves; a nonzero residual always signals an implementation bug,
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Matrix, index_set, submatrix_delete
+from .core import Matrix, index_set
 from .engines import _minors
-from .pluecker import pluecker_sum
+from .pluecker import _Half, _splitting_sum, _three_term
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,11 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
     if i == j:
         raise ValueError("indices i and j must differ")
     minor = _minors(matrix)
+    pair = (i, j) if i < j else (j, i)
     return (
         minor((i,), (i,)) * minor((j,), (j,))
         - minor((i,), (j,)) * minor((j,), (i,))
-        - minor((i, j), (i, j)) * minor((), ())
+        - minor(pair, pair) * minor((), ())
     )
 
 
@@ -121,39 +122,46 @@ def minor_three_term_residual(
 def generalized_pluecker_residual(
     matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
 ) -> Fraction:
-    """Splitting relation over r deleted rows and 2r chosen columns.
+    """Splitting relation over r deleted rows and 2r chosen columns: the splitting sum
+    over the core block (the rows and all chosen columns deleted) and the chosen columns
+    restricted to the surviving rows, in ascending order, signed by list positions.  The
+    raw-index sign prefactor of the signed-cofactor reading is a constant across terms
+    and is deliberately not reproduced."""
+    return _splitting_sum(*_restricted_halves(matrix, del_rows, chosen_cols))
 
-    Builds the core block by deleting the rows and all chosen columns, then
-    feeds the restricted chosen columns (ascending column order) to the
-    splitting sum, whose signs come from list positions.  The raw-index sign
-    prefactor of the signed-cofactor reading is a constant across terms and
-    is deliberately not reproduced.
-    """
+
+def restricted_three_term_residual(
+    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
+) -> Fraction:
+    """``three_term_residual`` on the r = 2 core block and restricted columns."""
+    r, half = _restricted_halves(matrix, del_rows, chosen_cols)
+    if r != 2:
+        raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {r} and {2 * r}")
+    return _three_term(half)
+
+
+def _restricted_halves(
+    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
+) -> tuple[int, _Half]:
+    """The splitting order r and ``half(positions)`` = det(core | the restricted columns
+    at those positions): the minor that deletes the rows and the other chosen columns,
+    times the column-append sign (-1)^#{(x, y) : x a core column, y appended, x > y}."""
     rows = index_set(del_rows)
     cols = index_set(chosen_cols)
     r = len(rows)
     if r < 1 or len(cols) != 2 * r:
-        raise ValueError(
-            f"need r deleted rows and 2r chosen columns, got {r} and {len(cols)}"
-        )
+        raise ValueError(f"need r deleted rows and 2r chosen columns, got {r} and {len(cols)}")
     n = matrix.rows
     if not matrix.is_square:
         raise ValueError(f"need a square matrix, got {matrix.rows}x{matrix.cols}")
     if n < 2 * r:
         raise ValueError(f"order {n} too small for 2r = {2 * r} chosen columns")
-    return pluecker_sum(*restricted_columns(matrix, rows, cols))
+    minor = _minors(matrix)
 
+    def half(positions: tuple[int, ...]) -> Fraction:
+        # the chosen column at position p has n - c_p columns after it, 2r - p of them chosen
+        flips = sum(n - cols[p - 1] - (2 * r - p) for p in positions)
+        value = minor(rows, tuple(c for p, c in enumerate(cols, 1) if p not in positions))
+        return -value if flips % 2 else value
 
-def restricted_columns(
-    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
-) -> tuple[Matrix, list[tuple[Fraction, ...]]]:
-    """Delete the rows and the chosen columns; return that core block and the
-    chosen columns restricted to the surviving rows, in ascending column order."""
-    rows = index_set(del_rows)
-    cols = index_set(chosen_cols)
-    core = submatrix_delete(matrix, rows, cols)
-    dropped = set(rows)
-    return core, [
-        tuple(v for i, v in enumerate(matrix.column_values(c), start=1) if i not in dropped)
-        for c in cols
-    ]
+    return r, half

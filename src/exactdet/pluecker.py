@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 from .core import Matrix, ScalarLike, augment_columns
 from .engines import _minors
 
+_Half = Callable[[tuple[int, ...]], Fraction]
+
 
 @dataclass(frozen=True)
 class SplitTerm:
@@ -46,9 +48,7 @@ def split_enumeration(r: int) -> list[SplitTerm]:
     return terms
 
 
-def _half_dets(
-    matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
-) -> tuple[int, Callable[[tuple[int, ...]], Fraction]]:
+def _half_dets(matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]) -> tuple[int, _Half]:
     """The splitting order r and ``half(positions)`` = det(M | the vectors at those
     ascending positions): the minor of M | all vectors without the others' columns."""
     if len(vectors) < 2 or len(vectors) % 2:
@@ -69,14 +69,30 @@ def _half_dets(
     return r, half
 
 
+def _signed_products(r: int, half: _Half) -> list[tuple[SplitTerm, Fraction]]:
+    """Per-splitting signed products sign * half(left) * half(right)."""
+    return [(t, t.sign * half(t.left) * half(t.right)) for t in split_enumeration(r)]
+
+
+def _splitting_sum(r: int, half: _Half) -> Fraction:
+    """The full signed splitting sum over ``half``."""
+    return sum((value for _, value in _signed_products(r, half)), Fraction(0))
+
+
+def _three_term(half: _Half) -> Fraction:
+    """|Mab||Mcd| - |Mac||Mbd| + |Mad||Mbc| over ``half`` at positions a..d = 1..4."""
+    return (
+        half((1, 2)) * half((3, 4))
+        - half((1, 3)) * half((2, 4))
+        + half((1, 4)) * half((2, 3))
+    )
+
+
 def pluecker_terms(
     matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
 ) -> list[tuple[SplitTerm, Fraction]]:
     """Per-splitting signed products sign * det(M|left) * det(M|right)."""
-    r, half = _half_dets(matrix, vectors)
-    return [
-        (term, term.sign * half(term.left) * half(term.right)) for term in split_enumeration(r)
-    ]
+    return _signed_products(*_half_dets(matrix, vectors))
 
 
 def pluecker_sum(
@@ -87,7 +103,7 @@ def pluecker_sum(
     The computed Scalar is returned (rather than asserting zero internally)
     so callers and tests can check the cancellation themselves.
     """
-    return sum((value for _, value in pluecker_terms(matrix, vectors)), Fraction(0))
+    return _splitting_sum(*_half_dets(matrix, vectors))
 
 
 def three_term_residual(
@@ -102,9 +118,4 @@ def three_term_residual(
     Equals -1/2 times ``pluecker_sum(M, [a, b, c, d])`` term-structurally:
     each unordered splitting pair contributes the same product twice there.
     """
-    _, half = _half_dets(matrix, (a, b, c, d))
-    return (
-        half((1, 2)) * half((3, 4))
-        - half((1, 3)) * half((2, 4))
-        + half((1, 4)) * half((2, 3))
-    )
+    return _three_term(_half_dets(matrix, (a, b, c, d))[1])

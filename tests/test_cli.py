@@ -332,6 +332,39 @@ class TestFuzz:
         assert all(r["pass"] for r in report["results"])
 
 
+class TestOneMinorTable:
+    """Every family a command checks reads one minor table per matrix: the matrix
+    is cleared once and each distinct minor is eliminated once."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> dict[str, int]:
+        counts = {"_bareiss": 0, "_integer_rows": 0}
+        for name in counts:
+            def counted(arg, good=getattr(engines, name), name=name):
+                counts[name] += 1
+                return good(arg)
+
+            monkeypatch.setattr(engines, name, counted)
+        return counts
+
+    # det, the n^2 first minors, the double minors (the principal ones below
+    # order 4, where only Jacobi reads them; all C(n,2)^2 from order 4) and, at
+    # order 6, the C(6,3)^2 minors of the r = 3 splittings
+    @pytest.mark.parametrize("n, eliminations", [(2, 6), (3, 13), (4, 53), (5, 126), (6, 662)])
+    def test_verify(self, n, eliminations, write, capsys, monkeypatch):
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        counts = self._counted(monkeypatch)
+        assert main(["verify", path]) == 0
+        assert counts == {"_bareiss": eliminations, "_integer_rows": 1}
+
+    def test_embed_minors(self, write, capsys, monkeypatch):
+        # det, 25 first minors and 10 principal double minors
+        path = write(emit_matrix_text(random_matrix(trial_stream(5, 0), 5, 5, 9)))
+        counts = self._counted(monkeypatch)
+        assert main(["embed", path, "--minors"]) == 0
+        assert counts == {"_bareiss": 36, "_integer_rows": 1}
+
+
 def _wrong_dodgson(matrix):
     good = det_dodgson(matrix)
     return DodgsonResult(good.value + 1, good.fallback_used, good.fallback_depth)
@@ -343,14 +376,14 @@ class TestFaultInjection:
     SWEEP_SEAMS = [
         ("minor_three_term_residual", {"three-term"}),
         ("generalized_pluecker_residual", {"generalized", "pluecker"}),
-        ("three_term_residual", {"pluecker"}),
+        ("restricted_three_term_residual", {"pluecker"}),
     ]
     SELECTION_SEAMS = [
         ("minor_three_term_residual", ["three-term", "--rows", "1,2", "--cols", "1,2,3,4"]),
         ("generalized_pluecker_residual", ["generalized", "--rows", "2", "--cols", "1,4"]),
         ("generalized_pluecker_residual", ["generalized", "--rows", "1,3", "--cols", "1,2,3,4"]),
         ("generalized_pluecker_residual", ["pluecker", "--rows", "1", "--cols", "1,2"]),
-        ("three_term_residual", ["pluecker", "--rows", "1,2", "--cols", "1,2,3,4"]),
+        ("restricted_three_term_residual", ["pluecker", "--rows", "1,2", "--cols", "1,2,3,4"]),
     ]
 
     @staticmethod

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import exactdet.engines as engines
 from exactdet import (
     DodgsonResult,
     Matrix,
@@ -19,6 +20,7 @@ from exactdet import (
     minor_three_term_residual,
     pluecker_sum,
     pluecker_terms,
+    restricted_three_term_residual,
     signed_cofactor,
     submatrix_delete,
     three_term_residual,
@@ -312,3 +314,36 @@ class TestRationalMinors:
                 [[a.at(i, j) - a.at(j, i) for j in range(1, 7)] for i in range(1, 7)]
             )
             assert jacobi_recurrence_residual(antisymmetric_from_matrix(skew)) == 0
+
+    def test_column_append_sign_under_odd_fault(self, monkeypatch):
+        """An odd, non-linear fault in the elimination (d -> d + d^3) survives a column
+        permutation up to sign and breaks every cancellation.  So the residuals that
+        read half-determinants as minors of A match those built from the core block
+        and the restricted columns only if each half carries its column-append sign."""
+        good = engines._bareiss
+
+        def odd_fault(work):
+            d = good(work)
+            return d + d**3
+
+        monkeypatch.setattr(engines, "_bareiss", odd_fault)
+        a = seeded_rational(570, 6)
+        indices = range(1, 7)
+        residuals = []
+        for r in (1, 2, 3):
+            for rows in combinations(indices, r):
+                for cols in combinations(indices, 2 * r):
+                    core = submatrix_delete(a, rows, cols)
+                    vectors = [
+                        tuple(v for i, v in enumerate(a.column_values(c), 1) if i not in rows)
+                        for c in cols
+                    ]
+                    got = generalized_pluecker_residual(a, rows, cols)
+                    assert got == pluecker_sum(core, vectors), (rows, cols)
+                    residuals.append(got)
+                    if r == 2:
+                        got = restricted_three_term_residual(a, rows, cols)
+                        assert got == three_term_residual(core, *vectors), (rows, cols)
+                        residuals.append(got)
+        assert len(residuals) == 560
+        assert any(residuals)
