@@ -25,7 +25,6 @@ from .jacobi import (
     generalized_pluecker_residual,
     jacobi_residual,
     minor_three_term_residual,
-    restricted_three_term_residual,
     verify_all_jacobi,
 )
 from .matfile import (
@@ -91,7 +90,6 @@ __all__ = [
     "pfaffian_square_residual",
     "pluecker_sum",
     "pluecker_terms",
-    "restricted_three_term_residual",
     "scalar",
     "signed_cofactor",
     "split_enumeration",

@@ -36,7 +36,6 @@ from .jacobi import (
     generalized_pluecker_residual,
     jacobi_residual,
     minor_three_term_residual,
-    restricted_three_term_residual,
     verify_all_jacobi,
 )
 from .matfile import emit_matrix_json, emit_matrix_text, parse_matrix
@@ -151,14 +150,12 @@ def _row_col_choices(
 
 
 def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    """One row-and-column family's residual.  Pluecker splits the restricted
-    columns: order 1 through the full signed sum, order 2 through the fixed
-    three-term formula; all of them read the matrix's one minor table."""
-    if name == "three-term":
+    """One row-and-column family's residual, read from the matrix's one minor table:
+    every order-2 splitting of ``three-term`` and ``pluecker`` through the signed
+    three-term formula, every other choice through the full signed splitting sum."""
+    if name != "generalized" and len(rows) == 2:
         return minor_three_term_residual(matrix, rows, cols)
-    if name == "generalized" or len(rows) == 1:
-        return generalized_pluecker_residual(matrix, rows, cols)
-    return restricted_three_term_residual(matrix, rows, cols)
+    return generalized_pluecker_residual(matrix, rows, cols)
 
 
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
@@ -259,10 +256,15 @@ def _cmd_det(args: argparse.Namespace) -> dict:
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed index list {text!r}") from None
+    """Comma-separated runs of ASCII digits, each with optional surrounding whitespace."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    # as in the matrix header: int() alone also takes "１", "+1" and "1_0"
+    if all(tok.isascii() and tok.isdigit() for tok in tokens):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # past the interpreter's integer-string limit
+            pass
+    raise ValueError(f"malformed index list {text!r}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:

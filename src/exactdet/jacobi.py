@@ -1,15 +1,15 @@
 """Exact-zero residuals for the minor identities of a single square matrix.
 
-Three families, all stated with unsigned minors (the cofactor signs of the
-classical statements cancel pairwise or contribute one common factor):
+Two families, both read from the matrix's one minor table:
 
 * the two-by-two minor identity
-  ``M_ii * M_jj - M_ij * M_ji = comp(A; {i,j}, {i,j}) * det A``,
-* its three-term sibling on the minors obtained by deleting one fixed row
-  pair and two of four chosen columns,
-* the generalized splitting relation over r deleted rows and 2r chosen
-  columns, and its r = 2 three-term form, each half-determinant read as a
-  minor of A times its column-append sign.
+  ``M_ii * M_jj - M_ij * M_ji = comp(A; {i,j}, {i,j}) * det A`` on unsigned minors,
+* the splitting relations over r deleted rows and 2r chosen columns.  Deleting
+  the rows and every chosen column leaves a core block; each half-determinant
+  det(core | some chosen columns, restricted to the kept rows) is a minor of A
+  times its column-append sign.  ``generalized_pluecker_residual`` takes the
+  full signed splitting sum over those halves, ``minor_three_term_residual``
+  the r = 2 three-term formula.
 
 Every function returns the residual as an exact Scalar so callers assert
 zero themselves; a nonzero residual always signals an implementation bug,
@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .core import Matrix, index_set
 from .engines import _minors
-from .pluecker import _Half, _splitting_sum, _three_term
+from .pluecker import _halves, _splitting_sum, _three_term
 
 
 @dataclass(frozen=True)
@@ -93,30 +93,17 @@ def verify_all_jacobi(matrix: Matrix) -> IdentityReport:
 def minor_three_term_residual(
     matrix: Matrix, row_pair: Iterable[int], cols: Iterable[int]
 ) -> Fraction:
-    """Three-term relation on minors sharing one deleted row pair.
+    """Three-term relation on minors sharing one deleted row pair: ``three_term_residual``
+    on the core block and the restricted columns k < l < s < r.
 
-    With comp(x, y) the determinant after deleting ``row_pair`` and columns
-    {x, y}, returns comp(k,l)comp(s,r) - comp(k,s)comp(l,r) + comp(k,r)comp(l,s)
-    for the four chosen columns k < l < s < r.  The per-term signs of the
-    signed-cofactor statement share the common factor (-1)^(k+l+s+r), so the
-    unsigned form is identically zero as well.
+    With comp(x, y) the determinant after deleting ``row_pair`` and columns {x, y},
+    returns (-1)^(k+l+s+r) * (comp(k,l)comp(s,r) - comp(k,s)comp(l,r) + comp(k,r)comp(l,s)):
+    each product of two halves carries that common column-append sign.
     """
-    rows = index_set(row_pair)
-    quad = index_set(cols)
+    rows, quad = _checked(matrix, row_pair, cols)
     if len(rows) != 2:
-        raise ValueError(f"need exactly 2 rows, got {len(rows)}")
-    if len(quad) != 4:
-        raise ValueError(f"need exactly 4 columns, got {len(quad)}")
-    n = matrix.rows
-    if not matrix.is_square or n < 4:
-        raise ValueError(f"need a square matrix of order >= 4, got {matrix.rows}x{matrix.cols}")
-    k, l, s, r = quad
-    minor = _minors(matrix)
-
-    def comp(x: int, y: int) -> Fraction:
-        return minor(rows, (x, y))
-
-    return comp(k, l) * comp(s, r) - comp(k, s) * comp(l, r) + comp(k, r) * comp(l, s)
+        raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {len(rows)}")
+    return _three_term(_halves(matrix, rows, quad)[1])
 
 
 def generalized_pluecker_residual(
@@ -127,41 +114,21 @@ def generalized_pluecker_residual(
     restricted to the surviving rows, in ascending order, signed by list positions.  The
     raw-index sign prefactor of the signed-cofactor reading is a constant across terms
     and is deliberately not reproduced."""
-    return _splitting_sum(*_restricted_halves(matrix, del_rows, chosen_cols))
+    return _splitting_sum(*_halves(matrix, *_checked(matrix, del_rows, chosen_cols)))
 
 
-def restricted_three_term_residual(
+def _checked(
     matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
-) -> Fraction:
-    """``three_term_residual`` on the r = 2 core block and restricted columns."""
-    r, half = _restricted_halves(matrix, del_rows, chosen_cols)
-    if r != 2:
-        raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {r} and {2 * r}")
-    return _three_term(half)
-
-
-def _restricted_halves(
-    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
-) -> tuple[int, _Half]:
-    """The splitting order r and ``half(positions)`` = det(core | the restricted columns
-    at those positions): the minor that deletes the rows and the other chosen columns,
-    times the column-append sign (-1)^#{(x, y) : x a core column, y appended, x > y}."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The deleted rows and chosen columns as index sets, once they form a splitting of
+    the square matrix: r >= 1 rows, 2r columns and an order of at least 2r."""
     rows = index_set(del_rows)
     cols = index_set(chosen_cols)
     r = len(rows)
     if r < 1 or len(cols) != 2 * r:
         raise ValueError(f"need r deleted rows and 2r chosen columns, got {r} and {len(cols)}")
-    n = matrix.rows
     if not matrix.is_square:
         raise ValueError(f"need a square matrix, got {matrix.rows}x{matrix.cols}")
-    if n < 2 * r:
-        raise ValueError(f"order {n} too small for 2r = {2 * r} chosen columns")
-    minor = _minors(matrix)
-
-    def half(positions: tuple[int, ...]) -> Fraction:
-        # the chosen column at position p has n - c_p columns after it, 2r - p of them chosen
-        flips = sum(n - cols[p - 1] - (2 * r - p) for p in positions)
-        value = minor(rows, tuple(c for p, c in enumerate(cols, 1) if p not in positions))
-        return -value if flips % 2 else value
-
-    return r, half
+    if matrix.rows < 2 * r:
+        raise ValueError(f"order {matrix.rows} too small for 2r = {2 * r} chosen columns")
+    return rows, cols

@@ -48,9 +48,26 @@ def split_enumeration(r: int) -> list[SplitTerm]:
     return terms
 
 
+def _halves(matrix: Matrix, del_rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[int, _Half]:
+    """The splitting order r and ``half(positions)`` = det(core | the chosen ``cols`` at
+    those positions), the core deleting ``del_rows`` and all of ``cols``: the minor that
+    deletes the rows and the other chosen columns, times the column-append sign
+    (-1)^#{(x, y) : x a core column, y appended, x > y}."""
+    r = len(cols) // 2
+    n = matrix.cols
+    minor = _minors(matrix)
+
+    def half(positions: tuple[int, ...]) -> Fraction:
+        # the chosen column at position p has n - c_p columns after it, 2r - p of them chosen
+        flips = sum(n - cols[p - 1] - (2 * r - p) for p in positions)
+        value = minor(del_rows, tuple(c for p, c in enumerate(cols, 1) if p not in positions))
+        return -value if flips % 2 else value
+
+    return r, half
+
+
 def _half_dets(matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]) -> tuple[int, _Half]:
-    """The splitting order r and ``half(positions)`` = det(M | the vectors at those
-    ascending positions): the minor of M | all vectors without the others' columns."""
+    """``_halves`` over M | all vectors and its last 2r columns, where every sign is +."""
     if len(vectors) < 2 or len(vectors) % 2:
         raise ValueError(f"need an even number (2r) of vectors, got {len(vectors)}")
     r = len(vectors) // 2
@@ -61,12 +78,7 @@ def _half_dets(matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]) -> tuple
         raise ValueError(
             f"matrix must be {n}x{n - r} for a splitting of order {r}, got {n}x{matrix.cols}"
         )
-    minor = _minors(augment_columns(matrix, vectors))
-
-    def half(positions: tuple[int, ...]) -> Fraction:
-        return minor((), tuple(n - r + p for p in range(1, 2 * r + 1) if p not in positions))
-
-    return r, half
+    return _halves(augment_columns(matrix, vectors), (), tuple(range(n - r + 1, n + r + 1)))
 
 
 def _signed_products(r: int, half: _Half) -> list[tuple[SplitTerm, Fraction]]:

@@ -196,6 +196,31 @@ class TestVerify:
         assert re.search(r"\b7\b", captured.err)
 
     @pytest.mark.parametrize(
+        "selection",
+        [
+            ["jacobi", "--pair", "１,2"],  # a full-width one
+            ["jacobi", "--pair", "+1,2"],
+            ["jacobi", "--pair", "1_0,2"],
+            ["jacobi", "--pair", "1,,2"],
+            ["three-term", "--rows", "1,2", "--cols", "1,2,3,٤"],  # an Arabic-Indic four
+            ["generalized", "--rows", "+1", "--cols", "1,2"],
+            ["pluecker", "--rows", "1", "--cols", "1_0,2"],
+            ["jacobi", "--pair", "9" * 5000 + ",2"],  # past int()'s digit limit
+        ],
+    )
+    def test_index_list_takes_ascii_digits_only(self, selection, write, capsys):
+        path = write(emit_matrix_text(random_matrix(trial_stream(6, 0), 6, 6, 9)))
+        assert main(["verify", path, "--identity", *selection]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed index list" in captured.err
+
+    def test_index_list_allows_surrounding_whitespace(self, write, capsys):
+        path = write(GOLDEN_TEXT)
+        assert main(["verify", path, "--identity", "jacobi", "--pair", "1, 2"]) == 0
+        assert capsys.readouterr().out.startswith("jacobi [n=3 i=1 j=2]: residual 0: pass")
+
+    @pytest.mark.parametrize(
         "n,rows,cols",
         [
             (8, "1,2,3,4", "1,2,3,4,5,6,7,8"),  # r = 4 is past the splitting table
@@ -374,16 +399,15 @@ class TestFaultInjection:
     """Every family's residual seam and the Dodgson engine must be able to fail a run."""
 
     SWEEP_SEAMS = [
-        ("minor_three_term_residual", {"three-term"}),
+        ("minor_three_term_residual", {"three-term", "pluecker"}),
         ("generalized_pluecker_residual", {"generalized", "pluecker"}),
-        ("restricted_three_term_residual", {"pluecker"}),
     ]
     SELECTION_SEAMS = [
         ("minor_three_term_residual", ["three-term", "--rows", "1,2", "--cols", "1,2,3,4"]),
         ("generalized_pluecker_residual", ["generalized", "--rows", "2", "--cols", "1,4"]),
         ("generalized_pluecker_residual", ["generalized", "--rows", "1,3", "--cols", "1,2,3,4"]),
         ("generalized_pluecker_residual", ["pluecker", "--rows", "1", "--cols", "1,2"]),
-        ("restricted_three_term_residual", ["pluecker", "--rows", "1,2", "--cols", "1,2,3,4"]),
+        ("minor_three_term_residual", ["pluecker", "--rows", "1,2", "--cols", "1,2,3,4"]),
     ]
 
     @staticmethod
@@ -409,6 +433,20 @@ class TestFaultInjection:
         out = capsys.readouterr().out
         assert out.startswith(f"{selection[0]} [n=4 rows=")
         assert "residual 1: FAIL" in out
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_elimination_fault_fails_every_family(self, n, write, capsys, monkeypatch):
+        # a non-linear fault in the one elimination that fills every minor table
+        good = engines._bareiss
+
+        def odd_fault(work):
+            d = good(work)
+            return d + d**3
+
+        monkeypatch.setattr(engines, "_bareiss", odd_fault)
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        assert main(["verify", path, "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == set(cli.IDENTITY_NAMES)
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_wrong_dodgson_fails_det(self, n, write, capsys, monkeypatch):

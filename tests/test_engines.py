@@ -20,7 +20,6 @@ from exactdet import (
     minor_three_term_residual,
     pluecker_sum,
     pluecker_terms,
-    restricted_three_term_residual,
     signed_cofactor,
     submatrix_delete,
     three_term_residual,
@@ -342,7 +341,7 @@ class TestRationalMinors:
                     assert got == pluecker_sum(core, vectors), (rows, cols)
                     residuals.append(got)
                     if r == 2:
-                        got = restricted_three_term_residual(a, rows, cols)
+                        got = minor_three_term_residual(a, rows, cols)
                         assert got == three_term_residual(core, *vectors), (rows, cols)
                         residuals.append(got)
         assert len(residuals) == 560
