@@ -5,9 +5,11 @@ stdin (so no temporary path leaks into the report) and pins the SHA-256 of
 stdout and of stderr together with the exit code.  The digests were captured
 before the CLI's identity layer was folded onto one residual dispatch, and
 the ``pfaffian``, ``embed``, single-engine ``det`` and error cases before its
-subcommands were given one output path; any change to a report's bytes, its
-record order or its witness labels shows up here.  Error cases pin exit code
-2, an empty stdout and the diagnostic prefix, not the message text.
+subcommands were given one output path.  The ``-q-`` cases read p/q
+entries; they were captured before the Pfaffian elimination moved onto the
+strict upper triangle.  Any change to a report's bytes, its record order or
+its witness labels shows up here.  Error cases pin exit code 2, an empty
+stdout and the diagnostic prefix, not the message text.
 """
 
 import hashlib
@@ -34,6 +36,24 @@ def _skew_text(n: int) -> str:
     )
 
 
+def _rational(seed: int, n: int) -> Matrix:
+    """p/q entries: numerators in [-9, 9], denominators in [1, 9]."""
+    num = random_matrix(trial_stream(seed, 0), n, n, 9)
+    den = random_matrix(trial_stream(seed, 1), n, n, 4)
+    return Matrix.from_rows(
+        [[num.at(i, j) / (5 + den.at(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    )
+
+
+def _skew_q_text(n: int) -> str:
+    a = _rational(4000 + n, n)
+    return emit_matrix_text(
+        Matrix.from_rows(
+            [[a.at(i, j) - a.at(j, i) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        )
+    )
+
+
 def _verify_cases() -> dict[str, tuple[list[str], str]]:
     cases: dict[str, tuple[list[str], str]] = {}
     for n in (2, 3, 4, 5, 6, 7, 9):
@@ -48,6 +68,7 @@ def _pfaffian_cases() -> dict[str, tuple[list[str], str]]:
         argv = ["pfaffian", "-", "--check", check]
         cases[f"pfaffian-{check}-text-n6"] = (argv, _skew_text(6))
         cases[f"pfaffian-{check}-json-n6"] = ([*argv, "--json"], _skew_text(6))
+        cases[f"pfaffian-{check}-q-n6"] = (argv, _skew_q_text(6))
     return cases
 
 
@@ -78,6 +99,7 @@ CASES: dict[str, tuple[list[str], str]] = {
     "embed-text-n5": (["embed", "-"], _matrix_text(5)),
     "embed-minors-n5": (["embed", "-", "--minors"], _matrix_text(5)),
     "embed-json-n5": (["embed", "-", "--format", "json"], _matrix_text(5)),
+    "embed-minors-q-n4": (["embed", "-", "--minors"], emit_matrix_text(_rational(3004, 4))),
 }
 
 # inputs that must be refused with exit code 2 before any report is printed
@@ -100,13 +122,17 @@ GOLDEN = {
     "det-text-n7": (0, "6e6c6273a8a44f096d8eb1085907a7677e8de253b054117bfe1d2387528b2da3"),
     "embed-json-n5": (0, "b71b65fea4598025c49cc7aaaf4f6f5e2dc3f8bf0f7f90b5ce456d5947f666f3"),
     "embed-minors-n5": (0, "15c5ec040ec49788d4e3879310526d3abdffdf6a04be729cd033eddf70e3bccd"),
+    "embed-minors-q-n4": (0, "b859c2be6b0861d13db80a4a8712fd146b7668d6e6da98ea4aba552db93606d4"),
     "embed-text-n5": (0, "15c5ec040ec49788d4e3879310526d3abdffdf6a04be729cd033eddf70e3bccd"),
     "fuzz-seed42": (0, "aac17a1c65680d9ae4dc604c4d4e2a0df2bb9da18af4afc3cd1b8d10dd443be9"),
     "pfaffian-none-json-n6": (0, "92e7e1fd6cb5d1525f71634b313c2b82841b23baf9ffe3c67f4b4659a71dff21"),
+    "pfaffian-none-q-n6": (0, "3307b4599b72e072c4ee5c5e2a1aea139acf2b423cf9c41afea68ab0cbc66175"),
     "pfaffian-none-text-n6": (0, "52f1a257ec58c23d90be8bad023ef1b8a2223f17a268d93fb846da322a9f7259"),
     "pfaffian-recurrence-json-n6": (0, "e704601af0fe9fddb6a2493e84d4ffe9d8187ddb18f551e11978759a997424b1"),
+    "pfaffian-recurrence-q-n6": (0, "97fe58cc7376c1c8bcf3bafaaac01e4f2570804279a865ec4bdb25b1913a7a76"),
     "pfaffian-recurrence-text-n6": (0, "4ba1468c7449e3c98beec26f4a1f3823cc5dd8af9055277c8f0a1e5216254e98"),
     "pfaffian-square-json-n6": (0, "ff2043b33f54a35a8c7f83be5c65d56d2569566b9d522b5e96834941dceea278"),
+    "pfaffian-square-q-n6": (0, "80bef74aceecb984fb9f0101ff1f1a230a5d810349167447018b8f6faac440eb"),
     "pfaffian-square-text-n6": (0, "bde2ec4fdae0072be4f193ff4081ffe65fc830df83e53bebffed253cb3c72384"),
     "select-generalized-r1": (0, "8da797c7a7abb3ae9fd626ae37f2d4c7324090e3eeec4aa3b84af4a7dabd5796"),
     "select-generalized-r2": (0, "fc2815080082a90a310c6c8438be010fadb095f2215e94024f34d9d9c942029d"),
@@ -136,6 +162,7 @@ GOLDEN = {
 GOLDEN_STDERR = {
     "embed-json-n5": "2b8fefc7e000ebcc6b462a0dc3279d79742118c1ce115cc42af693873c8b778d",
     "embed-minors-n5": "38c3ece1826ed498432eb0c483af4a2097e9a123488fa9ea5790fb05f07d86ee",
+    "embed-minors-q-n4": "47247a4635a66cccf3bb4a268c938c5e0a3a33d810c76c5bce6aebbeb24eb878",
     "embed-text-n5": "2b8fefc7e000ebcc6b462a0dc3279d79742118c1ce115cc42af693873c8b778d",
 }
 
