@@ -269,9 +269,12 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
     matrix = _read_square_matrix(args)
-    has_selection = args.pair or args.rows or args.cols
+    # an empty list is a selection too, and _parse_indices refuses it
+    selection = {
+        key: getattr(args, key) for key in ("pair", "rows", "cols") if getattr(args, key) is not None
+    }
     records = []
-    if has_selection:
+    if selection:
         if args.identity == "all":
             raise ValueError("index selections require a specific identity")
         records.append(_verify_selection(matrix, args))
@@ -279,20 +282,14 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
         gen = trial_stream(VERIFY_SAMPLE_SEED, 0)
         for name in _selected_identities(args.identity):
             records.append(_sweep_record(name, matrix, gen))
-    command = {"name": "verify", "file": args.file, "identity": args.identity}
-    if args.pair:
-        command["pair"] = args.pair
-    if args.rows:
-        command["rows"] = args.rows
-    if args.cols:
-        command["cols"] = args.cols
+    command = {"name": "verify", "file": args.file, "identity": args.identity, **selection}
     return _report(command, records)
 
 
 def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
     name = args.identity
     if name == "jacobi":
-        if not args.pair or args.rows or args.cols:
+        if args.pair is None or args.rows is not None or args.cols is not None:
             raise ValueError("jacobi selection takes --pair i,j")
         pair = _parse_indices(args.pair)
         if len(pair) != 2:
@@ -300,7 +297,7 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
         res = jacobi_residual(matrix, pair[0], pair[1])
         operands = f"n={matrix.rows} i={pair[0]} j={pair[1]}"
     else:
-        if args.pair or not (args.rows and args.cols):
+        if args.pair is not None or args.rows is None or args.cols is None:
             raise ValueError(f"{name} selection takes --rows and --cols")
         rows = _parse_indices(args.rows)
         cols = _parse_indices(args.cols)

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, starmap
 from typing import Iterable, Sequence
 
-from .core import Matrix, ScalarLike, format_scalar, scalar, submatrix_delete
+from .core import Matrix, ScalarLike, format_scalar, scalar
 from .engines import _minors, det_bareiss
 
 
@@ -108,8 +109,9 @@ def pfaffian(matrix: AntisymmetricMatrix) -> Fraction:
     Pivoted skew elimination in O(n^3) exact steps: pair index k with its
     first nonzero partner j (swapping j into position k+1 flips the sign),
     multiply in the pivot a[k][k+1], and replace the trailing block by its
-    Schur complement against the 2x2 pivot block, which is again
-    antisymmetric.  Satisfies pfaffian(A)**2 == det(A) exactly.
+    Schur complement against the 2x2 pivot block.  That complement is again
+    antisymmetric, so each entry above the diagonal is computed once and
+    mirrored below it.  Satisfies pfaffian(A)**2 == det(A) exactly.
     """
     a = [list(row) for row in matrix.to_matrix().entries]
     n = matrix.order
@@ -126,8 +128,9 @@ def pfaffian(matrix: AntisymmetricMatrix) -> Fraction:
         p = a[k][k + 1]
         result *= p
         for i in range(k + 2, n):
-            for c in range(k + 2, n):
+            for c in range(i + 1, n):
                 a[i][c] += (a[i][k] * a[k + 1][c] - a[i][k + 1] * a[k][c]) / p
+                a[c][i] = -a[i][c]
     return result
 
 
@@ -196,15 +199,15 @@ def determinant_embedding(matrix: Matrix) -> AntisymmetricMatrix:
 
 
 def embedded_minor(matrix: Matrix, remove: Iterable[str]) -> Fraction:
-    """Pfaffian of the embedding restricted by deleting the given labels.
+    """Pfaffian of the embedding's upper triangle restricted to the kept labels.
 
-    Legal removal sets and what the restricted Pfaffian reproduces:
+    The kept labels stay in ``embedding_labels`` order, so the restricted
+    matrix is read straight off the embedding.  Legal removal sets and what
+    they reproduce, exactly and with no hidden sign:
 
     * ``{"i", "j*"}`` (i = j allowed)  ->  first_minor(A, i, j)
     * ``{"i", "j", "i*", "j*"}`` with i < j  ->  the minor deleting rows
       and columns {i, j}
-
-    Equality is exact; there is no hidden sign.
     """
     if not matrix.is_square:
         raise ValueError(f"embedding requires a square matrix, got {matrix.rows}x{matrix.cols}")
@@ -224,6 +227,6 @@ def embedded_minor(matrix: Matrix, remove: Iterable[str]) -> Fraction:
         raise ValueError(f"removal set must have 2 or 4 labels, got {len(parsed)}")
 
     labels = embedding_labels(n)
-    gone = [labels.index(f"{idx}*" if star else str(idx)) + 1 for idx, star in parsed]
-    full = determinant_embedding(matrix).to_matrix()
-    return pfaffian(antisymmetric_from_matrix(submatrix_delete(full, gone, gone)))
+    kept = [p for p, label in enumerate(labels, 1) if _parse_label(label, n) not in parsed]
+    upper = tuple(starmap(determinant_embedding(matrix).entry, combinations(kept, 2)))
+    return pfaffian(AntisymmetricMatrix(len(kept), upper))

@@ -206,6 +206,9 @@ class TestVerify:
             ["generalized", "--rows", "+1", "--cols", "1,2"],
             ["pluecker", "--rows", "1", "--cols", "1_0,2"],
             ["jacobi", "--pair", "9" * 5000 + ",2"],  # past int()'s digit limit
+            ["jacobi", "--pair", ""],  # an empty list is a selection, not its absence
+            ["three-term", "--rows", "", "--cols", ""],
+            ["generalized", "--rows", "1", "--cols", ""],
         ],
     )
     def test_index_list_takes_ascii_digits_only(self, selection, write, capsys):

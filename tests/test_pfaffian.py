@@ -225,15 +225,52 @@ class TestEmbeddedMinor:
             m, (1, 2), (1, 2)
         ) == m.at(3, 3)
 
+    @staticmethod
+    def _matchings_oracle(m, removal):
+        """Pfaffian over the labels left after ``removal``, by perfect matchings.
+
+        The label list and its pair rule (plain i against starred j* is a_ij,
+        like kinds are 0) are written out here, apart from the package.
+        """
+        n = m.rows
+        labels = [str(i) for i in range(1, n + 1)] + [f"{i}*" for i in range(n, 0, -1)]
+
+        def pair(p, q):
+            x, y = labels[p], labels[q]
+            if x.endswith("*") == y.endswith("*"):
+                return Fraction(0)
+            if x.endswith("*"):
+                return -m.at(int(y), int(x[:-1]))
+            return m.at(int(x), int(y[:-1]))
+
+        return pfaffian_matchings(pair, [p for p, x in enumerate(labels) if x not in removal])
+
     def test_all_correspondences_exact(self):
-        for n in (2, 3, 4):
-            m = random_matrix(trial_stream(50, n), n, n, 9)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    assert embedded_minor(m, {str(i), f"{j}*"}) == first_minor(m, i, j)
-            for i, j in combinations(range(1, n + 1), 2):
-                removal = {str(i), str(j), f"{i}*", f"{j}*"}
-                assert embedded_minor(m, removal) == complementary_minor(m, (i, j), (i, j))
+        for n in (1, 2, 3, 4):  # at n = 1, {"1", "1*"} leaves the order-0 Pfaffian, 1
+            num = random_matrix(trial_stream(50, n), n, n, 9)
+            den = random_matrix(trial_stream(52, n), n, n, 4)
+            matrices = [
+                num,
+                # p/q entries: denominators in [1, 9]
+                Matrix.from_rows(
+                    [[num.at(i, j) / (5 + den.at(i, j)) for j in range(1, n + 1)]
+                     for i in range(1, n + 1)]
+                ),
+                # entries in [-1, 1]: zero pivots drive the partner swap
+                random_matrix(trial_stream(51, n), n, n, 1),
+            ]
+            for m in matrices:
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        removal = {str(i), f"{j}*"}
+                        value = embedded_minor(m, removal)
+                        assert value == first_minor(m, i, j)
+                        assert value == self._matchings_oracle(m, removal)
+                for i, j in combinations(range(1, n + 1), 2):
+                    removal = {str(i), str(j), f"{i}*", f"{j}*"}
+                    value = embedded_minor(m, removal)
+                    assert value == complementary_minor(m, (i, j), (i, j))
+                    assert value == self._matchings_oracle(m, removal)
 
     @pytest.mark.parametrize(
         "removal",
