@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Sequence, TextIO
 
 from .core import Matrix, format_scalar
@@ -36,7 +36,6 @@ from .jacobi import (
     generalized_pluecker_residual,
     jacobi_residual,
     minor_three_term_residual,
-    verify_all_jacobi,
 )
 from .matfile import emit_matrix_json, emit_matrix_text, parse_matrix
 from .pfaffian import (
@@ -66,35 +65,28 @@ _SPLITTINGS = {"three-term": (2,), "generalized": (1, 2, 3), "pluecker": (1, 2)}
 Witness = tuple[str, Fraction]
 
 
-def _read_matrix(path: str) -> Matrix:
-    if path == "-":
-        return parse_matrix(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix(handle.read())
-
-
 def _read_square_matrix(args: argparse.Namespace) -> Matrix:
-    matrix = _read_matrix(args.file)
+    if args.file == "-":
+        matrix = parse_matrix(sys.stdin.read())
+    else:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            matrix = parse_matrix(handle.read())
     if not matrix.is_square:
         raise ValueError(f"{args.command} needs a square matrix, got {matrix.rows}x{matrix.cols}")
     return matrix
 
 
-def _record(
-    check: str,
-    operands: str,
-    *,
-    value: str | None = None,
-    residual: str | None = None,
-    passed: bool,
-) -> dict:
-    rec: dict = {"check": check, "operands": operands}
-    if value is not None:
-        rec["value"] = value
-    if residual is not None:
-        rec["residual"] = residual
-    rec["pass"] = passed
-    return rec
+def _value_record(check: str, operands: str, value: Fraction, passed: bool = True) -> dict:
+    return {"check": check, "operands": operands, "value": format_scalar(value), "pass": passed}
+
+
+def _residual_record(check: str, operands: str, residual: Fraction) -> dict:
+    return {
+        "check": check,
+        "operands": operands,
+        "residual": format_scalar(residual),
+        "pass": residual == 0,
+    }
 
 
 def _report(command: dict, records: list[dict], seed: int | None = None) -> dict:
@@ -137,65 +129,61 @@ def _sampled_index_set(gen: SplitMix64, n: int, size: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _row_col_choices(
-    n: int, row_size: int, col_size: int, gen: SplitMix64
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    if n <= EXHAUSTIVE_LIMIT:
-        for rows in combinations(range(1, n + 1), row_size):
-            for cols in combinations(range(1, n + 1), col_size):
-                yield rows, cols
-    else:
-        for _ in range(SAMPLE_COUNT):
-            yield _sampled_index_set(gen, n, row_size), _sampled_index_set(gen, n, col_size)
+def _choices(
+    name: str, n: int, gen: SplitMix64
+) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...]]]:
+    """Every index choice a sweep of one family checks, with its witness label:
+    each ordered Jacobi pair i != j as ((i,), (j,)); else r rows and 2r columns
+    per splitting order r, all of them up to EXHAUSTIVE_LIMIT, SAMPLE_COUNT
+    seeded draws per order beyond."""
+    if name == "jacobi":
+        for i, j in permutations(range(1, n + 1), 2):
+            yield f"i={i} j={j}", (i,), (j,)
+        return
+    for r in _SPLITTINGS[name]:
+        if 2 * r > n:
+            return
+        if n <= EXHAUSTIVE_LIMIT:
+            indices = range(1, n + 1)
+            choices = product(combinations(indices, r), combinations(indices, 2 * r))
+        else:
+            choices = (
+                (_sampled_index_set(gen, n, r), _sampled_index_set(gen, n, 2 * r))
+                for _ in range(SAMPLE_COUNT)
+            )
+        for rows, cols in choices:
+            where = f"rows={rows} cols={cols}"
+            yield (where if name == "three-term" else f"r={r} {where}"), rows, cols
 
 
 def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    """One row-and-column family's residual, read from the matrix's one minor table:
-    every order-2 splitting of ``three-term`` and ``pluecker`` through the signed
-    three-term formula, every other choice through the full signed splitting sum."""
+    """One family's residual at one index choice, read from the matrix's one minor
+    table: the Jacobi pair (rows[0], cols[0]), every order-2 splitting of
+    ``three-term`` and ``pluecker`` through the signed three-term formula, every
+    other choice through the full signed splitting sum."""
+    if name == "jacobi":
+        return jacobi_residual(matrix, rows[0], cols[0])
     if name != "generalized" and len(rows) == 2:
         return minor_three_term_residual(matrix, rows, cols)
     return generalized_pluecker_residual(matrix, rows, cols)
 
 
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
-    n = matrix.rows
-    if name == "jacobi":
-        if n < 2:
-            return 0, []
-        report = verify_all_jacobi(matrix)
-        witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
-        return report.residuals_checked, witnesses
-    checked = 0
-    witnesses: list[Witness] = []
-    for r in _SPLITTINGS[name]:
-        if 2 * r > n:
-            break
-        for rows, cols in _row_col_choices(n, r, 2 * r, gen):
-            res = _residual(name, matrix, rows, cols)
-            checked += 1
-            if res != 0:
-                where = f"rows={rows} cols={cols}"
-                witnesses.append((where if name == "three-term" else f"r={r} {where}", res))
-    return checked, witnesses
+    """The number of residuals one family's sweep checks, and its nonzero ones."""
+    choices = _choices(name, matrix.rows, gen)
+    found = [(where, _residual(name, matrix, rows, cols)) for where, rows, cols in choices]
+    return len(found), [(where, res) for where, res in found if res != 0]
 
 
 def _sweep_record(name: str, matrix: Matrix, gen: SplitMix64) -> dict:
     checked, witnesses = _sweep(name, matrix, gen)
-    n = matrix.rows
-    if witnesses:
-        shown = "; ".join(
-            f"{where} residual {format_scalar(res)}" for where, res in witnesses[:10]
-        )
-        suffix = f" (+{len(witnesses) - 10} more)" if len(witnesses) > 10 else ""
-        return _record(
-            name,
-            f"n={n} residuals={checked} nonzero={len(witnesses)} "
-            f"witnesses: {shown}{suffix}",
-            residual=format_scalar(witnesses[0][1]),
-            passed=False,
-        )
-    return _record(name, f"n={n} residuals={checked}", residual="0", passed=True)
+    operands = f"n={matrix.rows} residuals={checked}"
+    if not witnesses:
+        return _residual_record(name, operands, Fraction(0))
+    shown = "; ".join(f"{where} residual {format_scalar(res)}" for where, res in witnesses[:10])
+    suffix = f" (+{len(witnesses) - 10} more)" if len(witnesses) > 10 else ""
+    operands += f" nonzero={len(witnesses)} witnesses: {shown}{suffix}"
+    return _residual_record(name, operands, witnesses[0][1])
 
 
 def _selected_identities(selection: str) -> tuple[str, ...]:
@@ -242,15 +230,11 @@ def _cmd_det(args: argparse.Namespace) -> dict:
             operands += f" fallback={str(dodgson.fallback_used).lower()}"
             if dodgson.fallback_used:
                 operands += f" depth={dodgson.fallback_depth}"
-        records.append(_record(engine, operands, value=format_scalar(value), passed=True))
+        records.append(_value_record(engine, operands, value))
     if args.engine == "all":
+        agree = len(set(values.values())) == 1
         records.append(
-            _record(
-                "engines-agree",
-                f"n={n} engines={len(values)}",
-                value=format_scalar(values["bareiss"]),
-                passed=len(set(values.values())) == 1,
-            )
+            _value_record("engines-agree", f"n={n} engines={len(values)}", values["bareiss"], agree)
         )
     return _report({"name": "det", "file": args.file, "engine": args.engine}, records)
 
@@ -294,7 +278,7 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
         pair = _parse_indices(args.pair)
         if len(pair) != 2:
             raise ValueError("--pair needs exactly two indices")
-        res = jacobi_residual(matrix, pair[0], pair[1])
+        rows, cols = pair[:1], pair[1:]
         operands = f"n={matrix.rows} i={pair[0]} j={pair[1]}"
     else:
         if args.pair is not None or args.rows is None or args.cols is None:
@@ -305,37 +289,21 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
         orders = _SPLITTINGS[name]
         if len(rows) not in orders or len(cols) != 2 * len(rows):
             raise ValueError(f"{name} selection needs r rows and 2r columns, r in {set(orders)}")
-        res = _residual(name, matrix, rows, cols)
-    return _record(name, operands, residual=format_scalar(res), passed=res == 0)
+    return _residual_record(name, operands, _residual(name, matrix, rows, cols))
 
 
 def _cmd_pfaffian(args: argparse.Namespace) -> dict:
-    matrix = _read_matrix(args.file)
+    matrix = _read_square_matrix(args)
     skew = antisymmetric_from_matrix(matrix)
     pf = pfaffian(skew)
-    records = [
-        _record("pfaffian", f"order={skew.order}", value=format_scalar(pf), passed=True)
-    ]
+    records = [_value_record("pfaffian", f"order={skew.order}", pf)]
     if args.check == "square":
         det = det_bareiss(matrix)
-        records.append(
-            _record(
-                "pfaffian-square",
-                f"order={skew.order} det={format_scalar(det)}",
-                residual=format_scalar(pf * pf - det),
-                passed=pf * pf == det,
-            )
-        )
+        operands = f"order={skew.order} det={format_scalar(det)}"
+        records.append(_residual_record("pfaffian-square", operands, pf * pf - det))
     elif args.check == "recurrence":
         res = jacobi_recurrence_residual(skew)
-        records.append(
-            _record(
-                "pfaffian-recurrence",
-                f"order={skew.order}",
-                residual=format_scalar(res),
-                passed=res == 0,
-            )
-        )
+        records.append(_residual_record("pfaffian-recurrence", f"order={skew.order}", res))
     return _report({"name": "pfaffian", "file": args.file, "check": args.check}, records)
 
 
@@ -359,14 +327,8 @@ def _cmd_embed(args: argparse.Namespace) -> dict:
     embedded = determinant_embedding(matrix)
     det = det_bareiss(matrix)
     pf = pfaffian(embedded)
-    records = [
-        _record(
-            "embedding",
-            f"n={n} det={format_scalar(det)} pf={format_scalar(pf)}",
-            residual=format_scalar(pf - det),
-            passed=pf == det,
-        )
-    ]
+    operands = f"n={n} det={format_scalar(det)} pf={format_scalar(pf)}"
+    records = [_residual_record("embedding", operands, pf - det)]
     if args.minors:
         mismatch: tuple[str, Fraction] | None = None
         for checked, (label, removal, expected) in enumerate(_embedded_minor_cases(matrix), 1):
@@ -376,14 +338,8 @@ def _cmd_embed(args: argparse.Namespace) -> dict:
         operands = f"n={n} correspondences={checked}"
         if mismatch is not None:
             operands += f" first-mismatch {mismatch[0]}"
-        records.append(
-            _record(
-                "embedded-minors",
-                operands,
-                residual="0" if mismatch is None else format_scalar(mismatch[1]),
-                passed=mismatch is None,
-            )
-        )
+        residual = Fraction(0) if mismatch is None else mismatch[1]
+        records.append(_residual_record("embedded-minors", operands, residual))
     full = embedded.to_matrix()
     sys.stdout.write(
         emit_matrix_json(full) if args.format == "json" else emit_matrix_text(full)
@@ -405,15 +361,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> dict:
         n = gen.next_int(2, args.size_max)
         matrix = random_matrix(gen, n, n, args.entry_bound)
         values, dodgson = _determinants(matrix, _differential(n))
-        records.append(
-            _record(
-                "engines",
-                f"trial={trial} n={n} engines={len(values)} "
-                f"fallback={str(dodgson.fallback_used).lower()}",
-                value=format_scalar(values["bareiss"]),
-                passed=len(set(values.values())) == 1,
-            )
+        operands = (
+            f"trial={trial} n={n} engines={len(values)} "
+            f"fallback={str(dodgson.fallback_used).lower()}"
         )
+        agree = len(set(values.values())) == 1
+        records.append(_value_record("engines", operands, values["bareiss"], agree))
         for name in identities:
             rec = _sweep_record(name, matrix, gen)
             rec["operands"] = f"trial={trial} " + rec["operands"]
@@ -443,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
             "pass '-' to read standard input. Scalars are 'p' or 'p/q'."
         ),
         epilog=(
-            f"Sweeps enumerate all index choices exhaustively for n <= "
-            f"{EXHAUSTIVE_LIMIT} and sample {SAMPLE_COUNT} seeded choices per "
-            f"identity beyond; the Laplace engine joins differentials up to "
-            f"n = {LAPLACE_LIMIT}. Exit codes: 0 pass, 1 violation, 2 usage/parse."
+            f"Sweeps enumerate all index choices exhaustively for n <= {EXHAUSTIVE_LIMIT} "
+            f"and sample {SAMPLE_COUNT} seeded choices per family and splitting order "
+            f"beyond (jacobi: all ordered pairs); the Laplace engine joins differentials "
+            f"up to n = {LAPLACE_LIMIT}. Exit codes: 0 pass, 1 violation, 2 usage/parse."
         ),
     )
     # the report goes to stdout unless a subcommand fixes another stream

@@ -252,16 +252,10 @@ class TestVerify:
         assert "overall: FAIL" in out
 
     def test_sweep_violation_lists_witnesses(self, write, capsys, monkeypatch):
-        from exactdet import IdentityReport
+        def broken(matrix, i, j):
+            return Fraction(3, 2) if {i, j} == {1, 2} else Fraction(0)
 
-        broken = IdentityReport(
-            identity="jacobi",
-            operands="3x3, all 6 ordered pairs",
-            residuals_checked=6,
-            nonzero_residuals=2,
-            witnesses=(((1, 2), Fraction(3, 2)), ((2, 1), Fraction(3, 2))),
-        )
-        monkeypatch.setattr(cli, "verify_all_jacobi", lambda m: broken)
+        monkeypatch.setattr(cli, "jacobi_residual", broken)
         code = main(["verify", write(GOLDEN_TEXT), "--identity", "jacobi"])
         assert code == 1
         out = capsys.readouterr().out
@@ -402,6 +396,7 @@ class TestFaultInjection:
     """Every family's residual seam and the Dodgson engine must be able to fail a run."""
 
     SWEEP_SEAMS = [
+        ("jacobi_residual", {"jacobi"}),
         ("minor_three_term_residual", {"three-term", "pluecker"}),
         ("generalized_pluecker_residual", {"generalized", "pluecker"}),
     ]
@@ -524,6 +519,19 @@ class TestFaultInjection:
         monkeypatch.setattr(cli, "embedded_minor", lambda m, removal: good(m, removal) + 1)
         assert main(["embed", write(GOLDEN_TEXT), "--minors"]) == 1
         assert self._failing_lines(capsys.readouterr().err) == {"embedded-minors"}
+
+
+@pytest.mark.parametrize("command", [[], ["det"], ["verify"], ["pfaffian"], ["embed"], ["fuzz"]])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert out.startswith("usage: exactdet")
+    if not command:
+        assert (
+            f"sample {cli.SAMPLE_COUNT} seeded choices per family and splitting order" in out
+        )
 
 
 def test_console_entry_point(write):

@@ -7,9 +7,11 @@ before the CLI's identity layer was folded onto one residual dispatch, and
 the ``pfaffian``, ``embed``, single-engine ``det`` and error cases before its
 subcommands were given one output path.  The ``-q-`` cases read p/q
 entries; they were captured before the Pfaffian elimination moved onto the
-strict upper triangle.  Any change to a report's bytes, its record order or
-its witness labels shows up here.  Error cases pin exit code 2, an empty
-stdout and the diagnostic prefix, not the message text.
+strict upper triangle.  All of them predate the CLI's move onto one record
+rule, one sweep loop for every family (Jacobi included) and one matrix
+reader, and that move left every digest unchanged.  Any change to a report's
+bytes, its record order or its witness labels shows up here.  Error cases pin
+exit code 2, an empty stdout and the diagnostic prefix, not the message text.
 """
 
 import hashlib
@@ -107,6 +109,7 @@ ERRORS: dict[str, tuple[list[str], str]] = {
     "det-non-square": (["det", "-"], "2 3\n1 2 3\n4 5 6\n"),
     "verify-non-square": (["verify", "-"], "2 3\n1 2 3\n4 5 6\n"),
     "embed-non-square": (["embed", "-"], "2 3\n1 2 3\n4 5 6\n"),
+    "pfaffian-non-square": (["pfaffian", "-"], "2 3\n1 2 3\n4 5 6\n"),
     "pfaffian-not-antisymmetric": (["pfaffian", "-"], "2 2\n0 1\n2 0\n"),
     "malformed-scalar": (["det", "-"], "1 1\n1.5\n"),
     "selection-without-identity": (["verify", "-", "--pair", "1,2"], _matrix_text(3)),
