@@ -396,9 +396,9 @@ class TestFaultInjection:
     """Every family's residual seam and the Dodgson engine must be able to fail a run."""
 
     SWEEP_SEAMS = [
-        ("jacobi_residual", {"jacobi"}),
         ("minor_three_term_residual", {"three-term", "pluecker"}),
         ("generalized_pluecker_residual", {"generalized", "pluecker"}),
+        ("jacobi_residual", {"jacobi"}),
     ]
     SELECTION_SEAMS = [
         ("minor_three_term_residual", ["three-term", "--rows", "1,2", "--cols", "1,2,3,4"]),
