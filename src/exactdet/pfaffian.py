@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import combinations
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .core import Matrix, ScalarLike, format_scalar, scalar
@@ -103,35 +104,70 @@ def antisymmetric_from_matrix(matrix: Matrix) -> AntisymmetricMatrix:
     return AntisymmetricMatrix(n, tuple(upper))
 
 
+def _skew_integer(matrix: AntisymmetricMatrix) -> tuple[list[int], list[list[int]]]:
+    """D*A*D as full integer rows, and the multipliers d_i on D's diagonal.
+
+    d_i is the lcm of the denominators in row i, which are those of column i,
+    so every d_i * d_j * a_ij is an integer, the result stays skew and
+    Pf(D*A*D) = Pf(A) * prod(d_i).  One multiplier per index, not per row as in
+    ``engines._integer_rows``, whose clearing would break the skew symmetry.
+    """
+    n = matrix.order
+    pairs = list(zip(combinations(range(n), 2), matrix.upper))
+    mults = [1] * n
+    for (i, j), v in pairs:
+        mults[i] = lcm(mults[i], v.denominator)
+        mults[j] = lcm(mults[j], v.denominator)
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), v in pairs:
+        rows[i][j] = v.numerator * (mults[i] // v.denominator) * mults[j]
+        rows[j][i] = -rows[i][j]
+    return mults, rows
+
+
 def pfaffian(matrix: AntisymmetricMatrix) -> Fraction:
     """Pfaffian of an even-order antisymmetric matrix; Pf of order 0 is 1.
 
-    Pivoted skew elimination in O(n^3) exact steps: pair index k with its
-    first nonzero partner j (swapping j into position k+1 flips the sign),
-    multiply in the pivot a[k][k+1], and replace the trailing block by its
-    Schur complement against the 2x2 pivot block.  That complement is again
-    antisymmetric, so each entry above the diagonal is computed once and
-    mirrored below it.  Satisfies pfaffian(A)**2 == det(A) exactly.
+    Fraction-free skew elimination in O(n^3) integer steps, on the integer
+    matrix and per-index multipliers of ``_skew_integer`` (it shares no code
+    with the determinant engines' ``_integer_rows`` or ``_bareiss``).  Index k
+    pairs with its first nonzero partner j (swapping j into position k+1 flips
+    the sign), and with p = a[k][k+1] and prev the previous pivot each entry
+    of the trailing block becomes
+
+        a[i][c] = (p*a[i][c] + a[i][k]*a[k+1][c] - a[i][k+1]*a[k][c]) // prev,
+
+    an exact division: after m steps every trailing entry is the Pfaffian of
+    the leading 2m indices with i and c (the Pfaffian form of Sylvester's
+    identity; Knuth, "Overlapping Pfaffians", 1996), so the last pivot is
+    Pf(D*A*D).  The block stays antisymmetric, so each entry above the
+    diagonal is computed once and mirrored below it.  Satisfies
+    pfaffian(A)**2 == det(A) exactly.
     """
-    a = [list(row) for row in matrix.to_matrix().entries]
+    mults, a = _skew_integer(matrix)
     n = matrix.order
-    result = Fraction(1)
+    sign = 1
+    prev = 1
     for k in range(0, n, 2):
-        j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+        row_k = a[k]
+        j = next((j for j in range(k + 1, n) if row_k[j] != 0), None)
         if j is None:
             return Fraction(0)
         if j != k + 1:
             a[k + 1], a[j] = a[j], a[k + 1]
             for row in a:
                 row[k + 1], row[j] = row[j], row[k + 1]
-            result = -result
-        p = a[k][k + 1]
-        result *= p
+            sign = -sign
+        p = row_k[k + 1]
+        row_k1 = a[k + 1]
         for i in range(k + 2, n):
+            row_i = a[i]
+            x, y = row_i[k], row_i[k + 1]
             for c in range(i + 1, n):
-                a[i][c] += (a[i][k] * a[k + 1][c] - a[i][k + 1] * a[k][c]) / p
-                a[c][i] = -a[i][c]
-    return result
+                row_i[c] = (p * row_i[c] + x * row_k1[c] - y * row_k[c]) // prev
+                a[c][i] = -row_i[c]
+        prev = p
+    return Fraction(sign * prev, prod(mults))
 
 
 def pfaffian_square_residual(matrix: AntisymmetricMatrix) -> Fraction:
@@ -177,6 +213,21 @@ def _parse_label(label: str, n: int) -> tuple[int, bool]:
     return idx, starred
 
 
+def _embedding(matrix: Matrix, kept: Sequence[int]) -> AntisymmetricMatrix:
+    """The embedding of a square matrix restricted to the kept positions, in order.
+
+    Position p <= n is the plain label p and position q > n the starred label
+    2n+1-q, so a plain p before a starred q holds a_{p,2n+1-q}; every other
+    pair is zero.  The strict upper triangle is read straight off the matrix.
+    """
+    n = matrix.rows
+    zero = Fraction(0)
+    upper = tuple(
+        matrix.at(p, 2 * n + 1 - q) if p <= n < q else zero for p, q in combinations(kept, 2)
+    )
+    return AntisymmetricMatrix(len(kept), upper)
+
+
 def determinant_embedding(matrix: Matrix) -> AntisymmetricMatrix:
     """Embed det A as the Pfaffian of an order-2n antisymmetric matrix.
 
@@ -186,24 +237,16 @@ def determinant_embedding(matrix: Matrix) -> AntisymmetricMatrix:
     """
     if not matrix.is_square:
         raise ValueError(f"embedding requires a square matrix, got {matrix.rows}x{matrix.cols}")
-    n = matrix.rows
-    order = 2 * n
-    upper = []
-    for p in range(1, order + 1):
-        for q in range(p + 1, order + 1):
-            if p <= n < q:
-                upper.append(matrix.at(p, 2 * n + 1 - q))
-            else:
-                upper.append(Fraction(0))
-    return AntisymmetricMatrix(order, tuple(upper))
+    return _embedding(matrix, range(1, 2 * matrix.rows + 1))
 
 
 def embedded_minor(matrix: Matrix, remove: Iterable[str]) -> Fraction:
     """Pfaffian of the embedding's upper triangle restricted to the kept labels.
 
-    The kept labels stay in ``embedding_labels`` order, so the restricted
-    matrix is read straight off the embedding.  Legal removal sets and what
-    they reproduce, exactly and with no hidden sign:
+    The kept labels stay in ``embedding_labels`` order, and the restricted
+    triangle is read straight off the matrix, without building the whole
+    embedding.  Legal removal sets and what they reproduce, exactly and with
+    no hidden sign:
 
     * ``{"i", "j*"}`` (i = j allowed)  ->  first_minor(A, i, j)
     * ``{"i", "j", "i*", "j*"}`` with i < j  ->  the minor deleting rows
@@ -226,7 +269,6 @@ def embedded_minor(matrix: Matrix, remove: Iterable[str]) -> Fraction:
     else:
         raise ValueError(f"removal set must have 2 or 4 labels, got {len(parsed)}")
 
-    labels = embedding_labels(n)
-    kept = [p for p, label in enumerate(labels, 1) if _parse_label(label, n) not in parsed]
-    upper = tuple(starmap(determinant_embedding(matrix).entry, combinations(kept, 2)))
-    return pfaffian(AntisymmetricMatrix(len(kept), upper))
+    # position p <= n is the plain label p, position q > n the starred 2n+1-q
+    kept = [q for q in range(1, 2 * n + 1) if (min(q, 2 * n + 1 - q), q > n) not in parsed]
+    return pfaffian(_embedding(matrix, kept))

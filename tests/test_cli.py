@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -386,6 +387,12 @@ class TestOneMinorTable:
         assert main(["embed", path, "--minors"]) == 0
         assert counts == {"_bareiss": 36, "_integer_rows": 1}
 
+    def test_pfaffian_square(self, write, capsys, monkeypatch):
+        # det_bareiss alone: the Pfaffian neither clears nor eliminates through them
+        counts = self._counted(monkeypatch)
+        assert main(["pfaffian", write(SKEW4), "--check", "square"]) == 0
+        assert counts == {"_bareiss": 1, "_integer_rows": 1}
+
 
 def _wrong_dodgson(matrix):
     good = det_dodgson(matrix)
@@ -488,6 +495,44 @@ class TestFaultInjection:
         self._double_first_multiplier(monkeypatch)
         assert main(["embed", write(GOLDEN_TEXT), "--minors"]) == 1
         assert self._failing_lines(capsys.readouterr().err) == {"embedding", "embedded-minors"}
+
+    @staticmethod
+    def _double_first_skew_multiplier(monkeypatch):
+        """Every Pfaffian comes out halved: its integer elimination is divided by
+        one multiplier too many."""
+        module = importlib.import_module("exactdet.pfaffian")
+        good = module._skew_integer
+
+        def doubled(matrix):
+            mults, rows = good(matrix)
+            return [2 * mults[0], *mults[1:]], rows
+
+        monkeypatch.setattr(module, "_skew_integer", doubled)
+
+    def test_wrong_skew_clearing_fails_pfaffian_square(self, write, capsys, monkeypatch):
+        self._double_first_skew_multiplier(monkeypatch)
+        assert main(["pfaffian", write(SKEW4), "--check", "square", "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"pfaffian-square"}
+
+    @pytest.mark.parametrize("text", [GOLDEN_TEXT, RATIONAL3], ids=["integer", "rational"])
+    def test_wrong_skew_clearing_fails_embed(self, text, write, capsys, monkeypatch):
+        # the Pfaffian side has its own clearing; the minors it is checked against do not
+        self._double_first_skew_multiplier(monkeypatch)
+        assert main(["embed", write(text), "--minors"]) == 1
+        assert self._failing_lines(capsys.readouterr().err) == {"embedding", "embedded-minors"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pfaffian", SKEW4, "--check", "recurrence"],
+            ["det", RATIONAL3],
+            ["verify", FOUR],
+        ],
+        ids=["pfaffian-recurrence", "det", "verify"],
+    )
+    def test_wrong_skew_clearing_spares_the_rest(self, args, write, capsys, monkeypatch):
+        self._double_first_skew_multiplier(monkeypatch)
+        assert main([args[0], write(args[1]), *args[2:]]) == 0
 
     @staticmethod
     def _failing_lines(text: str) -> set[str]:

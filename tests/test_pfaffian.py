@@ -97,6 +97,23 @@ class TestPfaffian:
             expected = pfaffian_matchings(skew.entry, range(1, order + 1))
             assert pfaffian(skew) == expected
 
+    # one prime denominator per row of the upper triangle, so the clearing's
+    # per-index multipliers differ; weight 6 of 7 zeros drives the partner-swap
+    # and zero-row branches, as do entries in [-1, 1]
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    @pytest.mark.parametrize("zeros, bound", [(0, 9), (3, 1), (6, 9)])
+    def test_rational_matches_matching_enumeration(self, order, zeros, bound):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19)
+        for trial in range(3):
+            gen = trial_stream(53, 100 * order + 10 * zeros + trial)
+            upper = [
+                Fraction(0 if gen.next_int(1, 7) <= zeros else gen.next_int(-bound, bound))
+                / primes[i]
+                for i, _ in combinations(range(order), 2)
+            ]
+            skew = antisymmetric_from_upper(order, upper)
+            assert pfaffian(skew) == pfaffian_matchings(skew.entry, range(1, order + 1))
+
     def test_congruent_order_40(self):
         # S = B^T J B with J the block-diagonal standard form, so Pf(S) = det B
         n = 40
@@ -108,6 +125,24 @@ class TestPfaffian:
         skew = antisymmetric_from_upper(n, upper)
         assert pfaffian(skew) == det_bareiss(Matrix(n, n, b))
         assert pfaffian_square_residual(skew) == 0
+
+    def test_congruent_rational_order_60(self):
+        # B = N C^-1 with one denominator c_j per column, so S = B^T J B has
+        # entries over c_i c_j and Pf(S) = det B; an inexact // would show here
+        n = 60
+        entries = random_matrix(trial_stream(54, 0), n, n, 9).entries
+        num = [[v.numerator for v in row] for row in entries]
+        gen = trial_stream(54, 1)
+        c = [gen.next_int(1, 9) for _ in range(n)]
+        upper = [
+            Fraction(
+                sum(num[k][i] * num[k + 1][j] - num[k + 1][i] * num[k][j] for k in range(0, n, 2)),
+                c[i] * c[j],
+            )
+            for i, j in combinations(range(n), 2)
+        ]
+        b = Matrix.from_rows([[Fraction(num[k][j], c[j]) for j in range(n)] for k in range(n)])
+        assert pfaffian(antisymmetric_from_upper(n, upper)) == det_bareiss(b)
 
     def test_square_residual(self):
         assert pfaffian_square_residual(antisymmetric_from_upper(2, [3])) == 0
