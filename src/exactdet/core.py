@@ -8,7 +8,6 @@ residual rather than a small float.  All public indices are 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -87,26 +86,60 @@ def index_set(indices: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class Matrix:
+class _Record:
+    """An immutable value over the fields its subclass lists in ``__slots__``, in
+    constructor order: equality, hash, repr, pickling and copying all go through that
+    field tuple.  Each ``__init__`` validates, then sets every field once through
+    ``object.__setattr__``; any later assignment or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # rebuild through __init__: the default slot-state restore would assign
+        return type(self), self._values()
+
+
+class Matrix(_Record):
     """Immutable dense matrix of Fractions with 1-based public indexing.
 
     Degenerate shapes (0 rows and/or 0 columns) are legal values; they arise
     as complementary minors and as the empty block in column augmentation.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = __match_args__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(

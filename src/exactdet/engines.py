@@ -12,17 +12,15 @@ Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm, prod
 from typing import Callable, Iterable
 
-from .core import Matrix, index_set
+from .core import Matrix, _Record, index_set
 
 
-@dataclass(frozen=True)
-class DodgsonResult:
+class DodgsonResult(_Record):
     """Condensation outcome: value plus fallback instrumentation.
 
     ``fallback_depth`` is the condensation level at which a zero interior
@@ -30,13 +28,14 @@ class DodgsonResult:
     a size-s block at level n-s+1); it is 0 when no fallback occurred.
     """
 
-    value: Fraction
-    fallback_used: bool
-    fallback_depth: int
+    __slots__ = __match_args__ = ("value", "fallback_used", "fallback_depth")
 
-    def __post_init__(self) -> None:
-        if not self.fallback_used and self.fallback_depth != 0:
+    def __init__(self, value: Fraction, fallback_used: bool, fallback_depth: int) -> None:
+        if not fallback_used and fallback_depth != 0:
             raise ValueError("fallback_depth must be 0 when no fallback occurred")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "fallback_used", fallback_used)
+        object.__setattr__(self, "fallback_depth", fallback_depth)
 
 
 def _require_square(matrix: Matrix) -> int:

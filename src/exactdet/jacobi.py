@@ -18,28 +18,36 @@ never a property of the input matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Matrix, index_set
+from .core import Matrix, _Record, index_set
 from .engines import _minors
 from .pluecker import _halves, _splitting_sum, _three_term
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """Outcome of a residual sweep; passes iff no nonzero residual was seen."""
 
-    identity: str
-    operands: str
-    residuals_checked: int
-    nonzero_residuals: int
-    witnesses: tuple[tuple[tuple[int, ...], Fraction], ...] = field(default_factory=tuple)
+    __slots__ = __match_args__ = (
+        "identity", "operands", "residuals_checked", "nonzero_residuals", "witnesses"
+    )
 
-    def __post_init__(self) -> None:
-        if self.nonzero_residuals != len(self.witnesses):
+    def __init__(
+        self,
+        identity: str,
+        operands: str,
+        residuals_checked: int,
+        nonzero_residuals: int,
+        witnesses: tuple[tuple[tuple[int, ...], Fraction], ...] = (),
+    ) -> None:
+        if nonzero_residuals != len(witnesses):
             raise ValueError("witness list must match the nonzero-residual count")
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "operands", operands)
+        object.__setattr__(self, "residuals_checked", residuals_checked)
+        object.__setattr__(self, "nonzero_residuals", nonzero_residuals)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def passed(self) -> bool:

@@ -15,18 +15,16 @@ embedding here reproduces the minors with exact equality, no stray signs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .core import Matrix, ScalarLike, format_scalar, scalar
+from .core import Matrix, ScalarLike, _Record, format_scalar, scalar
 from .engines import _minors, det_bareiss
 
 
-@dataclass(frozen=True)
-class AntisymmetricMatrix:
+class AntisymmetricMatrix(_Record):
     """Even-order skew-symmetric matrix stored as its strict upper triangle.
 
     Holding only the entries above the diagonal makes antisymmetry true by
@@ -34,17 +32,18 @@ class AntisymmetricMatrix:
     diagonal.
     """
 
-    order: int
-    upper: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("order", "upper")
 
-    def __post_init__(self) -> None:
-        if self.order < 0 or self.order % 2:
-            raise ValueError(f"antisymmetric order must be even and >= 0, got {self.order}")
-        expected = self.order * (self.order - 1) // 2
-        if len(self.upper) != expected:
+    def __init__(self, order: int, upper: tuple[Fraction, ...]) -> None:
+        if order < 0 or order % 2:
+            raise ValueError(f"antisymmetric order must be even and >= 0, got {order}")
+        expected = order * (order - 1) // 2
+        if len(upper) != expected:
             raise ValueError(
-                f"order {self.order} needs {expected} strict-upper entries, got {len(self.upper)}"
+                f"order {order} needs {expected} strict-upper entries, got {len(upper)}"
             )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "upper", upper)
 
     def _upper_index(self, i: int, j: int) -> int:
         # row-major strict upper triangle, i < j, 1-based

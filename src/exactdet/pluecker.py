@@ -15,48 +15,58 @@ asserted against zero, so it carries no information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .core import Matrix, ScalarLike, augment_columns
+from .core import Matrix, ScalarLike, _Record, augment_columns
 from .engines import _minors
 
 _Half = Callable[[tuple[int, ...]], Fraction]
 
 
-@dataclass(frozen=True)
-class SplitTerm:
+class SplitTerm(_Record):
     """One balanced splitting of positions {1..2r} with its sign (-1)^(sum of left)."""
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    sign: int
+    __slots__ = __match_args__ = ("left", "right", "sign")
+
+    def __init__(self, left: tuple[int, ...], right: tuple[int, ...], sign: int) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "sign", sign)
 
 
 def split_enumeration(r: int) -> list[SplitTerm]:
     """All C(2r, r) balanced splittings, ordered lexicographically by left set."""
     if r < 1:
         raise ValueError("splitting order r must be >= 1")
+    return list(_splittings(r))
+
+
+@cache
+def _splittings(r: int) -> tuple[SplitTerm, ...]:
+    """``split_enumeration(r)``, built once per order r >= 1 and shared by every sum."""
     universe = range(1, 2 * r + 1)
     terms = []
     for left in combinations(universe, r):
         right = tuple(p for p in universe if p not in left)
         sign = -1 if sum(left) % 2 else 1
         terms.append(SplitTerm(left, right, sign))
-    return terms
+    return tuple(terms)
 
 
 def _halves(matrix: Matrix, del_rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[int, _Half]:
     """The splitting order r and ``half(positions)`` = det(core | the chosen ``cols`` at
     those positions), the core deleting ``del_rows`` and all of ``cols``: the minor that
     deletes the rows and the other chosen columns, times the column-append sign
-    (-1)^#{(x, y) : x a core column, y appended, x > y}."""
+    (-1)^#{(x, y) : x a core column, y appended, x > y}.  Each position set is looked up
+    once: in a splitting sum it is the left side of one term and the right of another."""
     r = len(cols) // 2
     n = matrix.cols
     minor = _minors(matrix)
 
+    @cache
     def half(positions: tuple[int, ...]) -> Fraction:
         # the chosen column at position p has n - c_p columns after it, 2r - p of them chosen
         flips = sum(n - cols[p - 1] - (2 * r - p) for p in positions)
@@ -83,7 +93,7 @@ def _half_dets(matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]) -> tuple
 
 def _signed_products(r: int, half: _Half) -> list[tuple[SplitTerm, Fraction]]:
     """Per-splitting signed products sign * half(left) * half(right)."""
-    return [(t, t.sign * half(t.left) * half(t.right)) for t in split_enumeration(r)]
+    return [(t, t.sign * half(t.left) * half(t.right)) for t in _splittings(r)]
 
 
 def _splitting_sum(r: int, half: _Half) -> Fraction:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from exactdet import (
     Matrix,
     augment_columns,
+    generalized_pluecker_residual,
     pluecker_sum,
     pluecker_terms,
     split_enumeration,
     three_term_residual,
 )
+from exactdet import pluecker
 from exactdet.randgen import random_matrix, random_vector, trial_stream
 
 from oracles import det_leibniz
@@ -40,6 +42,20 @@ class TestSplitEnumeration:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             split_enumeration(0)
+
+    def test_returned_list_is_the_callers_own(self):
+        """The splittings are built once per order; mutating a returned list leaves
+        the next call and the next sweep unchanged."""
+        m = random_matrix(trial_stream(3, 0), 6, 6, 9)
+        before = [(t.left, t.right, t.sign) for t in split_enumeration(3)]
+        residual = generalized_pluecker_residual(m, (1, 2, 3), (1, 2, 3, 4, 5, 6))
+        terms = split_enumeration(3)
+        terms.reverse()
+        del terms[1:]
+        terms.append(pluecker.SplitTerm((1, 2, 3), (1, 2, 3), 1))
+        assert [(t.left, t.right, t.sign) for t in split_enumeration(3)] == before
+        assert generalized_pluecker_residual(m, (1, 2, 3), (1, 2, 3, 4, 5, 6)) == residual
+        assert split_enumeration(3) is not split_enumeration(3)
 
     def test_lexicographic_order_and_partition(self):
         for r in (1, 2, 3):
@@ -161,6 +177,27 @@ class TestThreeTerm:
             m = random_matrix(gen, n, n - 2, 9)
             vectors = [random_vector(gen, n, 9) for _ in range(4)]
             assert three_term_residual(m, *vectors) == 0
+
+
+def test_each_half_determinant_is_looked_up_once(monkeypatch):
+    """Every position set is the left side of one splitting and the right side of its
+    partner; at r = 3 the sum looks up each of the C(6, 3) = 20 halves once, not 40 times."""
+    lookups = []
+    table = pluecker._minors
+
+    def counting(matrix):
+        minor = table(matrix)
+
+        def lookup(drop_rows, drop_cols):
+            lookups.append((drop_rows, drop_cols))
+            return minor(drop_rows, drop_cols)
+
+        return lookup
+
+    monkeypatch.setattr(pluecker, "_minors", counting)
+    m = random_matrix(trial_stream(4, 0), 9, 9, 9)
+    assert generalized_pluecker_residual(m, (2, 5, 7), (1, 3, 4, 6, 8, 9)) == 0
+    assert len(lookups) == len(set(lookups)) == 20
 
 
 def test_splitting_sum_is_minus_two_of_three_term():
