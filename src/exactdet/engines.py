@@ -1,9 +1,12 @@
 """Three determinant engines plus minor and cofactor accessors.
 
-``det_laplace`` is the ground-truth oracle (exponential; the CLI stops it at n=7),
-independent of the workhorses.  Every other determinant and minor comes from
-``_minors``, one table per matrix that clears its denominators once and eliminates
-integer row and column slices; ``det_dodgson`` condenses on the same integer rows
+``det_laplace`` is the ground-truth oracle, independent of the workhorses: a
+``Fraction`` cofactor expansion memoized by column subset (exponential, n * 2^(n-1)
+products; the CLI stops it at n=7).  Every other determinant and minor comes from
+``_minors``, one table per matrix that clears its denominators once and caches each
+minor as an integer elimination over the product of its kept rows' multipliers;
+the public accessors build one ``Fraction`` from that pair, and the residual kernels
+combine the integers themselves.  ``det_dodgson`` condenses on the same integer rows
 and hands a block with a zero interior to that elimination.  All engines agree exactly.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
@@ -45,32 +48,31 @@ def _require_square(matrix: Matrix) -> int:
 
 
 def det_laplace(matrix: Matrix) -> Fraction:
-    """Determinant by recursive first-row cofactor expansion.
+    """Determinant by first-row cofactor expansion, memoized by column subset.
 
-    Serves as the oracle for the other engines; exponential cost, so callers
-    keep it to n <= cli.LAPLACE_LIMIT = 7 by policy.  det of the 0x0 matrix is 1.
+    Serves as the oracle for the other engines.  The bottom k rows over a column
+    set have one determinant, expanded along their first row: n * 2^(n-1) products
+    instead of ~n!, still exponential, so callers keep it to
+    n <= cli.LAPLACE_LIMIT = 7 by policy.  det of the 0x0 matrix is 1.
     """
-    _require_square(matrix)
-    return _laplace(matrix.entries)
+    n = _require_square(matrix)
+    rows = matrix.entries
 
+    @cache
+    def bottom(cols: tuple[int, ...]) -> Fraction:
+        if not cols:
+            return Fraction(1)
+        first = rows[n - len(cols)]
+        total = Fraction(0)
+        for p, j in enumerate(cols):
+            pivot = first[j]
+            if pivot == 0:
+                continue
+            term = pivot * bottom(cols[:p] + cols[p + 1 :])
+            total += term if p % 2 == 0 else -term
+        return total
 
-def _laplace(rows: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    first = rows[0]
-    rest = rows[1:]
-    for j in range(n):
-        pivot = first[j]
-        if pivot == 0:
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in rest)
-        term = pivot * _laplace(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    return bottom(tuple(range(n)))
 
 
 def det_bareiss(matrix: Matrix) -> Fraction:
@@ -80,7 +82,7 @@ def det_bareiss(matrix: Matrix) -> Fraction:
     denominators, ``_bareiss`` eliminates in pure integer arithmetic with exact
     interior divisions, and the row multipliers are divided back at the end.
     """
-    return _minors(matrix)((), ())
+    return Fraction(*_minors(matrix)((), ()))
 
 
 def _integer_rows(matrix: Matrix) -> tuple[list[int], list[list[int]]]:
@@ -100,12 +102,14 @@ def _integer_rows(matrix: Matrix) -> tuple[list[int], list[list[int]]]:
 _held: tuple[Matrix | None, Callable | None] = (None, None)
 
 
-def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Fraction]:
+def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, int]]:
     """The matrix's one minor table, kept while callers ask about this same object (by
     identity: no lookup hashes the entries; a freshly parsed matrix is cleared afresh).
     Cached ``minor(drop_rows, drop_cols)`` deletes those ascending 1-based rows and
-    columns and eliminates the integer slice over its kept rows' multipliers; an index
-    past the matrix deletes nothing, so the counts expose it (IndexError)."""
+    columns and returns the pair (integer elimination of the slice, product of its kept
+    rows' multipliers), whose quotient is the minor; the denominator depends on the
+    deleted rows alone.  An index past the matrix deletes nothing, so the counts expose
+    it (IndexError)."""
     global _held
     held, table = _held
     if held is matrix:
@@ -115,7 +119,7 @@ def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Frac
     size = matrix.rows + matrix.cols
 
     @cache
-    def minor(drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]) -> Fraction:
+    def minor(drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]) -> tuple[int, int]:
         keep_rows = [i for i in range(matrix.rows) if i + 1 not in drop_rows]
         keep_cols = [j for j in range(matrix.cols) if j + 1 not in drop_cols]
         if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != size:
@@ -123,7 +127,7 @@ def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Frac
         if len(keep_rows) != len(keep_cols):
             raise ValueError(f"{shape} minus rows {drop_rows}, columns {drop_cols} is not square")
         block = [[rows[i][j] for j in keep_cols] for i in keep_rows]
-        return Fraction(_bareiss(block), prod(mults[i] for i in keep_rows))
+        return _bareiss(block), prod(mults[i] for i in keep_rows)
 
     _held = (matrix, minor)
     return minor
@@ -205,12 +209,12 @@ def complementary_minor(
     The sets must have equal size; an index past the matrix raises IndexError.
     """
     _require_square(matrix)
-    return _minors(matrix)(index_set(rows), index_set(cols))
+    return Fraction(*_minors(matrix)(index_set(rows), index_set(cols)))
 
 
 def first_minor(matrix: Matrix, i: int, j: int) -> Fraction:
     """Unsigned first minor: determinant with row i and column j deleted."""
-    return _minors(matrix)((i,), (j,))
+    return Fraction(*_minors(matrix)((i,), (j,)))
 
 
 def signed_cofactor(

@@ -11,6 +11,12 @@ Two families, both read from the matrix's one minor table:
   full signed splitting sum over those halves, ``minor_three_term_residual``
   the r = 2 three-term formula.
 
+Both sum integers: the table gives each minor as an integer over the product of
+its kept rows' multipliers, and every product in one residual keeps the same rows
+with the same multiplicity (each row twice but i and j once for the two-by-two
+identity; the core rows twice for a splitting), so all its products share one
+denominator and one ``Fraction`` is built per residual.
+
 Every function returns the residual as an exact Scalar so callers assert
 zero themselves; a nonzero residual always signals an implementation bug,
 never a property of the input matrix.
@@ -67,11 +73,14 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
         raise ValueError("indices i and j must differ")
     minor = _minors(matrix)
     pair = (i, j) if i < j else (j, i)
-    return (
-        minor((i,), (i,)) * minor((j,), (j,))
-        - minor((i,), (j,)) * minor((j,), (i,))
-        - minor(pair, pair) * minor((), ())
-    )
+    m_ii, q_i = minor((i,), (i,))
+    m_jj, q_j = minor((j,), (j,))
+    m_ij, _ = minor((i,), (j,))
+    m_ji, _ = minor((j,), (i,))
+    m_pair, _ = minor(pair, pair)
+    det, _ = minor((), ())
+    # each product keeps every row twice but i and j once: all are over q_i * q_j
+    return Fraction(m_ii * m_jj - m_ij * m_ji - m_pair * det, q_i * q_j)
 
 
 def verify_all_jacobi(matrix: Matrix) -> IdentityReport:
@@ -111,7 +120,8 @@ def minor_three_term_residual(
     rows, quad = _checked(matrix, row_pair, cols)
     if len(rows) != 2:
         raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {len(rows)}")
-    return _three_term(_halves(matrix, rows, quad)[1])
+    _, half, q = _halves(matrix, rows, quad)
+    return Fraction(_three_term(half), q * q)
 
 
 def generalized_pluecker_residual(
@@ -122,7 +132,8 @@ def generalized_pluecker_residual(
     restricted to the surviving rows, in ascending order, signed by list positions.  The
     raw-index sign prefactor of the signed-cofactor reading is a constant across terms
     and is deliberately not reproduced."""
-    return _splitting_sum(*_halves(matrix, *_checked(matrix, del_rows, chosen_cols)))
+    r, half, q = _halves(matrix, *_checked(matrix, del_rows, chosen_cols))
+    return Fraction(_splitting_sum(r, half), q * q)
 
 
 def _checked(

@@ -11,6 +11,11 @@ Signs are taken from positions 1..2r within the supplied vector list, never
 from any external column numbering.  A constant global factor present in the
 underlying Laplace-expansion derivation is dropped throughout: the sums are
 asserted against zero, so it carries no information.
+
+Every half-determinant of one sum keeps the same rows, so the minor table gives
+each as an integer over one shared denominator q (the product of those rows'
+multipliers).  The kernels ``_splitting_sum`` and ``_three_term`` sum integer
+products, and each residual is one ``Fraction(total, q^2)``.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 from .core import Matrix, ScalarLike, _Record, augment_columns
 from .engines import _minors
 
-_Half = Callable[[tuple[int, ...]], Fraction]
+# integer half-determinants by position set, all over one shared denominator
+_Half = Mapping[tuple[int, ...], int]
 
 
 class SplitTerm(_Record):
@@ -56,27 +62,33 @@ def _splittings(r: int) -> tuple[SplitTerm, ...]:
     return tuple(terms)
 
 
-def _halves(matrix: Matrix, del_rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[int, _Half]:
-    """The splitting order r and ``half(positions)`` = det(core | the chosen ``cols`` at
-    those positions), the core deleting ``del_rows`` and all of ``cols``: the minor that
-    deletes the rows and the other chosen columns, times the column-append sign
-    (-1)^#{(x, y) : x a core column, y appended, x > y}.  Each position set is looked up
-    once: in a splitting sum it is the left side of one term and the right of another."""
+def _halves(
+    matrix: Matrix, del_rows: tuple[int, ...], cols: tuple[int, ...]
+) -> tuple[int, _Half, int]:
+    """The splitting order r, ``half[positions]`` = q * det(core | the chosen ``cols`` at
+    those positions) as an integer, and that one denominator q.  The core deletes
+    ``del_rows`` and all of ``cols``; each half is the minor that deletes the rows and the
+    other chosen columns, times the column-append sign
+    (-1)^#{(x, y) : x a core column, y appended, x > y}.  Every half keeps the same rows,
+    so q is their one product of row multipliers, and any product of two halves is an
+    integer over q^2.  Each position set is looked up once: in a splitting sum it is the
+    left side of one term and the right of another."""
     r = len(cols) // 2
     n = matrix.cols
     minor = _minors(matrix)
+    # the chosen column at position p has n - c_p columns after it, 2r - p of them chosen:
+    # the positions that flip the sign an odd number of times
+    odd = {p for p, c in enumerate(cols, 1) if (n - c - 2 * r + p) % 2}
+    half = {}
+    for term in _splittings(r):
+        value, q = minor(del_rows, tuple([cols[p - 1] for p in term.right]))
+        half[term.left] = -value if len(odd.intersection(term.left)) % 2 else value
+    return r, half, q
 
-    @cache
-    def half(positions: tuple[int, ...]) -> Fraction:
-        # the chosen column at position p has n - c_p columns after it, 2r - p of them chosen
-        flips = sum(n - cols[p - 1] - (2 * r - p) for p in positions)
-        value = minor(del_rows, tuple(c for p, c in enumerate(cols, 1) if p not in positions))
-        return -value if flips % 2 else value
 
-    return r, half
-
-
-def _half_dets(matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]) -> tuple[int, _Half]:
+def _half_dets(
+    matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
+) -> tuple[int, _Half, int]:
     """``_halves`` over M | all vectors and its last 2r columns, where every sign is +."""
     if len(vectors) < 2 or len(vectors) % 2:
         raise ValueError(f"need an even number (2r) of vectors, got {len(vectors)}")
@@ -91,22 +103,22 @@ def _half_dets(matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]) -> tuple
     return _halves(augment_columns(matrix, vectors), (), tuple(range(n - r + 1, n + r + 1)))
 
 
-def _signed_products(r: int, half: _Half) -> list[tuple[SplitTerm, Fraction]]:
-    """Per-splitting signed products sign * half(left) * half(right)."""
-    return [(t, t.sign * half(t.left) * half(t.right)) for t in _splittings(r)]
+def _signed_products(r: int, half: _Half) -> list[tuple[SplitTerm, int]]:
+    """Per-splitting signed products sign * half[left] * half[right]."""
+    return [(t, t.sign * half[t.left] * half[t.right]) for t in _splittings(r)]
 
 
-def _splitting_sum(r: int, half: _Half) -> Fraction:
+def _splitting_sum(r: int, half: _Half) -> int:
     """The full signed splitting sum over ``half``."""
-    return sum((value for _, value in _signed_products(r, half)), Fraction(0))
+    return sum(value for _, value in _signed_products(r, half))
 
 
-def _three_term(half: _Half) -> Fraction:
+def _three_term(half: _Half) -> int:
     """|Mab||Mcd| - |Mac||Mbd| + |Mad||Mbc| over ``half`` at positions a..d = 1..4."""
     return (
-        half((1, 2)) * half((3, 4))
-        - half((1, 3)) * half((2, 4))
-        + half((1, 4)) * half((2, 3))
+        half[1, 2] * half[3, 4]
+        - half[1, 3] * half[2, 4]
+        + half[1, 4] * half[2, 3]
     )
 
 
@@ -114,7 +126,8 @@ def pluecker_terms(
     matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
 ) -> list[tuple[SplitTerm, Fraction]]:
     """Per-splitting signed products sign * det(M|left) * det(M|right)."""
-    return _signed_products(*_half_dets(matrix, vectors))
+    r, half, q = _half_dets(matrix, vectors)
+    return [(t, Fraction(value, q * q)) for t, value in _signed_products(r, half)]
 
 
 def pluecker_sum(
@@ -125,7 +138,8 @@ def pluecker_sum(
     The computed Scalar is returned (rather than asserting zero internally)
     so callers and tests can check the cancellation themselves.
     """
-    return _splitting_sum(*_half_dets(matrix, vectors))
+    r, half, q = _half_dets(matrix, vectors)
+    return Fraction(_splitting_sum(r, half), q * q)
 
 
 def three_term_residual(
@@ -140,4 +154,5 @@ def three_term_residual(
     Equals -1/2 times ``pluecker_sum(M, [a, b, c, d])`` term-structurally:
     each unordered splitting pair contributes the same product twice there.
     """
-    return _three_term(_half_dets(matrix, (a, b, c, d))[1])
+    _, half, q = _half_dets(matrix, (a, b, c, d))
+    return Fraction(_three_term(half), q * q)

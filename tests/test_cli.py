@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -13,7 +14,15 @@ import pytest
 
 import exactdet.cli as cli
 import exactdet.engines as engines
-from exactdet import DodgsonResult, Matrix, det_dodgson, emit_matrix_text
+from exactdet import (
+    DodgsonResult,
+    Matrix,
+    complementary_minor,
+    det_dodgson,
+    emit_matrix_text,
+    jacobi_residual,
+    parse_matrix,
+)
 from exactdet.cli import main
 from exactdet.randgen import random_matrix, trial_stream
 
@@ -22,6 +31,11 @@ IDENTITY3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
 FOUR = "4 4\n2 -1 3 0\n1 5 -2 4\n0 3 1 -3\n-2 1 4 2\n"
 RATIONAL3 = "3 3\n1/2 2 3\n4 5/3 6\n7 8 10/7\n"
 SKEW2 = "2 2\n0 3\n-3 0\n"
+# p/q rows whose denominator lcms 10, 21, 4, 45, 11, 78 all differ
+RATIONAL6 = (
+    "6 6\n1/2 2 -3 4/5 5 -6\n7 8/3 9 -10 11 12/7\n-13 14 15/4 16 -17/2 18\n"
+    "19 -20/9 21 22 23 24/5\n25 26 -27 28/11 29 30\n31/6 32 33 -34 35 36/13\n"
+)
 SKEW4 = emit_matrix_text(
     Matrix.from_rows(
         [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
@@ -439,9 +453,9 @@ class TestFaultInjection:
         assert out.startswith(f"{selection[0]} [n=4 rows=")
         assert "residual 1: FAIL" in out
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_elimination_fault_fails_every_family(self, n, write, capsys, monkeypatch):
-        # a non-linear fault in the one elimination that fills every minor table
+    @staticmethod
+    def _odd_fault(monkeypatch):
+        """d -> d + d^3 in the one elimination that fills every minor table."""
         good = engines._bareiss
 
         def odd_fault(work):
@@ -449,9 +463,39 @@ class TestFaultInjection:
             return d + d**3
 
         monkeypatch.setattr(engines, "_bareiss", odd_fault)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_elimination_fault_fails_every_family(self, n, write, capsys, monkeypatch):
+        self._odd_fault(monkeypatch)
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         assert main(["verify", path, "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == set(cli.IDENTITY_NAMES)
+
+    def test_elimination_fault_report_is_exact(self, capsys, monkeypatch):
+        # every row multiplier differs, so a residual over the wrong denominator, or a
+        # witness rounded anywhere, changes these bytes; the digest was captured when
+        # every minor and product was still its own Fraction
+        self._odd_fault(monkeypatch)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(RATIONAL6))
+        assert main(["verify", "-", "--json"]) == 1
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "3d85d363784b9cf4b5b7a242456db4e431d4f2d63eefb9fc063cd56e51306237"
+
+    def test_elimination_fault_jacobi_matches_the_minor_formula(self, monkeypatch):
+        self._odd_fault(monkeypatch)
+        m = parse_matrix(RATIONAL6)
+        for i in range(1, 7):
+            for j in range(1, 7):
+                if i == j:
+                    continue
+                pair = (min(i, j), max(i, j))
+                expected = (
+                    complementary_minor(m, (i,), (i,)) * complementary_minor(m, (j,), (j,))
+                    - complementary_minor(m, (i,), (j,)) * complementary_minor(m, (j,), (i,))
+                    - complementary_minor(m, pair, pair) * complementary_minor(m, (), ())
+                )
+                assert expected != 0
+                assert jacobi_residual(m, i, j) == expected
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_wrong_dodgson_fails_det(self, n, write, capsys, monkeypatch):

@@ -72,6 +72,27 @@ class TestLaplace:
             m = seeded(seed, 2 + seed % 4)
             assert det_laplace(m) == det_leibniz(m)
 
+    @staticmethod
+    def _zero_led(seed, n):
+        """p/q entries, with zeros at the first row's odd columns and its last one."""
+        rows = [list(row) for row in seeded_rational(seed, n).entries]
+        if n:
+            for j in [*range(0, n, 2), n - 1]:
+                rows[0][j] = Fraction(0)
+        return Matrix.from_rows(rows)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_rational_with_zeros_matches_permutation_sum(self, n):
+        m = self._zero_led(70 + n, n)
+        assert det_laplace(m) == det_leibniz(m)
+
+    def test_order_12_is_within_reach(self):
+        # memoized by column subset: 12 * 2^11 products, where the plain
+        # expansion would make ~12! = 4.8e8
+        m = self._zero_led(82, 12)
+        assert m.entries[0][0] == 0
+        assert det_laplace(m) == det_bareiss(m) != 0
+
 
 class TestBareiss:
     def test_golden(self):

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import exactdet.engines as engines
 from exactdet import (
     AntisymmetricMatrix,
     Matrix,
@@ -25,6 +26,10 @@ from exactdet.randgen import random_antisymmetric, random_matrix, trial_stream
 from oracles import det_leibniz, pfaffian_matchings
 
 ORDER4 = antisymmetric_from_upper(4, [1, 2, 3, 4, 5, 6])
+# p/q entries whose rows 1 and 2 clear with different multipliers, 6 and 70
+SKEW_PQ4 = antisymmetric_from_upper(
+    4, [Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 5), Fraction(4, 7), 5]
+)
 
 
 class TestConstruction:
@@ -193,6 +198,32 @@ class TestRecurrence:
 
     def test_zero_matrix(self):
         assert jacobi_recurrence_residual(antisymmetric_from_upper(4, [0] * 6)) == 0
+
+    def test_rows_one_and_two_cleared_differently(self):
+        # M_12^2 is over q_1^2, det * comp over q_12 * q: with row multipliers 6 and 70
+        # those differ, so one shared denominator for both products would leave
+        # M_12^2 * (m_1 / m_2 - 1) != 0 behind
+        full = SKEW_PQ4.to_matrix()
+        mults, _ = engines._integer_rows(full)
+        assert mults[:2] == [6, 70]
+        assert first_minor(full, 1, 2) != 0
+        assert jacobi_recurrence_residual(SKEW_PQ4) == 0
+
+    def test_rows_one_and_two_cleared_differently_under_a_fault(self, monkeypatch):
+        # d -> d + d^3 breaks the identity; the residual must still be the exact
+        # difference of the two products, each over its own denominator
+        good = engines._bareiss
+
+        def odd_fault(work):
+            d = good(work)
+            return d + d**3
+
+        monkeypatch.setattr(engines, "_bareiss", odd_fault)
+        full = SKEW_PQ4.to_matrix()
+        m12 = first_minor(full, 1, 2)
+        expected = complementary_minor(full, (1, 2), (1, 2)) * det_bareiss(full) - m12 * m12
+        assert expected != 0
+        assert jacobi_recurrence_residual(SKEW_PQ4) == expected
 
     def test_skew_minor_structure(self):
         skew = random_antisymmetric(trial_stream(45, 0), 8, 9)

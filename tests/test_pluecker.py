@@ -200,6 +200,16 @@ def test_each_half_determinant_is_looked_up_once(monkeypatch):
     assert len(lookups) == len(set(lookups)) == 20
 
 
+@pytest.mark.parametrize("r, vacuous", [(1, True), (2, False), (3, True), (4, False)])
+def test_odd_order_splitting_sum_vanishes_for_any_halves(r, vacuous):
+    """Each splitting (L, R) pairs with (R, L), with the same product and signs whose
+    product is (-1)^(r(2r+1)): the balanced sum cancels identically at odd r, so
+    those orders check nothing, and only even orders constrain the halves."""
+    gen = trial_stream(90 + r, 0)
+    half = {t.left: gen.next_int(-99, 99) for t in split_enumeration(r)}
+    assert (pluecker._splitting_sum(r, half) == 0) is vacuous
+
+
 def test_splitting_sum_is_minus_two_of_three_term():
     """Term-level pin: each unordered splitting pair of the order-2 sum carries
     the matching three-term product twice, with the opposite sign."""
