@@ -7,7 +7,9 @@ products; the CLI stops it at n=7).  Every other determinant and minor comes fro
 minor as an integer elimination over the product of its kept rows' multipliers;
 the public accessors build one ``Fraction`` from that pair, and the residual kernels
 combine the integers themselves.  ``det_dodgson`` condenses on the same integer rows
-and hands a block with a zero interior to that elimination.  All engines agree exactly.
+and hands a block with a zero interior to that elimination; it visits blocks in the
+order of a memoized recursion but drops a block once the block it is the interior of
+has condensed, so O(n^2) blocks are live, not ~n^3/3.  All engines agree exactly.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -160,6 +162,48 @@ def _bareiss(work: list[list[int]]) -> int:
     return sign * prev
 
 
+class _Blocks(dict):
+    """``det_dodgson``'s block table: ``table[r0, c0, size]`` is the integer determinant
+    of the contiguous size x size block at 0-based row r0 and column c0 of ``rows``.
+
+    A miss condenses the block from its interior and its four corners, in that order,
+    or hands it to ``_bareiss`` when the interior is zero and records the level of the
+    first such fallback in ``depth``.  After a condensation the interior is dropped.
+    Besides this block, only the block's four corners read that interior, and the
+    block has just asked for all four, so nothing asks for it again.  A zero interior
+    stays, because its block never asked for its corners.  Blocks on the border are the
+    interior of no block and stay too, so the table holds about 2n^2 blocks plus those
+    still being condensed, not all ~n^3/3.
+    """
+
+    def __init__(self, rows: list[list[int]]) -> None:
+        self.rows = rows
+        self.depth = 0
+
+    def __missing__(self, key: tuple[int, int, int]) -> int:
+        r0, c0, size = key
+        if size < 2:
+            value = self.rows[r0][c0] if size else 1
+        else:
+            r1 = r0 + 1
+            c1 = c0 + 1
+            inner = (r1, c1, size - 2)
+            interior = self[inner]
+            if interior == 0:
+                self.depth = self.depth or len(self.rows) - size + 1
+                value = _bareiss([row[c0 : c0 + size] for row in self.rows[r0 : r0 + size]])
+            else:
+                corner = size - 1
+                m11 = self[r1, c1, corner]
+                mnn = self[r0, c0, corner]
+                m1n = self[r1, c0, corner]
+                mn1 = self[r0, c1, corner]
+                value = (m11 * mnn - m1n * mn1) // interior
+                del self[inner]
+        self[key] = value
+        return value
+
+
 def det_dodgson(matrix: Matrix) -> DodgsonResult:
     """Determinant by condensation on the two-by-two corner-minor recurrence.
 
@@ -168,36 +212,26 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
         det B = (M11 * Mnn - M1n * Mn1) / interior
 
     where the M's are the corner minors of size s-1 and ``interior`` is the
-    central minor of size s-2 (det of the 0x0 block is 1).  The memoized
-    recursion visits contiguous blocks of the integer rows that ``det_bareiss``
-    eliminates, so each division is an exact ``//``; a block with a zero
-    interior goes to ``_bareiss`` instead, and the first such fallback is recorded.
+    central minor of size s-2 (det of the 0x0 block is 1).  The recursion visits
+    contiguous blocks of the integer rows that ``det_bareiss`` eliminates, so each
+    division is an exact ``//``; a block with a zero interior goes to ``_bareiss``
+    instead, and the first such fallback is recorded.  Each block is computed once
+    and dropped once the block it is the interior of has condensed (``_Blocks``), so
+    at most O(n^2) blocks are live.  Each level of the recursion nests a frame; an
+    order too deep for the interpreter's recursion limit raises ValueError.
     """
     n = _require_square(matrix)
     if n < 1:
         raise ValueError("condensation requires n >= 1")
     mults, rows = _integer_rows(matrix)
-    depth = 0
-
-    @cache
-    def block(r0: int, c0: int, size: int) -> int:
-        nonlocal depth
-        if size == 0:
-            return 1
-        if size == 1:
-            return rows[r0][c0]
-        interior = block(r0 + 1, c0 + 1, size - 2)
-        if interior == 0:
-            depth = depth or n - size + 1
-            return _bareiss([row[c0 : c0 + size] for row in rows[r0 : r0 + size]])
-        m11 = block(r0 + 1, c0 + 1, size - 1)
-        mnn = block(r0, c0, size - 1)
-        m1n = block(r0 + 1, c0, size - 1)
-        mn1 = block(r0, c0 + 1, size - 1)
-        return (m11 * mnn - m1n * mn1) // interior
-
-    value = block(0, 0, n)
-    return DodgsonResult(Fraction(value, prod(mults)), depth > 0, depth)
+    table = _Blocks(rows)
+    try:
+        value = table[0, 0, n]
+    except RecursionError:
+        raise ValueError(
+            f"condensation of order {n} nests deeper than the recursion limit allows"
+        ) from None
+    return DodgsonResult(Fraction(value, prod(mults)), table.depth > 0, table.depth)
 
 
 def complementary_minor(

@@ -105,6 +105,28 @@ class TestDet:
         assert "more than 4300 digits" in captured.err
         assert "set_int_max_str_digits" not in captured.err
 
+    def test_condensation_too_deep_exits_2_with_own_diagnostic(self, write):
+        # a zero matrix's interiors nest one condensation frame per two orders: 200
+        # frames here, past a limit of 150 whether or not the interpreter also counts
+        # the C call into each frame (3.11 and older do, 3.12 does not)
+        path = write("400 400\n" + (" ".join(["0"] * 400) + "\n") * 400)
+        probe = (
+            "import sys\nfrom exactdet.cli import main\nsys.setrecursionlimit(150)\n"
+            f"sys.exit(main(['det', {path!r}, '--engine', 'dodgson']))"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "exactdet: error: condensation of order 400 nests deeper than the"
+            " recursion limit allows\n"
+        )
+
     def test_largest_printable_value_prints(self, write, capsys):
         big = "7" * 4300
         assert main(["det", write(f"1 1\n{big}\n")]) == 0

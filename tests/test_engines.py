@@ -1,6 +1,9 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -217,6 +220,52 @@ class TestDodgson:
             assert (result.fallback_used, result.fallback_depth) == (used, depth), seed
             assert result.value == det_bareiss(m)
 
+    # order 14 and below: the seeded(seed, n, bound) grid, seeds 0-299 and bounds 0-3;
+    # order 30 and below: the structured matrices
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_identical_to_global_memo(self, n):
+        anti = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+        inputs = [Matrix.identity(n), Matrix.from_rows(anti),
+                  Matrix.from_rows([[1] * n] * n), Matrix.from_rows([[0] * n] * n)]
+        if n <= 14:
+            inputs += [seeded(seed, n, bound) for seed in range(300) for bound in range(4)]
+        seen = set()
+        for m in inputs:
+            if m.entries not in seen:
+                seen.add(m.entries)
+                assert det_dodgson(m) == _global_memo_dodgson(m), m.entries
+
+    # _bareiss calls made by the condensation, recorded while every block was held
+    # for the whole run: a block dropped too early and computed again repeats the
+    # fallbacks beneath it
+    FALLBACK_CALLS = [((60, 60, 9), 258), ((61, 40, 1), 2505), (None, 1406)]
+
+    @pytest.mark.parametrize("case, calls", FALLBACK_CALLS)
+    def test_no_block_computed_twice(self, case, calls, monkeypatch):
+        m = Matrix.identity(40) if case is None else seeded(*case)
+        expected = det_bareiss(m)
+        good = engines._bareiss
+        made = []
+
+        def counting(work):
+            made.append(len(work))
+            return good(work)
+
+        monkeypatch.setattr(engines, "_bareiss", counting)
+        assert det_dodgson(m).value == expected
+        assert len(made) == calls
+
+    def test_live_blocks_stay_quadratic(self):
+        # every block held for the whole run peaked at ~10 MB here
+        m = seeded(60, 60)
+        tracemalloc.start()
+        try:
+            det_dodgson(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             det_dodgson(Matrix.from_rows([]))
@@ -224,6 +273,34 @@ class TestDodgson:
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
             DodgsonResult(Fraction(1), False, 2)
+
+
+def _global_memo_dodgson(matrix):
+    """Reference condensation: the same recursion, visit order and fallback rule, with
+    every block memoized for the whole run."""
+    n = matrix.rows
+    mults, rows = engines._integer_rows(matrix)
+    depth = 0
+
+    @cache
+    def block(r0, c0, size):
+        nonlocal depth
+        if size == 0:
+            return 1
+        if size == 1:
+            return rows[r0][c0]
+        interior = block(r0 + 1, c0 + 1, size - 2)
+        if interior == 0:
+            depth = depth or n - size + 1
+            return engines._bareiss([row[c0 : c0 + size] for row in rows[r0 : r0 + size]])
+        m11 = block(r0 + 1, c0 + 1, size - 1)
+        mnn = block(r0, c0, size - 1)
+        m1n = block(r0 + 1, c0, size - 1)
+        mn1 = block(r0, c0 + 1, size - 1)
+        return (m11 * mnn - m1n * mn1) // interior
+
+    value = block(0, 0, n)
+    return DodgsonResult(Fraction(value, prod(mults)), depth > 0, depth)
 
 
 def test_engine_agreement_sweep():
