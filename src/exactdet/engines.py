@@ -6,10 +6,15 @@ products; the CLI stops it at n=7).  Every other determinant and minor comes fro
 ``_minors``, one table per matrix that clears its denominators once and caches each
 minor as an integer elimination over the product of its kept rows' multipliers;
 the public accessors build one ``Fraction`` from that pair, and the residual kernels
-combine the integers themselves.  ``det_dodgson`` condenses on the same integer rows
-and hands a block with a zero interior to that elimination; it visits blocks in the
-order of a memoized recursion but drops a block once the block it is the interior of
-has condensed, so O(n^2) blocks are live, not ~n^3/3.  All engines agree exactly.
+combine the integers themselves.  A minor that deletes something does not eliminate
+its slice from scratch: it resumes one of two eliminations of the whole matrix, kept
+at the steps minors asked for (``_Chain``), from the last step that touched only rows
+and columns the slice keeps.  Those are the very steps a fresh elimination of the
+slice would make, so every value is bit-identical.  ``det_dodgson`` condenses on the
+same integer rows and hands a block with a zero interior to ``_bareiss``; it visits
+blocks in the order of a memoized recursion but drops a block once the block it is
+the interior of has condensed, so O(n^2) blocks are live, not ~n^3/3.  All engines
+agree exactly.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -111,55 +116,150 @@ def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], tupl
     columns and returns the pair (integer elimination of the slice, product of its kept
     rows' multipliers), whose quotient is the minor; the denominator depends on the
     deleted rows alone.  An index past the matrix deletes nothing, so the counts expose
-    it (IndexError)."""
+    it (IndexError).
+
+    Deleting nothing is one fresh elimination that stores nothing.  Any other minor
+    resumes a ``_Chain``: the elimination of the cleared rows in index order, or of the
+    rows with rows and columns both reversed (which leaves every determinant unchanged),
+    whichever has more steps in common with the slice's own elimination: the forward
+    chain the steps before the first deleted index, the reversed one (on a square
+    matrix) the steps after the last.  Each chain is memory the table keeps: about
+    n^3 / 3 integers at worst."""
     global _held
     held, table = _held
     if held is matrix:
         return table
     mults, rows = _integer_rows(matrix)
-    shape = f"the {matrix.rows}x{matrix.cols} matrix"
-    size = matrix.rows + matrix.cols
+    n_rows = matrix.rows
+    n_cols = matrix.cols
+    order = min(n_rows, n_cols)
+    shape = f"the {n_rows}x{n_cols} matrix"
+    forward = _Chain(rows, flip=False)
+    backward = _Chain(rows, flip=True)
 
     @cache
     def minor(drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]) -> tuple[int, int]:
-        keep_rows = [i for i in range(matrix.rows) if i + 1 not in drop_rows]
-        keep_cols = [j for j in range(matrix.cols) if j + 1 not in drop_cols]
-        if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != size:
+        keep_rows = [i for i in range(n_rows) if i + 1 not in drop_rows]
+        keep_cols = [j for j in range(n_cols) if j + 1 not in drop_cols]
+        if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != n_rows + n_cols:
             raise IndexError(f"rows {drop_rows} or columns {drop_cols} out of range for {shape}")
         if len(keep_rows) != len(keep_cols):
             raise ValueError(f"{shape} minus rows {drop_rows}, columns {drop_cols} is not square")
-        block = [[rows[i][j] for j in keep_cols] for i in keep_rows]
-        return _bareiss(block), prod(mults[i] for i in keep_rows)
+        q = prod(mults[i] for i in keep_rows)
+        if not drop_rows and not drop_cols:
+            return _bareiss([row[:] for row in rows]), q
+        # the steps each chain shares with the slice's own elimination, as far as the chain
+        # goes: the indices before the first deleted one, and those after the last (a
+        # lower bound unless the matrix is square)
+        deleted = drop_rows + drop_cols
+        ahead = min(min(deleted) - 1, forward.stop)
+        behind = min(order - max(deleted), backward.stop)
+        if ahead >= behind:
+            step, block, prev = forward[ahead]
+            rows_at = [block[i - step] for i in keep_rows[step:]]
+            cols_at = [j - step for j in keep_cols[step:]]
+        else:
+            # the reversed chain's slice, read in index order: reversing both its rows
+            # and its columns changes no determinant
+            step, block, prev = backward[behind]
+            kept = len(keep_rows)
+            rows_at = [block[n_rows - 1 - step - i] for i in keep_rows[: kept - step]]
+            cols_at = [n_cols - 1 - step - j for j in keep_cols[: kept - step]]
+        return _bareiss([[row[j] for j in cols_at] for row in rows_at], prev), q
 
     _held = (matrix, minor)
     return minor
 
 
-def _bareiss(work: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (1 if empty), eliminated in place;
-    a zero pivot swaps rows with sign tracking, a pivotless column gives 0."""
-    n = len(work)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k] != 0:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = work[k][k]
-        for i in range(k + 1, n):
+class _Chain(dict):
+    """One Bareiss elimination of a matrix's integer ``rows`` (of the rows with rows and
+    columns both reversed if ``flip``), kept only at the steps minors asked for.
+
+    ``chain[k]`` is (s, block, prev): the trailing block left after s steps and its last
+    pivot prev, the leading s x s minor (1 at s = 0).  s = k unless the chain stopped
+    earlier.  A miss copies the deepest stored snapshot before it and runs the steps
+    between.  After s steps each entry of the block is a bordered minor of the leading
+    s x s block (Sylvester's identity), built only from rows and columns that any slice
+    keeping the first s rows and columns keeps too.  So those s steps are the ones a
+    fresh elimination of such a slice makes, with the same values, and finishing the
+    slice's part of the block over prev gives its determinant bit for bit: this
+    memoizes identical steps and derives no minor through an identity.
+
+    The chain stops at its first zero pivot (``stop``), because the row swap there
+    depends on which rows the slice keeps; a deeper request gets that step's snapshot,
+    and the slice's own elimination makes the swap.  Snapshots are never mutated, so
+    readers on several threads may share a chain; at worst two build the same one.
+    """
+
+    def __init__(self, rows: list[list[int]], flip: bool) -> None:
+        self.rows = rows
+        self.flip = flip
+        self.stop = len(rows)
+
+    def __missing__(self, depth: int) -> tuple[int, list[list[int]], int]:
+        if depth == 0:
+            rows = self.rows
+            snap = (0, [row[::-1] for row in reversed(rows)] if self.flip else rows, 1)
+        elif depth > self.stop:
+            snap = self[self.stop]
+        else:
+            base = depth - 1
+            while base and base not in self:
+                base -= 1
+            _, block, prev = self[base]
+            work = [row[:] for row in block]
+            done, prev = _eliminate(work, 0, depth - base, prev)
+            step = base + done
+            if step < depth:
+                self.stop = step
+            snap = self.setdefault(step, (step, [row[done:] for row in work[done:]], prev))
+        self[depth] = snap
+        return snap
+
+
+def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int, int]:
+    """Bareiss steps k, ..., stop - 1 on ``work`` in place, the last pivot so far being
+    ``prev``: each row below the pivot row becomes (row * pivot - factor * pivot row)
+    // prev, an exact division, and its pivot-column entry 0, which frees the integer
+    there as the elimination goes.  Stops at the first zero pivot; returns the step it
+    reached and the last pivot."""
+    height = len(work)
+    for k in range(k, stop):
+        row_k = work[k]
+        pivot = row_k[k]
+        if pivot == 0:
+            return k, prev
+        width = len(row_k)
+        for i in range(k + 1, height):
             row_i = work[i]
-            row_k = work[k]
             factor = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * prev
+    return stop, prev
+
+
+def _bareiss(work: list[list[int]], prev: int = 1) -> int:
+    """Determinant of a square integer matrix, eliminated in place (1 if empty).  Given
+    the last pivot ``prev`` of a ``_Chain`` snapshot that ``work`` was sliced from, it
+    finishes that slice's elimination instead and returns the slice's determinant,
+    det(work) / prev^(order - 1).  A zero pivot swaps rows with sign tracking, and a
+    pivotless column gives 0."""
+    n = len(work)
+    sign = 1
+    k = 0
+    while True:
+        k, prev = _eliminate(work, k, n, prev)
+        if k == n:
+            return sign * prev
+        for i in range(k + 1, n):
+            if work[i][k] != 0:
+                work[k], work[i] = work[i], work[k]
+                sign = -sign
+                break
+        else:
+            return 0
 
 
 class _Blocks(dict):

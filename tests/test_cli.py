@@ -399,9 +399,9 @@ class TestOneMinorTable:
     def _counted(monkeypatch) -> dict[str, int]:
         counts = {"_bareiss": 0, "_integer_rows": 0}
         for name in counts:
-            def counted(arg, good=getattr(engines, name), name=name):
+            def counted(*args, good=getattr(engines, name), name=name):
                 counts[name] += 1
-                return good(arg)
+                return good(*args)
 
             monkeypatch.setattr(engines, name, counted)
         return counts
@@ -415,6 +415,23 @@ class TestOneMinorTable:
         counts = self._counted(monkeypatch)
         assert main(["verify", path]) == 0
         assert counts == {"_bareiss": eliminations, "_integer_rows": 1}
+
+    # the summed cube of the orders _bareiss eliminates: fresh eliminations of every
+    # slice make 29916 at order 6 and 2070070 at order 12, so a minor that stops
+    # resuming its shared prefix fails here
+    @pytest.mark.parametrize("n, cubes", [(6, 15139), (12, 964879)])
+    def test_verify_resumes_shared_prefixes(self, n, cubes, write, capsys, monkeypatch):
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        good = engines._bareiss
+        orders = []
+
+        def counted(work, *args):
+            orders.append(len(work))
+            return good(work, *args)
+
+        monkeypatch.setattr(engines, "_bareiss", counted)
+        assert main(["verify", path]) == 0
+        assert sum(k**3 for k in orders) == cubes
 
     def test_embed_minors(self, write, capsys, monkeypatch):
         # det, 25 first minors and 10 principal double minors
@@ -480,11 +497,28 @@ class TestFaultInjection:
         """d -> d + d^3 in the one elimination that fills every minor table."""
         good = engines._bareiss
 
-        def odd_fault(work):
-            d = good(work)
+        def odd_fault(*args):
+            d = good(*args)
             return d + d**3
 
         monkeypatch.setattr(engines, "_bareiss", odd_fault)
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_shared_prefix_fault_fails_every_family(self, n, write, capsys, monkeypatch):
+        # every snapshot a chain stores past step 0 gets one wrong entry, its last
+        build = engines._Chain.__missing__
+
+        def perturbed(chain, depth):
+            snap = build(chain, depth)
+            step, block, _ = snap
+            if step and step == depth:
+                block[-1][-1] += 1
+            return snap
+
+        monkeypatch.setattr(engines._Chain, "__missing__", perturbed)
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        assert main(["verify", path, "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == set(cli.IDENTITY_NAMES)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_elimination_fault_fails_every_family(self, n, write, capsys, monkeypatch):

@@ -214,8 +214,8 @@ class TestRecurrence:
         # difference of the two products, each over its own denominator
         good = engines._bareiss
 
-        def odd_fault(work):
-            d = good(work)
+        def odd_fault(*args):
+            d = good(*args)
             return d + d**3
 
         monkeypatch.setattr(engines, "_bareiss", odd_fault)
