@@ -10,11 +10,15 @@ combine the integers themselves.  A minor that deletes something does not elimin
 its slice from scratch: it resumes one of two eliminations of the whole matrix, kept
 at the steps minors asked for (``_Chain``), from the last step that touched only rows
 and columns the slice keeps.  Those are the very steps a fresh elimination of the
-slice would make, so every value is bit-identical.  ``det_dodgson`` condenses on the
-same integer rows and hands a block with a zero interior to ``_bareiss``; it visits
-blocks in the order of a memoized recursion but drops a block once the block it is
-the interior of has condensed, so O(n^2) blocks are live, not ~n^3/3.  All engines
-agree exactly.
+slice would make, so every value is bit-identical.  The half-determinants
+det(core | r of the 2r chosen columns) of one splitting choice share one core
+elimination (``_Minors.split``), run at most once per choice: it leaves an r x 2r
+block, and each half the table lacks finishes as the r x r elimination of its columns
+of that block, the final steps of its own fresh elimination.  ``det_dodgson``
+condenses on the same integer rows and hands a block with a zero interior to
+``_bareiss``; it visits blocks in the order of a memoized recursion but drops a block
+once the block it is the interior of has condensed, so O(n^2) blocks are live, not
+~n^3/3.  All engines agree exactly.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -25,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import lcm, prod
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import Matrix, _Record, index_set
 
@@ -89,7 +93,7 @@ def det_bareiss(matrix: Matrix) -> Fraction:
     denominators, ``_bareiss`` eliminates in pure integer arithmetic with exact
     interior divisions, and the row multipliers are divided back at the end.
     """
-    return Fraction(*_minors(matrix)((), ()))
+    return Fraction(*_minors(matrix)[(), ()])
 
 
 def _integer_rows(matrix: Matrix) -> tuple[list[int], list[list[int]]]:
@@ -106,54 +110,78 @@ def _integer_rows(matrix: Matrix) -> tuple[list[int], list[list[int]]]:
 
 
 # the last matrix asked about, held strongly so no new object reuses its id, and its table
-_held: tuple[Matrix | None, Callable | None] = (None, None)
+_held: tuple[Matrix | None, _Minors | None] = (None, None)
 
 
-def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, int]]:
+def _minors(matrix: Matrix) -> _Minors:
     """The matrix's one minor table, kept while callers ask about this same object (by
-    identity: no lookup hashes the entries; a freshly parsed matrix is cleared afresh).
-    Cached ``minor(drop_rows, drop_cols)`` deletes those ascending 1-based rows and
-    columns and returns the pair (integer elimination of the slice, product of its kept
-    rows' multipliers), whose quotient is the minor; the denominator depends on the
-    deleted rows alone.  An index past the matrix deletes nothing, so the counts expose
-    it (IndexError).
+    identity: no lookup hashes the entries; a freshly parsed matrix is cleared afresh)."""
+    global _held
+    held, table = _held
+    if held is not matrix:
+        table = _Minors(matrix)
+        _held = (matrix, table)
+    return table
 
-    Deleting nothing is one fresh elimination that stores nothing.  Any other minor
+
+class _Minors(dict):
+    """A matrix's minor table.  ``table[drop_rows, drop_cols]`` deletes those ascending
+    1-based rows and columns and is the pair (integer elimination of the slice, product
+    of its kept rows' multipliers), whose quotient is the minor; the denominator depends
+    on the deleted rows alone.  An index past the matrix deletes nothing, so the counts
+    expose it (IndexError).  ``split`` serves all half-determinants of one splitting
+    choice from one elimination; its caller writes them back as minors.
+
+    Deleting nothing is one fresh elimination that stores no snapshot.  Any other minor
     resumes a ``_Chain``: the elimination of the cleared rows in index order, or of the
     rows with rows and columns both reversed (which leaves every determinant unchanged),
     whichever has more steps in common with the slice's own elimination: the forward
     chain the steps before the first deleted index, the reversed one (on a square
     matrix) the steps after the last.  Each chain is memory the table keeps: about
-    n^3 / 3 integers at worst."""
-    global _held
-    held, table = _held
-    if held is matrix:
-        return table
-    mults, rows = _integer_rows(matrix)
-    n_rows = matrix.rows
-    n_cols = matrix.cols
-    order = min(n_rows, n_cols)
-    shape = f"the {n_rows}x{n_cols} matrix"
-    forward = _Chain(rows, flip=False)
-    backward = _Chain(rows, flip=True)
+    n^3 / 3 integers at worst.  Readers on several threads may share a table: at worst
+    two of them compute the same minor, with the same value."""
 
-    @cache
-    def minor(drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]) -> tuple[int, int]:
-        keep_rows = [i for i in range(n_rows) if i + 1 not in drop_rows]
-        keep_cols = [j for j in range(n_cols) if j + 1 not in drop_cols]
-        if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != n_rows + n_cols:
-            raise IndexError(f"rows {drop_rows} or columns {drop_cols} out of range for {shape}")
+    def __init__(self, matrix: Matrix) -> None:
+        self.mults, rows = _integer_rows(matrix)
+        self.n_rows = matrix.rows
+        self.n_cols = matrix.cols
+        self.forward = _Chain(rows, flip=False)
+        self.backward = _Chain(rows, flip=True)
+
+    def _kept(
+        self, drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]
+    ) -> tuple[list[int], list[int], int]:
+        """The 0-based rows and columns left after the deletion, and the kept rows'
+        product of multipliers."""
+        keep_rows = [i for i in range(self.n_rows) if i + 1 not in drop_rows]
+        keep_cols = [j for j in range(self.n_cols) if j + 1 not in drop_cols]
+        if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != (
+            self.n_rows + self.n_cols
+        ):
+            raise IndexError(
+                f"rows {drop_rows} or columns {drop_cols} out of range for "
+                f"the {self.n_rows}x{self.n_cols} matrix"
+            )
+        return keep_rows, keep_cols, prod(self.mults[i] for i in keep_rows)
+
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
+        drop_rows, drop_cols = key
+        keep_rows, keep_cols, q = self._kept(drop_rows, drop_cols)
         if len(keep_rows) != len(keep_cols):
-            raise ValueError(f"{shape} minus rows {drop_rows}, columns {drop_cols} is not square")
-        q = prod(mults[i] for i in keep_rows)
+            raise ValueError(
+                f"the {self.n_rows}x{self.n_cols} matrix minus rows {drop_rows}, "
+                f"columns {drop_cols} is not square"
+            )
+        forward = self.forward
         if not drop_rows and not drop_cols:
-            return _bareiss([row[:] for row in rows]), q
+            value = self[key] = _bareiss([row[:] for row in forward.rows]), q
+            return value
         # the steps each chain shares with the slice's own elimination, as far as the chain
         # goes: the indices before the first deleted one, and those after the last (a
         # lower bound unless the matrix is square)
         deleted = drop_rows + drop_cols
         ahead = min(min(deleted) - 1, forward.stop)
-        behind = min(order - max(deleted), backward.stop)
+        behind = min(min(self.n_rows, self.n_cols) - max(deleted), self.backward.stop)
         if ahead >= behind:
             step, block, prev = forward[ahead]
             rows_at = [block[i - step] for i in keep_rows[step:]]
@@ -161,14 +189,38 @@ def _minors(matrix: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], tupl
         else:
             # the reversed chain's slice, read in index order: reversing both its rows
             # and its columns changes no determinant
-            step, block, prev = backward[behind]
+            step, block, prev = self.backward[behind]
             kept = len(keep_rows)
-            rows_at = [block[n_rows - 1 - step - i] for i in keep_rows[: kept - step]]
-            cols_at = [n_cols - 1 - step - j for j in keep_cols[: kept - step]]
-        return _bareiss([[row[j] for j in cols_at] for row in rows_at], prev), q
+            rows_at = [block[self.n_rows - 1 - step - i] for i in keep_rows[: kept - step]]
+            cols_at = [self.n_cols - 1 - step - j for j in keep_cols[: kept - step]]
+        value = self[key] = _bareiss([[row[j] for j in cols_at] for row in rows_at], prev), q
+        return value
 
-    _held = (matrix, minor)
-    return minor
+    def split(
+        self, drop_rows: tuple[int, ...], cols: tuple[int, ...]
+    ) -> tuple[int, int, list[list[int]], int]:
+        """The elimination that all half-determinants of one splitting choice share.
+
+        The kept rows (all but ``drop_rows``) over the core columns (all but the 2r
+        chosen ``cols``), with the chosen columns appended, are eliminated over the core
+        columns only: resuming the forward chain at step min(drop_rows + cols) - 1, the
+        last step that reads no deleted or chosen index, and swapping rows at a zero
+        pivot.  Returns (q, sign, block, prev): the kept rows' product of multipliers,
+        the sign of those swaps (0 if a core column has no pivot: then every half is 0),
+        the r x 2r block left under the chosen columns, and its last pivot.  Each block
+        entry is a bordered minor of the core that reads one chosen column, and the core
+        steps and swaps do not depend on which r chosen columns are appended.  So these
+        are the steps a fresh elimination of det(core | the chosen columns at positions
+        P) makes, and q times that determinant is sign * _bareiss(the columns P of
+        ``block``, prev), bit for bit.  The chain's snapshots are copied, never
+        mutated."""
+        keep_rows, core, q = self._kept(drop_rows, cols)
+        step, block, prev = self.forward[min(min(drop_rows + cols) - 1, self.forward.stop)]
+        cols_at = [j - step for j in core[step:]] + [c - 1 - step for c in cols]
+        work = [[block[i - step][j] for j in cols_at] for i in keep_rows[step:]]
+        depth = len(core) - step
+        sign, prev = _reduce(work, depth, prev)
+        return q, sign, [row[depth:] for row in work[depth:]], prev
 
 
 class _Chain(dict):
@@ -240,26 +292,33 @@ def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int
     return stop, prev
 
 
-def _bareiss(work: list[list[int]], prev: int = 1) -> int:
-    """Determinant of a square integer matrix, eliminated in place (1 if empty).  Given
-    the last pivot ``prev`` of a ``_Chain`` snapshot that ``work`` was sliced from, it
-    finishes that slice's elimination instead and returns the slice's determinant,
-    det(work) / prev^(order - 1).  A zero pivot swaps rows with sign tracking, and a
-    pivotless column gives 0."""
-    n = len(work)
+def _reduce(work: list[list[int]], stop: int, prev: int) -> tuple[int, int]:
+    """Bareiss steps 0, ..., stop - 1 on ``work`` in place, the last pivot so far being
+    ``prev``; a zero pivot swaps in the first row below with a nonzero entry there.
+    Returns the sign of the swaps, 0 if a column has no pivot, and the last pivot."""
     sign = 1
     k = 0
     while True:
-        k, prev = _eliminate(work, k, n, prev)
-        if k == n:
-            return sign * prev
-        for i in range(k + 1, n):
+        k, prev = _eliminate(work, k, stop, prev)
+        if k == stop:
+            return sign, prev
+        for i in range(k + 1, len(work)):
             if work[i][k] != 0:
                 work[k], work[i] = work[i], work[k]
                 sign = -sign
                 break
         else:
-            return 0
+            return 0, prev
+
+
+def _bareiss(work: list[list[int]], prev: int = 1) -> int:
+    """Determinant of a square integer matrix, eliminated in place (1 if empty).  Given
+    the last pivot ``prev`` of a ``_Chain`` snapshot or a split block that ``work`` was
+    sliced from, it finishes that slice's elimination instead and returns the slice's
+    determinant, det(work) / prev^(order - 1).  A zero pivot swaps rows with sign
+    tracking, and a pivotless column gives 0."""
+    sign, prev = _reduce(work, len(work), prev)
+    return sign * prev
 
 
 class _Blocks(dict):
@@ -343,12 +402,12 @@ def complementary_minor(
     The sets must have equal size; an index past the matrix raises IndexError.
     """
     _require_square(matrix)
-    return Fraction(*_minors(matrix)(index_set(rows), index_set(cols)))
+    return Fraction(*_minors(matrix)[index_set(rows), index_set(cols)])
 
 
 def first_minor(matrix: Matrix, i: int, j: int) -> Fraction:
     """Unsigned first minor: determinant with row i and column j deleted."""
-    return Fraction(*_minors(matrix)((i,), (j,)))
+    return Fraction(*_minors(matrix)[(i,), (j,)])
 
 
 def signed_cofactor(

@@ -73,12 +73,12 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
         raise ValueError("indices i and j must differ")
     minor = _minors(matrix)
     pair = (i, j) if i < j else (j, i)
-    m_ii, q_i = minor((i,), (i,))
-    m_jj, q_j = minor((j,), (j,))
-    m_ij, _ = minor((i,), (j,))
-    m_ji, _ = minor((j,), (i,))
-    m_pair, _ = minor(pair, pair)
-    det, _ = minor((), ())
+    m_ii, q_i = minor[(i,), (i,)]
+    m_jj, q_j = minor[(j,), (j,)]
+    m_ij, _ = minor[(i,), (j,)]
+    m_ji, _ = minor[(j,), (i,)]
+    m_pair, _ = minor[pair, pair]
+    det, _ = minor[(), ()]
     # each product keeps every row twice but i and j once: all are over q_i * q_j
     return Fraction(m_ii * m_jj - m_ij * m_ji - m_pair * det, q_i * q_j)
 

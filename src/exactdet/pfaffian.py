@@ -187,8 +187,8 @@ def jacobi_recurrence_residual(matrix: AntisymmetricMatrix) -> Fraction:
     minor = _minors(matrix.to_matrix())
     # two denominators, so two Fractions: M_12^2 keeps rows 2..n twice, the other
     # product rows 3..n and all rows, and these differ when rows 1 and 2 clear differently
-    m12 = Fraction(*minor((1,), (2,)))
-    return Fraction(*minor((1, 2), (1, 2))) * Fraction(*minor((), ())) - m12 * m12
+    m12 = Fraction(*minor[(1,), (2,)])
+    return Fraction(*minor[(1, 2), (1, 2)]) * Fraction(*minor[(), ()]) - m12 * m12
 
 
 def embedding_labels(n: int) -> tuple[str, ...]:

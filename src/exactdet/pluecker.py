@@ -25,8 +25,8 @@ from functools import cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from . import engines
 from .core import Matrix, ScalarLike, _Record, augment_columns
-from .engines import _minors
 
 # integer half-determinants by position set, all over one shared denominator
 _Half = Mapping[tuple[int, ...], int]
@@ -71,18 +71,34 @@ def _halves(
     other chosen columns, times the column-append sign
     (-1)^#{(x, y) : x a core column, y appended, x > y}.  Every half keeps the same rows,
     so q is their one product of row multipliers, and any product of two halves is an
-    integer over q^2.  Each position set is looked up once: in a splitting sum it is the
-    left side of one term and the right of another."""
+    integer over q^2.  Each position set is read once: in a splitting sum it is the
+    left side of one term and the right of another.  Halves the minor table lacks come
+    from one core elimination of the choice (``split``), finished per half as an r x r
+    block, and go back into the table as minors."""
     r = len(cols) // 2
     n = matrix.cols
-    minor = _minors(matrix)
+    table = engines._minors(matrix)
     # the chosen column at position p has n - c_p columns after it, 2r - p of them chosen:
     # the positions that flip the sign an odd number of times
     odd = {p for p, c in enumerate(cols, 1) if (n - c - 2 * r + p) % 2}
     half = {}
+    missing = []
     for term in _splittings(r):
-        value, q = minor(del_rows, tuple([cols[p - 1] for p in term.right]))
-        half[term.left] = -value if len(odd.intersection(term.left)) % 2 else value
+        key = del_rows, tuple([cols[p - 1] for p in term.right])
+        sign = -1 if len(odd.intersection(term.left)) % 2 else 1
+        found = table.get(key)
+        if found is None:
+            missing.append((term.left, key, sign))
+        else:
+            value, q = found
+            half[term.left] = sign * value
+    if missing:
+        q, core_sign, block, prev = table.split(del_rows, cols)
+        for left, key, sign in missing:
+            columns = [[row[p - 1] for p in left] for row in block]
+            value = core_sign * engines._bareiss(columns, prev) if core_sign else 0
+            half[left] = value
+            table[key] = sign * value, q
     return r, half, q
 
 

@@ -417,9 +417,10 @@ class TestOneMinorTable:
         assert counts == {"_bareiss": eliminations, "_integer_rows": 1}
 
     # the summed cube of the orders _bareiss eliminates: fresh eliminations of every
-    # slice make 29916 at order 6 and 2070070 at order 12, so a minor that stops
-    # resuming its shared prefix fails here
-    @pytest.mark.parametrize("n, cubes", [(6, 15139), (12, 964879)])
+    # slice make 29916 at order 6 and 2070070 at order 12, and resumed minors with every
+    # half-determinant its own minor 15139 and 964879, so a minor that stops resuming
+    # its shared prefix, or a half that stops finishing as an r x r block, fails here
+    @pytest.mark.parametrize("n, cubes", [(6, 13875), (12, 92021)])
     def test_verify_resumes_shared_prefixes(self, n, cubes, write, capsys, monkeypatch):
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         good = engines._bareiss
@@ -432,6 +433,24 @@ class TestOneMinorTable:
         monkeypatch.setattr(engines, "_bareiss", counted)
         assert main(["verify", path]) == 0
         assert sum(k**3 for k in orders) == cubes
+
+    # the entries every Bareiss step updates, summed over the run: 267784 at order 12
+    # and 1358930 at order 18 while each half-determinant of a splitting choice was its
+    # own minor, not one core elimination per choice
+    @pytest.mark.parametrize("n, cells", [(12, 91897), (18, 415683)])
+    def test_verify_cell_updates(self, n, cells, write, capsys, monkeypatch):
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        good = engines._eliminate
+        updates = []
+
+        def counted(work, k, stop, prev):
+            reached, last = good(work, k, stop, prev)
+            updates.extend((len(work) - t - 1) * (len(work[t]) - t - 1) for t in range(k, reached))
+            return reached, last
+
+        monkeypatch.setattr(engines, "_eliminate", counted)
+        assert main(["verify", path]) == 0
+        assert sum(updates) == cells
 
     def test_embed_minors(self, write, capsys, monkeypatch):
         # det, 25 first minors and 10 principal double minors
@@ -519,6 +538,23 @@ class TestFaultInjection:
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         assert main(["verify", path, "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == set(cli.IDENTITY_NAMES)
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_split_fault_fails_the_splitting_families(self, n, write, capsys, monkeypatch):
+        # the last entry of every shared core elimination's block is one too large, so the
+        # halves finished from it are wrong; Jacobi reads only minors of their own
+        split = engines._Minors.split
+
+        def perturbed(table, *args):
+            q, sign, block, prev = split(table, *args)
+            block[-1][-1] += 1
+            return q, sign, block, prev
+
+        monkeypatch.setattr(engines._Minors, "split", perturbed)
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        assert main(["verify", path, "--json"]) == 1
+        failing = self._failing(json.loads(capsys.readouterr().out))
+        assert failing == {"three-term", "generalized", "pluecker"}
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_elimination_fault_fails_every_family(self, n, write, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from math import prod
 import pytest
 
 import exactdet.engines as engines
+import exactdet.pluecker as pluecker
 from exactdet import (
     DodgsonResult,
     Matrix,
@@ -321,23 +322,36 @@ def test_engines_safe_for_concurrent_use():
     with ThreadPoolExecutor(max_workers=4) as pool:
         concurrent = list(pool.map(det_bareiss, matrices))
     assert concurrent == sequential
-    # four readers share one table, so they build and resume the same chains
+    # four readers share one table, so they build and resume the same chains; the
+    # splitting halves also write back into it while the others read
     pairs = [(i, j) for i in range(1, 13) for j in range(1, 13)]
+    rng = random.Random(316)
+    choices = [
+        (tuple(sorted(rng.sample(range(1, 13), r))), tuple(sorted(rng.sample(range(1, 13), 2 * r))))
+        for r in (1, 2, 3)
+        for _ in range(8)
+    ]
+    tasks = [("minor", ij) for ij in pairs] + [("halves", choice) for choice in choices]
+
+    def run(matrix, task):
+        kind, args = task
+        return first_minor(matrix, *args) if kind == "minor" else pluecker._halves(matrix, *args)
+
     alone = seeded(316, 12)
-    sequential = [first_minor(alone, i, j) for i, j in pairs]
+    sequential = [run(alone, task) for task in tasks]
     shared = Matrix.from_rows(alone.entries)
     table = engines._minors(shared)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            concurrent = list(pool.map(lambda ij: first_minor(shared, *ij), pairs * 4))
+            concurrent = list(pool.map(lambda task: run(shared, task), tasks * 4, timeout=120))
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == sequential * 4
-    # a resumed elimination that wrote into a stored snapshot would change these
-    table.cache_clear()
-    assert [first_minor(shared, i, j) for i, j in pairs] == sequential
+    # a resumed elimination or a split that wrote into a stored snapshot would change these
+    table.clear()
+    assert [run(shared, task) for task in tasks] == sequential
 
 
 def _fresh(mults, rows, drop_rows, drop_cols):
@@ -391,7 +405,7 @@ class TestSharedPrefixes:
         table = engines._minors(matrix)
         cleared = engines._integer_rows(matrix)
         for rows, cols in self._deletions(matrix.rows, random.Random(seed)):
-            assert table(rows, cols) == _fresh(*cleared, rows, cols), (rows, cols)
+            assert table[rows, cols] == _fresh(*cleared, rows, cols), (rows, cols)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_seeded(self, n):

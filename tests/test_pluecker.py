@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +10,17 @@ from hypothesis import strategies as st
 from exactdet import (
     Matrix,
     augment_columns,
+    complementary_minor,
     generalized_pluecker_residual,
     pluecker_sum,
     pluecker_terms,
     split_enumeration,
     three_term_residual,
 )
-from exactdet import pluecker
+from exactdet import engines, pluecker
 from exactdet.randgen import random_matrix, random_vector, trial_stream
 
-from oracles import det_leibniz
+from oracles import det_leibniz, permutation_parity
 
 EMPTY_TWO = Matrix.from_rows([[], []], cols=0)
 VEC_A, VEC_B = (1, 0), (0, 1)
@@ -179,25 +183,152 @@ class TestThreeTerm:
             assert three_term_residual(m, *vectors) == 0
 
 
-def test_each_half_determinant_is_looked_up_once(monkeypatch):
-    """Every position set is the left side of one splitting and the right side of its
-    partner; at r = 3 the sum looks up each of the C(6, 3) = 20 halves once, not 40 times."""
-    lookups = []
-    table = pluecker._minors
+def test_one_core_elimination_per_choice(monkeypatch):
+    """A choice runs one core elimination (``split``) for all the halves the minor table
+    lacks and finishes each of them once, as an r x r block; a choice whose halves are
+    all in the table runs none.  At r = 3 each of the C(6, 3) = 20 halves is computed
+    once, though it is the left side of one splitting and the right of another."""
+    splits = []
+    finished = []
+    split = engines._Minors.split
+    bareiss = engines._bareiss
 
-    def counting(matrix):
-        minor = table(matrix)
+    def counted_split(table, *args):
+        splits.append(args)
+        return split(table, *args)
 
-        def lookup(drop_rows, drop_cols):
-            lookups.append((drop_rows, drop_cols))
-            return minor(drop_rows, drop_cols)
+    def counted_bareiss(work, *args):
+        finished.append(len(work))
+        return bareiss(work, *args)
 
-        return lookup
-
-    monkeypatch.setattr(pluecker, "_minors", counting)
+    monkeypatch.setattr(engines._Minors, "split", counted_split)
+    monkeypatch.setattr(engines, "_bareiss", counted_bareiss)
     m = random_matrix(trial_stream(4, 0), 9, 9, 9)
-    assert generalized_pluecker_residual(m, (2, 5, 7), (1, 3, 4, 6, 8, 9)) == 0
-    assert len(lookups) == len(set(lookups)) == 20
+    rows, cols = (2, 5, 7), (1, 3, 4, 6, 8, 9)
+    assert generalized_pluecker_residual(m, rows, cols) == 0
+    assert splits == [(rows, cols)]
+    assert finished == [3] * 20
+    assert generalized_pluecker_residual(m, rows, cols) == 0
+    assert len(splits) == 1 and len(finished) == 20
+    # two halves read as minors first: the split finishes only the other 18
+    m = random_matrix(trial_stream(4, 1), 9, 9, 9)
+    complementary_minor(m, rows, (1, 3, 4))
+    complementary_minor(m, rows, (6, 8, 9))
+    finished.clear()
+    assert generalized_pluecker_residual(m, rows, cols) == 0
+    assert splits == [(rows, cols)] * 2
+    assert finished == [3] * 18
+
+
+def _kinds(n, rng):
+    """Square inputs of order n whose splitting choices take every path of ``split``:
+    integer, p/q, identity and sparse entries; ``repeated``, whose columns 1 and 2 are
+    equal, so every core that keeps both is singular and all its halves are 0; and
+    ``leading``, whose leading 2 x 2 block is zero, so the forward chain stops at step 0
+    and a core elimination has to swap rows."""
+    integer = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    repeated = [row[:] for row in integer]
+    for row in repeated:
+        row[1] = row[0]
+    leading = [row[:] for row in integer]
+    for row in leading[:2]:
+        row[:2] = [0, 0]
+    return {
+        "integer": Matrix.from_rows(integer),
+        "rational": Matrix.from_rows(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+        ),
+        "identity": Matrix.identity(n),
+        "sparse": Matrix.from_rows(
+            [[rng.choice((0, 0, 0, rng.randint(1, 9))) for _ in range(n)] for _ in range(n)]
+        ),
+        "repeated": Matrix.from_rows(repeated),
+        "leading": Matrix.from_rows(leading),
+    }
+
+
+def _reference(matrix, del_rows, cols):
+    """By left position set: the minor a fresh elimination of the index-ordered slice of
+    the cleared rows gives, and the column-append sign (the parity of core + appended
+    columns); and the kept rows' denominator q."""
+    mults, rows = engines._integer_rows(matrix)
+    keep = [i for i in range(matrix.rows) if i + 1 not in del_rows]
+    core = [j for j in range(1, matrix.cols + 1) if j not in cols]
+    minors = {}
+    for left in combinations(range(1, len(cols) + 1), len(cols) // 2):
+        appended = core + [cols[p - 1] for p in left]
+        ordered = [[rows[i][j - 1] for j in sorted(appended)] for i in keep]
+        minors[left] = engines._bareiss(ordered), permutation_parity(appended)
+    return minors, prod(mults[i] for i in keep)
+
+
+def _assert_halves(matrix, del_rows, cols):
+    """``_halves`` is every index-ordered minor times its column-append sign, and the
+    minor table holds each of those minors under its deletion key afterwards."""
+    _, half, q = pluecker._halves(matrix, del_rows, cols)
+    minors, reference_q = _reference(matrix, del_rows, cols)
+    assert q == reference_q
+    assert half == {left: sign * minor for left, (minor, sign) in minors.items()}
+    table = engines._minors(matrix)
+    for left, (minor, _) in minors.items():
+        right = tuple(c for p, c in enumerate(cols, 1) if p not in left)
+        assert table.get((del_rows, right)) == (minor, q)
+    return half
+
+
+class TestHalvesMatchMinors:
+    """Each half a core elimination serves equals the index-ordered minor of its slice
+    times the column-append sign, whether the table held it or the split made it."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_exhaustive(self, n):
+        indices = range(1, n + 1)
+        for matrix in _kinds(n, random.Random(n)).values():
+            for r in range(1, n // 2 + 1):
+                for rows in combinations(indices, r):
+                    for cols in combinations(indices, 2 * r):
+                        _assert_halves(matrix, rows, cols)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_sampled(self, n):
+        rng = random.Random(100 + n)
+        for matrix in _kinds(n, rng).values():
+            for r in range(1, min(n // 2, 4) + 1):
+                for _ in range(4):
+                    rows = tuple(sorted(rng.sample(range(1, n + 1), r)))
+                    cols = tuple(sorted(rng.sample(range(1, n + 1), 2 * r)))
+                    _assert_halves(matrix, rows, cols)
+
+    def test_singular_core(self):
+        matrix = _kinds(9, random.Random(9))["repeated"]
+        # columns 1 and 2 both stay in the core: no pivot in its second column
+        rows, cols = (4, 8), (3, 5, 6, 9)
+        assert engines._minors(matrix).split(rows, cols)[1] == 0
+        assert not any(_assert_halves(matrix, rows, cols).values())
+
+    def test_core_row_swap(self):
+        matrix = _kinds(9, random.Random(9))["leading"]
+        rows, cols = (4, 8), (3, 5, 6, 9)
+        table = engines._minors(matrix)
+        assert table.split(rows, cols)[1] != 0
+        assert table.forward.stop == 0
+        assert all(_assert_halves(matrix, rows, cols).values())
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (4, 1), (5, 2), (6, 3), (9, 2), (10, 3)])
+    def test_appended_vectors(self, n, r):
+        """``pluecker_sum(M, vectors)`` reads its halves as minors of M | all vectors,
+        where every column-append sign is +."""
+        rng = random.Random(200 + n)
+        for matrix in _kinds(n, rng).values():
+            m = Matrix.from_rows([row[: n - r] for row in matrix.entries], cols=n - r)
+            vectors = [matrix.column_values(j) for j in range(n - r + 1, n + 1)]
+            vectors += [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+            minors, _ = _reference(augment_columns(m, vectors), (), tuple(range(n - r + 1, n + r + 1)))
+            assert all(sign == 1 for _, sign in minors.values())
+            assert pluecker._half_dets(m, vectors)[1] == {
+                left: minor for left, (minor, _) in minors.items()
+            }
+            assert pluecker_sum(m, vectors) == 0
 
 
 @pytest.mark.parametrize("r, vacuous", [(1, True), (2, False), (3, True), (4, False)])
