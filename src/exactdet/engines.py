@@ -7,18 +7,20 @@ products; the CLI stops it at n=7).  Every other determinant and minor comes fro
 minor as an integer elimination over the product of its kept rows' multipliers;
 the public accessors build one ``Fraction`` from that pair, and the residual kernels
 combine the integers themselves.  A minor that deletes something does not eliminate
-its slice from scratch: it resumes one of two eliminations of the whole matrix, kept
-at the steps minors asked for (``_Chain``), from the last step that touched only rows
-and columns the slice keeps.  Those are the very steps a fresh elimination of the
-slice would make, so every value is bit-identical.  The half-determinants
-det(core | r of the 2r chosen columns) of one splitting choice share one core
-elimination (``_Minors.split``), run at most once per choice: it leaves an r x 2r
-block, and each half the table lacks finishes as the r x r elimination of its columns
-of that block, the final steps of its own fresh elimination.  ``det_dodgson``
-condenses on the same integer rows and hands a block with a zero interior to
-``_bareiss``; it visits blocks in the order of a memoized recursion but drops a block
-once the block it is the interior of has condensed, so O(n^2) blocks are live, not
-~n^3/3.  All engines agree exactly.
+its slice from scratch: it resumes one of two eliminations of the whole matrix, one
+in index order and one from the last row and column back, kept at the steps minors
+asked for (``_Chain``), from the deepest step that touched only rows and columns the
+slice keeps.  Each entry those steps leave is a bordered minor of the slice itself
+(Sylvester's identity), so finishing the slice's part gives its determinant bit for
+bit.  The half-determinants det(core | r of the 2r chosen columns) of one splitting
+choice share one core elimination (``_Minors.split``), run at most once per choice:
+it leaves an r x 2r block, and each half the table lacks finishes as the r x r
+elimination of its columns of that block, the final steps of its own elimination.
+Minors and splits resume and slice by one rule (``_Minors._resume``).
+``det_dodgson`` condenses on the same integer rows and hands a block with a zero
+interior to ``_bareiss``; it visits blocks in the order of a memoized recursion but
+drops a block once the block it is the interior of has condensed, so O(n^2) blocks
+are live, not ~n^3/3.  All engines agree exactly.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -132,14 +134,15 @@ class _Minors(dict):
     expose it (IndexError).  ``split`` serves all half-determinants of one splitting
     choice from one elimination; its caller writes them back as minors.
 
-    Deleting nothing is one fresh elimination that stores no snapshot.  Any other minor
-    resumes a ``_Chain``: the elimination of the cleared rows in index order, or of the
-    rows with rows and columns both reversed (which leaves every determinant unchanged),
-    whichever has more steps in common with the slice's own elimination: the forward
-    chain the steps before the first deleted index, the reversed one (on a square
-    matrix) the steps after the last.  Each chain is memory the table keeps: about
-    n^3 / 3 integers at worst.  Readers on several threads may share a table: at worst
-    two of them compute the same minor, with the same value."""
+    A minor and a split both start from one resume step (``_resume``).  It resumes a
+    ``_Chain``: the elimination of the cleared rows in index order, or of the rows with
+    rows and columns both reversed, whichever has more steps in common with the slice's
+    own elimination: the forward chain the steps before the first deleted index, the
+    reversed one the steps after the last.  Deleting nothing resumes the forward chain
+    at step 0, the cleared rows themselves: one fresh elimination that stores no
+    snapshot.  Each chain is memory the table keeps: about n^3 / 3 integers at worst.
+    Readers on several threads may share a table: at worst two of them compute the same
+    minor, with the same value."""
 
     def __init__(self, matrix: Matrix) -> None:
         self.mults, rows = _integer_rows(matrix)
@@ -148,52 +151,54 @@ class _Minors(dict):
         self.forward = _Chain(rows, flip=False)
         self.backward = _Chain(rows, flip=True)
 
-    def _kept(
-        self, drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]
-    ) -> tuple[list[int], list[int], int]:
-        """The 0-based rows and columns left after the deletion, and the kept rows'
-        product of multipliers."""
-        keep_rows = [i for i in range(self.n_rows) if i + 1 not in drop_rows]
-        keep_cols = [j for j in range(self.n_cols) if j + 1 not in drop_cols]
-        if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != (
-            self.n_rows + self.n_cols
-        ):
+    def _resume(
+        self, drop_rows: tuple[int, ...], drop_cols: tuple[int, ...], chosen: tuple[int, ...] = ()
+    ) -> tuple[int, int, list[list[int]], int]:
+        """The slice of the kept rows (all but ``drop_rows``) over the kept columns (all
+        but ``drop_cols``), with the ``chosen`` columns appended, as it stands after the
+        steps it shares with the deeper chain.  Returns (q, sign, work, prev): the kept
+        rows' product of multipliers, the sign (-1)^(s * r) of the permutation that
+        moves the s rows and columns the reversed chain eliminated first to the front
+        (r = kept rows - kept columns, so +1 for a square minor and for the forward
+        chain), a fresh copy of the slice and the chain's last pivot.  Each half of the
+        slice, r of the chosen columns appended to the kept ones, must be square."""
+        n_rows, n_cols = self.n_rows, self.n_cols
+        keep_rows = [i for i in range(n_rows) if i + 1 not in drop_rows]
+        keep_cols = [j for j in range(n_cols) if j + 1 not in drop_cols]
+        if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != n_rows + n_cols:
             raise IndexError(
                 f"rows {drop_rows} or columns {drop_cols} out of range for "
-                f"the {self.n_rows}x{self.n_cols} matrix"
+                f"the {n_rows}x{n_cols} matrix"
             )
-        return keep_rows, keep_cols, prod(self.mults[i] for i in keep_rows)
-
-    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
-        drop_rows, drop_cols = key
-        keep_rows, keep_cols, q = self._kept(drop_rows, drop_cols)
-        if len(keep_rows) != len(keep_cols):
+        r = len(keep_rows) - len(keep_cols)
+        if r != len(chosen) // 2:
             raise ValueError(
-                f"the {self.n_rows}x{self.n_cols} matrix minus rows {drop_rows}, "
+                f"the {n_rows}x{n_cols} matrix minus rows {drop_rows}, "
                 f"columns {drop_cols} is not square"
             )
-        forward = self.forward
-        if not drop_rows and not drop_cols:
-            value = self[key] = _bareiss([row[:] for row in forward.rows]), q
-            return value
         # the steps each chain shares with the slice's own elimination, as far as the chain
-        # goes: the indices before the first deleted one, and those after the last (a
-        # lower bound unless the matrix is square)
-        deleted = drop_rows + drop_cols
-        ahead = min(min(deleted) - 1, forward.stop)
-        behind = min(min(self.n_rows, self.n_cols) - max(deleted), self.backward.stop)
-        if ahead >= behind:
-            step, block, prev = forward[ahead]
-            rows_at = [block[i - step] for i in keep_rows[step:]]
-            cols_at = [j - step for j in keep_cols[step:]]
-        else:
-            # the reversed chain's slice, read in index order: reversing both its rows
-            # and its columns changes no determinant
-            step, block, prev = self.backward[behind]
-            kept = len(keep_rows)
-            rows_at = [block[self.n_rows - 1 - step - i] for i in keep_rows[: kept - step]]
-            cols_at = [self.n_cols - 1 - step - j for j in keep_cols[: kept - step]]
-        value = self[key] = _bareiss([[row[j] for j in cols_at] for row in rows_at], prev), q
+        # goes: the indices before the first deleted one, and those after the last (none
+        # for either chain if nothing is deleted)
+        ahead = min(min(drop_rows + drop_cols, default=1) - 1, self.forward.stop)
+        behind = min(
+            n_rows - max(drop_rows, default=n_rows),
+            n_cols - max(drop_cols, default=n_cols),
+            self.backward.stop,
+        )
+        chain = self.forward if ahead >= behind else self.backward
+        step, block, prev = chain[max(ahead, behind)]
+        # a block holds the rows and columns from its step on (up to the last minus its
+        # step, if reversed), and the slice keeps all the ones before (after) it
+        lo = 0 if chain.flip else step
+        rows_at = keep_rows[lo : lo + len(keep_rows) - step]
+        cols_at = keep_cols[lo : lo + len(keep_cols) - step] + [c - 1 for c in chosen]
+        work = [[block[i - lo][j - lo] for j in cols_at] for i in rows_at]
+        sign = -1 if chain.flip and step * r % 2 else 1
+        return prod(self.mults[i] for i in keep_rows), sign, work, prev
+
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
+        q, sign, work, prev = self._resume(*key)
+        value = self[key] = sign * _bareiss(work, prev), q
         return value
 
     def split(
@@ -202,38 +207,37 @@ class _Minors(dict):
         """The elimination that all half-determinants of one splitting choice share.
 
         The kept rows (all but ``drop_rows``) over the core columns (all but the 2r
-        chosen ``cols``), with the chosen columns appended, are eliminated over the core
-        columns only: resuming the forward chain at step min(drop_rows + cols) - 1, the
-        last step that reads no deleted or chosen index, and swapping rows at a zero
-        pivot.  Returns (q, sign, block, prev): the kept rows' product of multipliers,
-        the sign of those swaps (0 if a core column has no pivot: then every half is 0),
-        the r x 2r block left under the chosen columns, and its last pivot.  Each block
-        entry is a bordered minor of the core that reads one chosen column, and the core
-        steps and swaps do not depend on which r chosen columns are appended.  So these
-        are the steps a fresh elimination of det(core | the chosen columns at positions
-        P) makes, and q times that determinant is sign * _bareiss(the columns P of
-        ``block``, prev), bit for bit.  The chain's snapshots are copied, never
+        chosen ``cols``), with the chosen columns appended, are resumed (``_resume``) and
+        eliminated over the core columns only, swapping rows at a zero pivot.  Returns
+        (q, sign, block, prev): the kept rows' product of multipliers, the sign of the
+        resume times that of the swaps (0 if a core column has no pivot: then every half
+        is 0), the r x 2r block left under the chosen columns, and its last pivot.  Each
+        block entry is a bordered minor of the core that reads one chosen column, and
+        the core steps and swaps do not depend on which r chosen columns are appended.
+        So these are the steps an elimination of det(core | the chosen columns at
+        positions P) makes, and q times that determinant is sign * _bareiss(the columns
+        P of ``block``, prev), bit for bit.  The chain's snapshots are copied, never
         mutated."""
-        keep_rows, core, q = self._kept(drop_rows, cols)
-        step, block, prev = self.forward[min(min(drop_rows + cols) - 1, self.forward.stop)]
-        cols_at = [j - step for j in core[step:]] + [c - 1 - step for c in cols]
-        work = [[block[i - step][j] for j in cols_at] for i in keep_rows[step:]]
-        depth = len(core) - step
-        sign, prev = _reduce(work, depth, prev)
-        return q, sign, [row[depth:] for row in work[depth:]], prev
+        q, sign, work, prev = self._resume(drop_rows, cols, cols)
+        depth = len(work) - len(cols) // 2
+        swaps, prev = _reduce(work, depth, prev)
+        return q, sign * swaps, [row[depth:] for row in work[depth:]], prev
 
 
 class _Chain(dict):
     """One Bareiss elimination of a matrix's integer ``rows`` (of the rows with rows and
     columns both reversed if ``flip``), kept only at the steps minors asked for.
 
-    ``chain[k]`` is (s, block, prev): the trailing block left after s steps and its last
-    pivot prev, the leading s x s minor (1 at s = 0).  s = k unless the chain stopped
-    earlier.  A miss copies the deepest stored snapshot before it and runs the steps
-    between.  After s steps each entry of the block is a bordered minor of the leading
-    s x s block (Sylvester's identity), built only from rows and columns that any slice
-    keeping the first s rows and columns keeps too.  So those s steps are the ones a
-    fresh elimination of such a slice makes, with the same values, and finishing the
+    ``chain[k]`` is (s, block, prev): the block left after s steps, in index order, and
+    its last pivot prev, the leading (trailing, if ``flip``) s x s minor (1 at s = 0,
+    where the block is ``rows`` itself).  The block holds rows and columns s onward (all
+    but the last s, if ``flip``).  s = k unless the chain stopped earlier.  A miss copies
+    the deepest stored snapshot before it (reversed while it eliminates, if ``flip``)
+    and runs the steps between.  After s steps each entry of the block is a bordered
+    minor of the pivot block (Sylvester's identity, which holds for a pivot block in
+    either corner), built only from rows and columns that any slice keeping the pivot
+    block's rows and columns keeps too.  So those s steps are the ones an elimination of
+    such a slice that starts with them makes, with the same values, and finishing the
     slice's part of the block over prev gives its determinant bit for bit: this
     memoizes identical steps and derives no minor through an identity.
 
@@ -244,27 +248,25 @@ class _Chain(dict):
     """
 
     def __init__(self, rows: list[list[int]], flip: bool) -> None:
-        self.rows = rows
         self.flip = flip
         self.stop = len(rows)
+        self[0] = (0, rows, 1)
 
     def __missing__(self, depth: int) -> tuple[int, list[list[int]], int]:
-        if depth == 0:
-            rows = self.rows
-            snap = (0, [row[::-1] for row in reversed(rows)] if self.flip else rows, 1)
-        elif depth > self.stop:
-            snap = self[self.stop]
+        base = depth - 1
+        while base not in self:
+            base -= 1
+        step, block, prev = self[base]
+        work = [row[::-1] for row in reversed(block)] if self.flip else [row[:] for row in block]
+        done, prev = _eliminate(work, 0, depth - base, prev)
+        step += done
+        if step < depth:
+            self.stop = step
+        if self.flip:
+            block = [row[done:][::-1] for row in reversed(work[done:])]
         else:
-            base = depth - 1
-            while base and base not in self:
-                base -= 1
-            _, block, prev = self[base]
-            work = [row[:] for row in block]
-            done, prev = _eliminate(work, 0, depth - base, prev)
-            step = base + done
-            if step < depth:
-                self.stop = step
-            snap = self.setdefault(step, (step, [row[done:] for row in work[done:]], prev))
+            block = [row[done:] for row in work[done:]]
+        snap = self.setdefault(step, (step, block, prev))
         self[depth] = snap
         return snap
 

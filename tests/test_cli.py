@@ -22,6 +22,7 @@ from exactdet import (
     emit_matrix_text,
     jacobi_residual,
     parse_matrix,
+    verify_all_jacobi,
 )
 from exactdet.cli import main
 from exactdet.randgen import random_matrix, trial_stream
@@ -206,6 +207,16 @@ class TestVerify:
             main(["verify", write(GOLDEN_TEXT), "--identity", "three-term", "--rows", "1", "--cols", "1,2,3,4"])
             == 2
         )
+        capsys.readouterr()
+        for selection, message in (
+            (["jacobi", "--rows", "1,2"], "takes --pair i,j"),
+            (["jacobi", "--pair", "1,2,3"], "exactly two indices"),
+            (["generalized", "--rows", "1"], "takes --rows and --cols"),
+        ):
+            assert main(["verify", write(GOLDEN_TEXT), "--identity", *selection]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     @pytest.mark.parametrize(
         "selection",
@@ -436,8 +447,9 @@ class TestOneMinorTable:
 
     # the entries every Bareiss step updates, summed over the run: 267784 at order 12
     # and 1358930 at order 18 while each half-determinant of a splitting choice was its
-    # own minor, not one core elimination per choice
-    @pytest.mark.parametrize("n, cells", [(12, 91897), (18, 415683)])
+    # own minor, not one core elimination per choice, and 4822, 91897 and 415683 while
+    # every core elimination resumed the forward chain, however shallow
+    @pytest.mark.parametrize("n, cells", [(6, 4339), (12, 78875), (18, 371602)])
     def test_verify_cell_updates(self, n, cells, write, capsys, monkeypatch):
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         good = engines._eliminate
@@ -562,6 +574,20 @@ class TestFaultInjection:
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         assert main(["verify", path, "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == set(cli.IDENTITY_NAMES)
+
+    def test_elimination_fault_jacobi_witnesses(self, monkeypatch):
+        self._odd_fault(monkeypatch)
+        m = parse_matrix(RATIONAL6)
+        report = verify_all_jacobi(m)
+        nonzero = {}
+        for i in range(1, 7):
+            for j in range(1, 7):
+                if i != j and (residual := jacobi_residual(m, i, j)) != 0:
+                    nonzero[i, j] = residual
+        assert not report.passed
+        assert report.residuals_checked == 30
+        assert dict(report.witnesses) == nonzero
+        assert len(report.witnesses) == report.nonzero_residuals == len(nonzero) > 0
 
     def test_elimination_fault_report_is_exact(self, capsys, monkeypatch):
         # every row multiplier differs, so a residual over the wrong denominator, or a

@@ -223,9 +223,10 @@ def test_one_core_elimination_per_choice(monkeypatch):
 def _kinds(n, rng):
     """Square inputs of order n whose splitting choices take every path of ``split``:
     integer, p/q, identity and sparse entries; ``repeated``, whose columns 1 and 2 are
-    equal, so every core that keeps both is singular and all its halves are 0; and
+    equal, so every core that keeps both is singular and all its halves are 0;
     ``leading``, whose leading 2 x 2 block is zero, so the forward chain stops at step 0
-    and a core elimination has to swap rows."""
+    and a core elimination has to swap rows; and ``trailing``, its mirror, whose
+    trailing 2 x 2 block is zero, so the reversed chain stops at step 0."""
     integer = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
     repeated = [row[:] for row in integer]
     for row in repeated:
@@ -233,6 +234,9 @@ def _kinds(n, rng):
     leading = [row[:] for row in integer]
     for row in leading[:2]:
         row[:2] = [0, 0]
+    trailing = [row[:] for row in integer]
+    for row in trailing[-2:]:
+        row[-2:] = [0, 0]
     return {
         "integer": Matrix.from_rows(integer),
         "rational": Matrix.from_rows(
@@ -244,6 +248,7 @@ def _kinds(n, rng):
         ),
         "repeated": Matrix.from_rows(repeated),
         "leading": Matrix.from_rows(leading),
+        "trailing": Matrix.from_rows(trailing),
     }
 
 
@@ -313,6 +318,18 @@ class TestHalvesMatchMinors:
         assert table.split(rows, cols)[1] != 0
         assert table.forward.stop == 0
         assert all(_assert_halves(matrix, rows, cols).values())
+
+    # the reversed chain shares 3 steps with both choices and the forward chain none; the
+    # second moves those steps past r = 3 rows and columns, an odd permutation
+    @pytest.mark.parametrize(
+        "rows, cols", [((1, 3), (2, 4, 5, 6)), ((1, 2, 4), (1, 2, 3, 4, 5, 6))]
+    )
+    def test_low_choice_resumes_the_reversed_chain(self, rows, cols):
+        matrix = _kinds(9, random.Random(9))["integer"]
+        table = engines._minors(matrix)
+        assert all(_assert_halves(matrix, rows, cols).values())
+        assert 3 in table.backward and table.backward[3][0] == 3
+        assert list(table.forward) == [0]
 
     @pytest.mark.parametrize("n, r", [(2, 1), (4, 1), (5, 2), (6, 3), (9, 2), (10, 3)])
     def test_appended_vectors(self, n, r):
