@@ -12,11 +12,11 @@ in index order and one from the last row and column back, kept at the steps mino
 asked for (``_Chain``), from the deepest step that touched only rows and columns the
 slice keeps.  Each entry those steps leave is a bordered minor of the slice itself
 (Sylvester's identity), so finishing the slice's part gives its determinant bit for
-bit.  The half-determinants det(core | r of the 2r chosen columns) of one splitting
-choice share one core elimination (``_Minors.split``), run at most once per choice:
-it leaves an r x 2r block, and each half the table lacks finishes as the r x r
-elimination of its columns of that block, the final steps of its own elimination.
-Minors and splits resume and slice by one rule (``_Minors._resume``).
+bit.  The table alone serves the half-determinants det(core | r of the 2r chosen
+columns) of a splitting choice (``_Minors.halves``): each is a signed minor, and those
+it lacks share one core elimination, run at most once per choice, that leaves an
+r x 2r block; each finishes as the r x r elimination of its columns of that block.
+Minors and core eliminations resume and slice by one rule (``_Minors._resume``).
 ``det_dodgson`` condenses on the same integer rows and hands a block with a zero
 interior to ``_bareiss``; it visits blocks in the order of a memoized recursion but
 drops a block once the block it is the interior of has condensed, so O(n^2) blocks
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import lcm, prod
 from typing import Iterable
 
@@ -95,6 +96,7 @@ def det_bareiss(matrix: Matrix) -> Fraction:
     denominators, ``_bareiss`` eliminates in pure integer arithmetic with exact
     interior divisions, and the row multipliers are divided back at the end.
     """
+    _require_square(matrix)
     return Fraction(*_minors(matrix)[(), ()])
 
 
@@ -131,18 +133,18 @@ class _Minors(dict):
     1-based rows and columns and is the pair (integer elimination of the slice, product
     of its kept rows' multipliers), whose quotient is the minor; the denominator depends
     on the deleted rows alone.  An index past the matrix deletes nothing, so the counts
-    expose it (IndexError).  ``split`` serves all half-determinants of one splitting
-    choice from one elimination; its caller writes them back as minors.
+    expose it (IndexError).  ``halves`` reads, signs and finishes the half-determinants
+    of one splitting choice, and writes back as minors those it had to compute.
 
-    A minor and a split both start from one resume step (``_resume``).  It resumes a
-    ``_Chain``: the elimination of the cleared rows in index order, or of the rows with
-    rows and columns both reversed, whichever has more steps in common with the slice's
-    own elimination: the forward chain the steps before the first deleted index, the
-    reversed one the steps after the last.  Deleting nothing resumes the forward chain
-    at step 0, the cleared rows themselves: one fresh elimination that stores no
-    snapshot.  Each chain is memory the table keeps: about n^3 / 3 integers at worst.
-    Readers on several threads may share a table: at worst two of them compute the same
-    minor, with the same value."""
+    A minor and a core elimination both start from one resume step (``_resume``).  It
+    resumes a ``_Chain``: the elimination of the cleared rows in index order, or of the
+    rows with rows and columns both reversed, whichever has more steps in common with
+    the slice's own elimination: the forward chain the steps before the first deleted
+    index, the reversed one the steps after the last, each up to its stop.  Deleting
+    nothing resumes the forward chain at step 0, the cleared rows themselves: one fresh
+    elimination that stores no snapshot.  Each chain is memory the table keeps: about
+    n^3 / 3 integers at worst.  Readers on several threads may share a table: at worst
+    two of them compute the same minor, with the same value."""
 
     def __init__(self, matrix: Matrix) -> None:
         self.mults, rows = _integer_rows(matrix)
@@ -187,6 +189,10 @@ class _Minors(dict):
         )
         chain = self.forward if ahead >= behind else self.backward
         step, block, prev = chain[max(ahead, behind)]
+        if step < min(ahead, behind):
+            # the chain has just found its stop, short of the other chain: ask again (each
+            # chain finds its stop once, so this happens at most twice)
+            return self._resume(drop_rows, drop_cols, chosen)
         # a block holds the rows and columns from its step on (up to the last minus its
         # step, if reversed), and the slice keeps all the ones before (after) it
         lo = 0 if chain.flip else step
@@ -201,27 +207,54 @@ class _Minors(dict):
         value = self[key] = sign * _bareiss(work, prev), q
         return value
 
-    def split(
+    def halves(
         self, drop_rows: tuple[int, ...], cols: tuple[int, ...]
-    ) -> tuple[int, int, list[list[int]], int]:
-        """The elimination that all half-determinants of one splitting choice share.
+    ) -> tuple[int, dict[tuple[int, ...], int]]:
+        """The half-determinants of one splitting choice, over their one denominator.
 
-        The kept rows (all but ``drop_rows``) over the core columns (all but the 2r
-        chosen ``cols``), with the chosen columns appended, are resumed (``_resume``) and
-        eliminated over the core columns only, swapping rows at a zero pivot.  Returns
-        (q, sign, block, prev): the kept rows' product of multipliers, the sign of the
-        resume times that of the swaps (0 if a core column has no pivot: then every half
-        is 0), the r x 2r block left under the chosen columns, and its last pivot.  Each
-        block entry is a bordered minor of the core that reads one chosen column, and
-        the core steps and swaps do not depend on which r chosen columns are appended.
-        So these are the steps an elimination of det(core | the chosen columns at
-        positions P) makes, and q times that determinant is sign * _bareiss(the columns
-        P of ``block``, prev), bit for bit.  The chain's snapshots are copied, never
-        mutated."""
-        q, sign, work, prev = self._resume(drop_rows, cols, cols)
-        depth = len(work) - len(cols) // 2
-        swaps, prev = _reduce(work, depth, prev)
-        return q, sign * swaps, [row[depth:] for row in work[depth:]], prev
+        The core deletes ``drop_rows`` and all 2r chosen ``cols``.  Returns (q, half):
+        ``half[positions]`` = q * det(core | the chosen columns at those positions) as an
+        integer, and q the kept rows' product of multipliers, which every half shares, so
+        any product of two halves is an integer over q^2.  Each half is the minor that
+        deletes the rows and the other chosen columns, times the column-append sign
+        (-1)^#{(x, y) : x a core column, y appended, x > y}, and is read from the table.
+        Halves the table lacks share one core elimination: the kept rows over the core
+        columns with the chosen ones appended, resumed (``_resume``) and eliminated over
+        the core columns only, swapping rows at a zero pivot (every half is 0 if a core
+        column has no pivot).  Each entry of the r x 2r block left under the chosen
+        columns is a bordered minor of the core that reads one chosen column, and the
+        core steps and swaps do not depend on which r chosen columns are appended; so
+        each half finishes as the r x r elimination of its columns of that block, bit
+        for bit, and goes back into the table as a minor.  Each position set is read
+        once: in a splitting sum it is the left side of one term and the right of
+        another.  The chain's snapshots are copied, never mutated."""
+        r = len(cols) // 2
+        # the chosen column at position p has n - c_p columns after it, 2r - p of them
+        # chosen: the positions that flip the sign an odd number of times
+        odd = {p for p, c in enumerate(cols, 1) if (self.n_cols - c - 2 * r + p) % 2}
+        half = {}
+        missing = []
+        # position sets in lexicographic order, and their complements' columns: taking
+        # complements reverses that order
+        rights = reversed(list(combinations(cols, r)))
+        for left, right in zip(combinations(range(1, 2 * r + 1), r), rights):
+            key = drop_rows, right
+            sign = -1 if len(odd.intersection(left)) % 2 else 1
+            found = self.get(key)
+            if found is None:
+                missing.append((left, key, sign))
+            else:
+                value, q = found
+                half[left] = sign * value
+        if missing:
+            q, sign, work, prev = self._resume(drop_rows, cols, cols)
+            depth = len(work) - r
+            swaps, prev = _reduce(work, depth, prev)
+            for left, key, append_sign in missing:
+                columns = [[row[depth + p - 1] for p in left] for row in work[depth:]]
+                value = half[left] = sign * swaps * _bareiss(columns, prev) if swaps else 0
+                self[key] = append_sign * value, q
+        return q, half
 
 
 class _Chain(dict):
@@ -315,9 +348,9 @@ def _reduce(work: list[list[int]], stop: int, prev: int) -> tuple[int, int]:
 
 def _bareiss(work: list[list[int]], prev: int = 1) -> int:
     """Determinant of a square integer matrix, eliminated in place (1 if empty).  Given
-    the last pivot ``prev`` of a ``_Chain`` snapshot or a split block that ``work`` was
-    sliced from, it finishes that slice's elimination instead and returns the slice's
-    determinant, det(work) / prev^(order - 1).  A zero pivot swaps rows with sign
+    the last pivot ``prev`` of a ``_Chain`` snapshot or a core block (``halves``) that
+    ``work`` was sliced from, it finishes that slice's elimination instead and returns
+    the slice's determinant, det(work) / prev^(order - 1).  A zero pivot swaps rows with sign
     tracking, and a pivotless column gives 0."""
     sign, prev = _reduce(work, len(work), prev)
     return sign * prev
@@ -409,6 +442,7 @@ def complementary_minor(
 
 def first_minor(matrix: Matrix, i: int, j: int) -> Fraction:
     """Unsigned first minor: determinant with row i and column j deleted."""
+    _require_square(matrix)
     return Fraction(*_minors(matrix)[(i,), (j,)])
 
 

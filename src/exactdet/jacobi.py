@@ -7,7 +7,8 @@ Two families, both read from the matrix's one minor table:
 * the splitting relations over r deleted rows and 2r chosen columns.  Deleting
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
-  times its column-append sign.  ``generalized_pluecker_residual`` takes the
+  times its column-append sign, and the table serves all of one choice's halves
+  (``_Minors.halves``).  ``generalized_pluecker_residual`` takes the
   full signed splitting sum over those halves, ``minor_three_term_residual``
   the r = 2 three-term formula.
 
@@ -29,7 +30,7 @@ from typing import Iterable
 
 from .core import Matrix, _Record, index_set
 from .engines import _minors
-from .pluecker import _halves, _splitting_sum, _three_term
+from .pluecker import _splitting_sum, _three_term
 
 
 class IdentityReport(_Record):
@@ -120,7 +121,7 @@ def minor_three_term_residual(
     rows, quad = _checked(matrix, row_pair, cols)
     if len(rows) != 2:
         raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {len(rows)}")
-    _, half, q = _halves(matrix, rows, quad)
+    q, half = _minors(matrix).halves(rows, quad)
     return Fraction(_three_term(half), q * q)
 
 
@@ -132,8 +133,9 @@ def generalized_pluecker_residual(
     restricted to the surviving rows, in ascending order, signed by list positions.  The
     raw-index sign prefactor of the signed-cofactor reading is a constant across terms
     and is deliberately not reproduced."""
-    r, half, q = _halves(matrix, *_checked(matrix, del_rows, chosen_cols))
-    return Fraction(_splitting_sum(r, half), q * q)
+    rows, cols = _checked(matrix, del_rows, chosen_cols)
+    q, half = _minors(matrix).halves(rows, cols)
+    return Fraction(_splitting_sum(len(rows), half), q * q)
 
 
 def _checked(

@@ -14,8 +14,9 @@ asserted against zero, so it carries no information.
 
 Every half-determinant of one sum keeps the same rows, so the minor table gives
 each as an integer over one shared denominator q (the product of those rows'
-multipliers).  The kernels ``_splitting_sum`` and ``_three_term`` sum integer
-products, and each residual is one ``Fraction(total, q^2)``.
+multipliers); the table's ``halves`` reads, signs, computes and caches them all.
+This module keeps only the kernels: ``_splitting_sum`` and ``_three_term`` sum
+integer products, and each residual is one ``Fraction(total, q^2)``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from functools import cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from . import engines
 from .core import Matrix, ScalarLike, _Record, augment_columns
+from .engines import _minors
 
 # integer half-determinants by position set, all over one shared denominator
 _Half = Mapping[tuple[int, ...], int]
@@ -62,50 +63,11 @@ def _splittings(r: int) -> tuple[SplitTerm, ...]:
     return tuple(terms)
 
 
-def _halves(
-    matrix: Matrix, del_rows: tuple[int, ...], cols: tuple[int, ...]
-) -> tuple[int, _Half, int]:
-    """The splitting order r, ``half[positions]`` = q * det(core | the chosen ``cols`` at
-    those positions) as an integer, and that one denominator q.  The core deletes
-    ``del_rows`` and all of ``cols``; each half is the minor that deletes the rows and the
-    other chosen columns, times the column-append sign
-    (-1)^#{(x, y) : x a core column, y appended, x > y}.  Every half keeps the same rows,
-    so q is their one product of row multipliers, and any product of two halves is an
-    integer over q^2.  Each position set is read once: in a splitting sum it is the
-    left side of one term and the right of another.  Halves the minor table lacks come
-    from one core elimination of the choice (``split``), finished per half as an r x r
-    block, and go back into the table as minors."""
-    r = len(cols) // 2
-    n = matrix.cols
-    table = engines._minors(matrix)
-    # the chosen column at position p has n - c_p columns after it, 2r - p of them chosen:
-    # the positions that flip the sign an odd number of times
-    odd = {p for p, c in enumerate(cols, 1) if (n - c - 2 * r + p) % 2}
-    half = {}
-    missing = []
-    for term in _splittings(r):
-        key = del_rows, tuple([cols[p - 1] for p in term.right])
-        sign = -1 if len(odd.intersection(term.left)) % 2 else 1
-        found = table.get(key)
-        if found is None:
-            missing.append((term.left, key, sign))
-        else:
-            value, q = found
-            half[term.left] = sign * value
-    if missing:
-        q, core_sign, block, prev = table.split(del_rows, cols)
-        for left, key, sign in missing:
-            columns = [[row[p - 1] for p in left] for row in block]
-            value = core_sign * engines._bareiss(columns, prev) if core_sign else 0
-            half[left] = value
-            table[key] = sign * value, q
-    return r, half, q
-
-
 def _half_dets(
     matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
-) -> tuple[int, _Half, int]:
-    """``_halves`` over M | all vectors and its last 2r columns, where every sign is +."""
+) -> tuple[int, _Half]:
+    """The minor table's (q, halves) of M | all vectors over its last 2r columns, where
+    every column-append sign is +."""
     if len(vectors) < 2 or len(vectors) % 2:
         raise ValueError(f"need an even number (2r) of vectors, got {len(vectors)}")
     r = len(vectors) // 2
@@ -116,7 +78,7 @@ def _half_dets(
         raise ValueError(
             f"matrix must be {n}x{n - r} for a splitting of order {r}, got {n}x{matrix.cols}"
         )
-    return _halves(augment_columns(matrix, vectors), (), tuple(range(n - r + 1, n + r + 1)))
+    return _minors(augment_columns(matrix, vectors)).halves((), tuple(range(n - r + 1, n + r + 1)))
 
 
 def _signed_products(r: int, half: _Half) -> list[tuple[SplitTerm, int]]:
@@ -142,8 +104,8 @@ def pluecker_terms(
     matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
 ) -> list[tuple[SplitTerm, Fraction]]:
     """Per-splitting signed products sign * det(M|left) * det(M|right)."""
-    r, half, q = _half_dets(matrix, vectors)
-    return [(t, Fraction(value, q * q)) for t, value in _signed_products(r, half)]
+    q, half = _half_dets(matrix, vectors)
+    return [(t, Fraction(value, q * q)) for t, value in _signed_products(len(vectors) // 2, half)]
 
 
 def pluecker_sum(
@@ -154,8 +116,8 @@ def pluecker_sum(
     The computed Scalar is returned (rather than asserting zero internally)
     so callers and tests can check the cancellation themselves.
     """
-    r, half, q = _half_dets(matrix, vectors)
-    return Fraction(_splitting_sum(r, half), q * q)
+    q, half = _half_dets(matrix, vectors)
+    return Fraction(_splitting_sum(len(vectors) // 2, half), q * q)
 
 
 def three_term_residual(
@@ -170,5 +132,5 @@ def three_term_residual(
     Equals -1/2 times ``pluecker_sum(M, [a, b, c, d])`` term-structurally:
     each unordered splitting pair contributes the same product twice there.
     """
-    _, half, q = _half_dets(matrix, (a, b, c, d))
+    q, half = _half_dets(matrix, (a, b, c, d))
     return Fraction(_three_term(half), q * q)

@@ -26,6 +26,7 @@ from exactdet import (
 )
 from exactdet.cli import main
 from exactdet.randgen import random_matrix, trial_stream
+from test_golden import _singular_cores_text, _stopped_chains_text
 
 GOLDEN_TEXT = "3 3\n1 2 3\n4 5 6\n7 8 10\n"
 IDENTITY3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
@@ -464,6 +465,35 @@ class TestOneMinorTable:
         assert main(["verify", path]) == 0
         assert sum(updates) == cells
 
+    # a chain learns its stop only when a request passes it, so a resume that meets a
+    # zero pivot not yet found must ask again: every resume, minor or splitting core,
+    # ends as deep as the deeper chain goes under the stops both know after the run
+    @pytest.mark.parametrize("text", [_stopped_chains_text, _singular_cores_text])
+    def test_every_resume_reaches_the_deeper_chain(self, text, capsys, monkeypatch):
+        good = engines._Minors._resume
+        resumes = []
+
+        def recorded(table, drop_rows, drop_cols, chosen=()):
+            q, sign, work, prev = good(table, drop_rows, drop_cols, chosen)
+            step = table.n_rows - len(drop_rows) - len(work)
+            resumes.append((table, drop_rows, drop_cols, step))
+            return q, sign, work, prev
+
+        monkeypatch.setattr(engines._Minors, "_resume", recorded)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text()))
+        assert main(["verify", "-", "--json"]) == 0
+        short = []
+        for table, drop_rows, drop_cols, step in resumes:
+            n = table.n_rows
+            ahead = min(min(drop_rows + drop_cols, default=1) - 1, table.forward.stop)
+            behind = min(
+                n - max(drop_rows, default=n), n - max(drop_cols, default=n), table.backward.stop
+            )
+            if step != max(ahead, behind):
+                short.append((drop_rows, drop_cols, step, max(ahead, behind)))
+        assert len(resumes) > 400
+        assert short == []
+
     def test_embed_minors(self, write, capsys, monkeypatch):
         # det, 25 first minors and 10 principal double minors
         path = write(emit_matrix_text(random_matrix(trial_stream(5, 0), 5, 5, 9)))
@@ -555,14 +585,15 @@ class TestFaultInjection:
     def test_split_fault_fails_the_splitting_families(self, n, write, capsys, monkeypatch):
         # the last entry of every shared core elimination's block is one too large, so the
         # halves finished from it are wrong; Jacobi reads only minors of their own
-        split = engines._Minors.split
+        reduce = engines._reduce
 
-        def perturbed(table, *args):
-            q, sign, block, prev = split(table, *args)
-            block[-1][-1] += 1
-            return q, sign, block, prev
+        def perturbed(work, stop, prev):
+            sign, last = reduce(work, stop, prev)
+            if stop < len(work):
+                work[-1][-1] += 1
+            return sign, last
 
-        monkeypatch.setattr(engines._Minors, "split", perturbed)
+        monkeypatch.setattr(engines, "_reduce", perturbed)
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         assert main(["verify", path, "--json"]) == 1
         failing = self._failing(json.loads(capsys.readouterr().out))

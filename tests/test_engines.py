@@ -10,7 +10,6 @@ from math import prod
 import pytest
 
 import exactdet.engines as engines
-import exactdet.pluecker as pluecker
 from exactdet import (
     DodgsonResult,
     Matrix,
@@ -316,6 +315,21 @@ def test_engine_agreement_sweep():
         assert det_dodgson(m).value == reference
 
 
+NON_SQUARE = {
+    "det_laplace": det_laplace,
+    "det_bareiss": det_bareiss,
+    "det_dodgson": det_dodgson,
+    "complementary_minor": lambda m: complementary_minor(m, (), ()),
+    "first_minor": lambda m: first_minor(m, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SQUARE))
+def test_non_square_diagnostic(name):
+    with pytest.raises(ValueError, match=r"^determinant requires a square matrix, got 2x3$"):
+        NON_SQUARE[name](Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
 def test_engines_safe_for_concurrent_use():
     matrices = [seeded(300 + i, 4) for i in range(16)]
     sequential = [det_bareiss(m) for m in matrices]
@@ -335,7 +349,9 @@ def test_engines_safe_for_concurrent_use():
 
     def run(matrix, task):
         kind, args = task
-        return first_minor(matrix, *args) if kind == "minor" else pluecker._halves(matrix, *args)
+        if kind == "minor":
+            return first_minor(matrix, *args)
+        return engines._minors(matrix).halves(*args)
 
     alone = seeded(316, 12)
     sequential = [run(alone, task) for task in tasks]

@@ -9,13 +9,16 @@ subcommands were given one output path.  The ``-q-`` cases read p/q
 entries; they were captured before the Pfaffian elimination moved onto the
 strict upper triangle.  All of them predate the CLI's move onto one record
 rule, one sweep loop for every family (Jacobi included) and one matrix
-reader, and that move left every digest unchanged.  Any change to a report's
-bytes, its record order or its witness labels shows up here.  Error cases pin
-exit code 2, an empty stdout and the diagnostic prefix, not the message text.
+reader, and that move left every digest unchanged.  The two
+``verify-json-chain-*`` cases were captured before the splitting halves moved
+into the minor table.  Any change to a report's bytes, its record order or its
+witness labels shows up here.  Error cases pin exit code 2, an empty stdout and
+the diagnostic prefix, not the message text.
 """
 
 import hashlib
 import io
+import random
 import sys
 
 import pytest
@@ -56,11 +59,43 @@ def _skew_q_text(n: int) -> str:
     )
 
 
+def _rows_text(rows: list[list]) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in [[len(rows), len(rows)], *rows])
+
+
+def _stopped_chains_text() -> str:
+    """14x14 p/q entries whose leading and trailing 2x2 minors vanish: both chains of the
+    minor table stop at step 1, and 54 of its 240 splitting cores resume the reversed one."""
+    rng = random.Random(14)
+    rows = [
+        [f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}" for _ in range(14)]
+        for _ in range(14)
+    ]
+    rows[1][:2] = rows[0][:2]
+    rows[-2][-2:] = rows[-1][-2:]
+    return _rows_text(rows)
+
+
+def _singular_cores_text() -> str:
+    """12x12 integer entries with column 9 equal to column 3, so 86 splitting cores have
+    no pivot, and a zero leading 2x2 block, so the forward chain stops at step 0 and 129
+    of its 239 splitting cores resume the reversed chain."""
+    rng = random.Random(12)
+    rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+    for row in rows:
+        row[8] = row[2]
+    for row in rows[:2]:
+        row[:2] = [0, 0]
+    return _rows_text(rows)
+
+
 def _verify_cases() -> dict[str, tuple[list[str], str]]:
     cases: dict[str, tuple[list[str], str]] = {}
     for n in (2, 3, 4, 5, 6, 7, 9):
         cases[f"verify-text-n{n}"] = (["verify", "-"], _matrix_text(n))
         cases[f"verify-json-n{n}"] = (["verify", "-", "--json"], _matrix_text(n))
+    cases["verify-json-chain-stops"] = (["verify", "-", "--json"], _stopped_chains_text())
+    cases["verify-json-chain-singular-cores"] = (["verify", "-", "--json"], _singular_cores_text())
     return cases
 
 
@@ -151,6 +186,8 @@ GOLDEN = {
     "verify-json-n6": (0, "a42bab2cf822d2324e3ac52d308ab8dedb6b854024724a7c08c97882f310f994"),
     "verify-json-n7": (0, "d1dc210a9e9d7503c8968df11e6d89ce88927116c502ee195a0d8e64f64c63cd"),
     "verify-json-n9": (0, "93ccb80119c61250753ae1c4d9b832ce411fd6306add515d6e4487fc8af8b4a0"),
+    "verify-json-chain-stops": (0, "3210d97c31899c2f1def69f75302d9a3cb75af65506f3a140be7260f8a65d699"),
+    "verify-json-chain-singular-cores": (0, "426c57d91ff74cf37c1c0d9c33d194c53e47f5253f17c46caf057904df46e9f3"),
     "verify-text-n2": (0, "5880544bdee50c863b4c22d2e56986bb05c93c7694e10d3c37f2631c1541e680"),
     "verify-text-n3": (0, "b59a1c39cad1d55a5210cb988c3c9b346d595a9312f1c7103f92e067efff78f9"),
     "verify-text-n4": (0, "e23539856987a9161d8e2155e3ad99cd30ff1b1a17a246a1613cfacd115bca52"),

@@ -184,24 +184,25 @@ class TestThreeTerm:
 
 
 def test_one_core_elimination_per_choice(monkeypatch):
-    """A choice runs one core elimination (``split``) for all the halves the minor table
+    """A choice runs one core elimination (``halves``) for all the halves the minor table
     lacks and finishes each of them once, as an r x r block; a choice whose halves are
     all in the table runs none.  At r = 3 each of the C(6, 3) = 20 halves is computed
     once, though it is the left side of one splitting and the right of another."""
     splits = []
     finished = []
-    split = engines._Minors.split
+    resume = engines._Minors._resume
     bareiss = engines._bareiss
 
-    def counted_split(table, *args):
-        splits.append(args)
-        return split(table, *args)
+    def counted_resume(table, drop_rows, drop_cols, chosen=()):
+        if chosen:
+            splits.append((drop_rows, drop_cols))
+        return resume(table, drop_rows, drop_cols, chosen)
 
     def counted_bareiss(work, *args):
         finished.append(len(work))
         return bareiss(work, *args)
 
-    monkeypatch.setattr(engines._Minors, "split", counted_split)
+    monkeypatch.setattr(engines._Minors, "_resume", counted_resume)
     monkeypatch.setattr(engines, "_bareiss", counted_bareiss)
     m = random_matrix(trial_stream(4, 0), 9, 9, 9)
     rows, cols = (2, 5, 7), (1, 3, 4, 6, 8, 9)
@@ -221,7 +222,7 @@ def test_one_core_elimination_per_choice(monkeypatch):
 
 
 def _kinds(n, rng):
-    """Square inputs of order n whose splitting choices take every path of ``split``:
+    """Square inputs of order n whose splitting choices take every path of ``halves``:
     integer, p/q, identity and sparse entries; ``repeated``, whose columns 1 and 2 are
     equal, so every core that keeps both is singular and all its halves are 0;
     ``leading``, whose leading 2 x 2 block is zero, so the forward chain stops at step 0
@@ -268,9 +269,9 @@ def _reference(matrix, del_rows, cols):
 
 
 def _assert_halves(matrix, del_rows, cols):
-    """``_halves`` is every index-ordered minor times its column-append sign, and the
+    """``halves`` is every index-ordered minor times its column-append sign, and the
     minor table holds each of those minors under its deletion key afterwards."""
-    _, half, q = pluecker._halves(matrix, del_rows, cols)
+    q, half = engines._minors(matrix).halves(del_rows, cols)
     minors, reference_q = _reference(matrix, del_rows, cols)
     assert q == reference_q
     assert half == {left: sign * minor for left, (minor, sign) in minors.items()}
@@ -304,20 +305,38 @@ class TestHalvesMatchMinors:
                     cols = tuple(sorted(rng.sample(range(1, n + 1), 2 * r)))
                     _assert_halves(matrix, rows, cols)
 
-    def test_singular_core(self):
+    @staticmethod
+    def _core_signs(monkeypatch):
+        """The swap signs of the core eliminations, the only eliminations that stop short
+        of the last row."""
+        signs = []
+        reduce = engines._reduce
+
+        def recorded(work, stop, prev):
+            sign, last = reduce(work, stop, prev)
+            if stop < len(work):
+                signs.append(sign)
+            return sign, last
+
+        monkeypatch.setattr(engines, "_reduce", recorded)
+        return signs
+
+    def test_singular_core(self, monkeypatch):
         matrix = _kinds(9, random.Random(9))["repeated"]
         # columns 1 and 2 both stay in the core: no pivot in its second column
         rows, cols = (4, 8), (3, 5, 6, 9)
-        assert engines._minors(matrix).split(rows, cols)[1] == 0
+        signs = self._core_signs(monkeypatch)
         assert not any(_assert_halves(matrix, rows, cols).values())
+        assert signs == [0]
 
-    def test_core_row_swap(self):
+    def test_core_row_swap(self, monkeypatch):
         matrix = _kinds(9, random.Random(9))["leading"]
         rows, cols = (4, 8), (3, 5, 6, 9)
         table = engines._minors(matrix)
-        assert table.split(rows, cols)[1] != 0
-        assert table.forward.stop == 0
+        signs = self._core_signs(monkeypatch)
         assert all(_assert_halves(matrix, rows, cols).values())
+        assert len(signs) == 1 and signs[0] != 0
+        assert table.forward.stop == 0
 
     # the reversed chain shares 3 steps with both choices and the forward chain none; the
     # second moves those steps past r = 3 rows and columns, an odd permutation
