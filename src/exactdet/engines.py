@@ -264,18 +264,19 @@ class _Chain(dict):
     ``chain[k]`` is (s, block, prev): the block left after s steps, in index order, and
     its last pivot prev, the leading (trailing, if ``flip``) s x s minor (1 at s = 0,
     where the block is ``rows`` itself).  The block holds rows and columns s onward (all
-    but the last s, if ``flip``).  s = k unless the chain stopped earlier.  A miss copies
-    the deepest stored snapshot before it (reversed while it eliminates, if ``flip``)
-    and runs the steps between.  After s steps each entry of the block is a bordered
-    minor of the pivot block (Sylvester's identity, which holds for a pivot block in
-    either corner), built only from rows and columns that any slice keeping the pivot
-    block's rows and columns keeps too.  So those s steps are the ones an elimination of
-    such a slice that starts with them makes, with the same values, and finishing the
-    slice's part of the block over prev gives its determinant bit for bit: this
-    memoizes identical steps and derives no minor through an identity.
+    but the last s, if ``flip``).  A miss copies the deepest stored snapshot before it
+    (reversed while it eliminates, if ``flip``), runs the steps between and stores the
+    result only under the step s it reached.  After s steps each entry of the block is a
+    bordered minor of the pivot block (Sylvester's identity, which holds for a pivot
+    block in either corner), built only from rows and columns that any slice keeping the
+    pivot block's rows and columns keeps too.  So those s steps are the ones an
+    elimination of such a slice that starts with them makes, with the same values, and
+    finishing the slice's part of the block over prev gives its determinant bit for bit:
+    this memoizes identical steps and derives no minor through an identity.
 
     The chain stops at its first zero pivot (``stop``), because the row swap there
-    depends on which rows the slice keeps; a deeper request gets that step's snapshot,
+    depends on which rows the slice keeps; a deeper request gets that step's snapshot
+    (``_Minors._resume`` asks no deeper once the stop is known, so no alias is stored),
     and the slice's own elimination makes the swap.  Snapshots are never mutated, so
     readers on several threads may share a chain; at worst two build the same one.
     """
@@ -299,9 +300,7 @@ class _Chain(dict):
             block = [row[done:][::-1] for row in reversed(work[done:])]
         else:
             block = [row[done:] for row in work[done:]]
-        snap = self.setdefault(step, (step, block, prev))
-        self[depth] = snap
-        return snap
+        return self.setdefault(step, (step, block, prev))
 
 
 def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int, int]:

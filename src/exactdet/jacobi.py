@@ -74,11 +74,13 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
         raise ValueError("indices i and j must differ")
     minor = _minors(matrix)
     pair = (i, j) if i < j else (j, i)
-    m_ii, q_i = minor[(i,), (i,)]
-    m_jj, q_j = minor[(j,), (j,)]
-    m_ij, _ = minor[(i,), (j,)]
-    m_ji, _ = minor[(j,), (i,)]
+    # the minors deleting both i and j first: each chain is then asked its shallower
+    # depth first, so no call rebuilds a snapshot from below one it already holds
+    m_ij, q_i = minor[(i,), (j,)]
+    m_ji, q_j = minor[(j,), (i,)]
     m_pair, _ = minor[pair, pair]
+    m_ii, _ = minor[(i,), (i,)]
+    m_jj, _ = minor[(j,), (j,)]
     det, _ = minor[(), ()]
     # each product keeps every row twice but i and j once: all are over q_i * q_j
     return Fraction(m_ii * m_jj - m_ij * m_ji - m_pair * det, q_i * q_j)

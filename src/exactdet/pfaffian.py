@@ -21,7 +21,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .core import Matrix, ScalarLike, _Record, format_scalar, scalar
-from .engines import _minors, det_bareiss
+from .engines import complementary_minor, det_bareiss, first_minor
 
 
 class AntisymmetricMatrix(_Record):
@@ -184,11 +184,9 @@ def jacobi_recurrence_residual(matrix: AntisymmetricMatrix) -> Fraction:
     """
     if matrix.order < 2:
         raise ValueError("recurrence needs order >= 2")
-    minor = _minors(matrix.to_matrix())
-    # two denominators, so two Fractions: M_12^2 keeps rows 2..n twice, the other
-    # product rows 3..n and all rows, and these differ when rows 1 and 2 clear differently
-    m12 = Fraction(*minor[(1,), (2,)])
-    return Fraction(*minor[(1, 2), (1, 2)]) * Fraction(*minor[(), ()]) - m12 * m12
+    full = matrix.to_matrix()
+    m12 = first_minor(full, 1, 2)
+    return complementary_minor(full, (1, 2), (1, 2)) * det_bareiss(full) - m12 * m12
 
 
 def embedding_labels(n: int) -> tuple[str, ...]:

@@ -448,9 +448,10 @@ class TestOneMinorTable:
 
     # the entries every Bareiss step updates, summed over the run: 267784 at order 12
     # and 1358930 at order 18 while each half-determinant of a splitting choice was its
-    # own minor, not one core elimination per choice, and 4822, 91897 and 415683 while
-    # every core elimination resumed the forward chain, however shallow
-    @pytest.mark.parametrize("n, cells", [(6, 4339), (12, 78875), (18, 371602)])
+    # own minor, not one core elimination per choice, 4822, 91897 and 415683 while
+    # every core elimination resumed the forward chain, however shallow, and 4339, 78875
+    # and 371602 while Jacobi asked M_ii and M_jj before the minors deleting both i and j
+    @pytest.mark.parametrize("n, cells", [(6, 4285), (12, 78370), (18, 369818)])
     def test_verify_cell_updates(self, n, cells, write, capsys, monkeypatch):
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         good = engines._eliminate
@@ -493,6 +494,29 @@ class TestOneMinorTable:
                 short.append((drop_rows, drop_cols, step, max(ahead, behind)))
         assert len(resumes) > 400
         assert short == []
+
+    def test_stopped_chains_store_each_snapshot_once(self, capsys, monkeypatch):
+        # both chains stop at step 1 here; a request past a stop gets that snapshot
+        # but is not stored under its own key too
+        good = engines._Minors.__init__
+        tables = []
+
+        def recorded(table, matrix):
+            good(table, matrix)
+            tables.append(table)
+
+        monkeypatch.setattr(engines._Minors, "__init__", recorded)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_stopped_chains_text()))
+        assert main(["verify", "-", "--json"]) == 0
+        assert [(t.forward.stop, t.backward.stop) for t in tables if t.n_rows == 14] == [(1, 1)]
+        aliases = [
+            (chain.flip, key, snap[0])
+            for table in tables
+            for chain in (table.forward, table.backward)
+            for key, snap in chain.items()
+            if key != snap[0]
+        ]
+        assert aliases == []
 
     def test_embed_minors(self, write, capsys, monkeypatch):
         # det, 25 first minors and 10 principal double minors

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,27 @@ class TestAugmentColumns:
         original = sorted(GOLDEN.column_values(j) for j in range(1, GOLDEN.cols + 1))
         permuted = sorted(rebuilt.column_values(j) for j in range(1, rebuilt.cols + 1))
         assert original == permuted
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: scalar(True), ValueError, "not a scalar: True", id="bool-scalar"),
+        pytest.param(lambda: GOLDEN.row_values(0), IndexError, "row 0 out of range", id="row-0"),
+        pytest.param(
+            lambda: GOLDEN.column_values(4),
+            IndexError,
+            "column 4 out of range",
+            id="column-past-end",
+        ),
+        pytest.param(
+            lambda: submatrix_delete(GOLDEN, (), (4,)),
+            IndexError,
+            "column 4 out of range",
+            id="delete-column-past-end",
+        ),
+    ],
+)
+def test_validation_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

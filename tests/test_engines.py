@@ -454,6 +454,35 @@ class TestSharedPrefixes:
         assert complementary_minor(m, (), ()) == det_bareiss(m)
         assert built == []
 
+    def test_jacobi_selection_builds_each_step_once(self, monkeypatch):
+        # M_jj asks the forward chain for step 58, the minors deleting both i and j for
+        # step 23: asked deep first, the chain built 0 -> 58 and then 0 -> 23 again, with
+        # 307609 cell updates; asked shallow first it extends 0 -> 23 -> 58
+        good_missing = engines._Chain.__missing__
+        good_eliminate = engines._eliminate
+        builds = []
+        updates = []
+
+        def recorded(chain, depth):
+            base = max(k for k in chain if k < depth)
+            snap = good_missing(chain, depth)
+            builds.append((chain.flip, base, snap[0]))
+            return snap
+
+        def counted(work, k, stop, prev):
+            reached, last = good_eliminate(work, k, stop, prev)
+            updates.extend((len(work) - t - 1) * (len(work[t]) - t - 1) for t in range(k, reached))
+            return reached, last
+
+        monkeypatch.setattr(engines._Chain, "__missing__", recorded)
+        monkeypatch.setattr(engines, "_eliminate", counted)
+        assert jacobi_residual(seeded(60, 60), 24, 59) == 0
+        for flip in (False, True):
+            spans = sorted((base, step) for f, base, step in builds if f == flip)
+            assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:])), (flip, spans)
+        assert (False, 23, 58) in builds
+        assert sum(updates) == 253_605
+
     def test_jacobi_selection_stores_only_requested_steps(self):
         # fresh eliminations peaked at ~0.19 MB here and this selection at ~0.40 MB, the
         # most of the pairs (1, 60), (2, 59), (10, 50), (20, 40) and (30, 31); a snapshot

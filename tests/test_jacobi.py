@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -214,3 +215,47 @@ def test_cross_module_proof_construction():
         sign = permutation_parity([comp_cols.index(c) for c in aug_cols])
         assert comp_value == sign * det_bareiss(augmented)
         assert comp_value == sign * det_leibniz(augmented)
+
+
+ONE_BY_ONE = Matrix.from_rows([[5]])
+TWO_BY_THREE = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(
+            lambda: jacobi_residual(ONE_BY_ONE, 1, 2),
+            "need a square matrix of order >= 2, got 1x1",
+            id="jacobi-1x1",
+        ),
+        pytest.param(
+            lambda: jacobi_residual(TWO_BY_THREE, 1, 2),
+            "need a square matrix of order >= 2, got 2x3",
+            id="jacobi-2x3",
+        ),
+        pytest.param(
+            lambda: verify_all_jacobi(ONE_BY_ONE),
+            "need a square matrix of order >= 2, got 1x1",
+            id="verify-all-1x1",
+        ),
+        pytest.param(
+            lambda: verify_all_jacobi(TWO_BY_THREE),
+            "need a square matrix of order >= 2, got 2x3",
+            id="verify-all-2x3",
+        ),
+        pytest.param(
+            lambda: minor_three_term_residual(seeded(36, 6), (1, 2, 3), (1, 2, 3, 4, 5, 6)),
+            "need 2 deleted rows and 4 chosen columns, got 3",
+            id="three-term-three-rows",
+        ),
+        pytest.param(
+            lambda: generalized_pluecker_residual(TWO_BY_THREE, (1,), (1, 2)),
+            "need a square matrix, got 2x3",
+            id="generalized-2x3",
+        ),
+    ],
+)
+def test_validation_errors(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

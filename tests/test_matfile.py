@@ -142,3 +142,9 @@ def test_round_trip_corpus():
     for m in corpus:
         assert parse_matrix(emit_matrix_text(m)) == m
         assert parse_matrix(emit_matrix_json(m)) == m
+
+
+@pytest.mark.parametrize("emit", [emit_matrix_text, emit_matrix_json])
+def test_emit_rejects_empty_matrix(emit):
+    with pytest.raises(ValueError, match="matrix files require positive dimensions"):
+        emit(Matrix(0, 0, ()))

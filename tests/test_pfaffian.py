@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -361,3 +362,47 @@ class TestEmbeddedMinor:
         m = Matrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="malformed label"):
             embedded_minor(m, {digit, "2*"})
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: ORDER4.entry(0, 1), IndexError, "index (0,1) out of range", id="entry-0"
+        ),
+        pytest.param(
+            lambda: antisymmetric_from_matrix(Matrix.from_rows([[0, 1, 2], [-1, 0, 3]])),
+            ValueError,
+            "must be square, got 2x3",
+            id="from-matrix-2x3",
+        ),
+        pytest.param(
+            lambda: jacobi_recurrence_residual(antisymmetric_from_upper(0, [])),
+            ValueError,
+            "recurrence needs order >= 2",
+            id="recurrence-order-0",
+        ),
+        pytest.param(
+            lambda: embedding_labels(-1),
+            ValueError,
+            "label count must be >= 0",
+            id="labels-negative",
+        ),
+        pytest.param(
+            lambda: embedded_minor(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]), {"1", "1*"}),
+            ValueError,
+            "embedding requires a square matrix, got 2x3",
+            id="embedded-minor-2x3",
+        ),
+        pytest.param(
+            lambda: embedded_minor(Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]),
+                                   {"1", "2", "1*", "3*"}),
+            ValueError,
+            "must pair two plain labels with their starred twins",
+            id="quadruple-not-twinned",
+        ),
+    ],
+)
+def test_validation_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -400,3 +400,8 @@ def test_splitting_sum_is_minus_two_of_three_term():
     for key, signed_product in three_term_products.items():
         assert paired[key] == -2 * signed_product
     assert sum(three_term_products.values()) == three_term_residual(m, *vectors) == 0
+
+
+def test_matrix_too_short_for_the_splitting():
+    with pytest.raises(ValueError, match="cannot host a splitting of order 2"):
+        pluecker_sum(Matrix(1, 0, ((),)), [(1,), (2,), (3,), (4,)])

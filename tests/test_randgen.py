@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from exactdet.randgen import SplitMix64, mix64, random_matrix, trial_stream
 
 MASK = (1 << 64) - 1
@@ -58,3 +62,20 @@ def test_different_trials_differ():
     a = random_matrix(trial_stream(5, 0), 4, 4, 9)
     b = random_matrix(trial_stream(5, 1), 4, 4, 9)
     assert a != b
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: SplitMix64(1).next_int(2, 1), "empty range [2, 1]", id="empty-range"),
+        pytest.param(lambda: trial_stream(0, -1), "trial index must be >= 0", id="negative-trial"),
+        pytest.param(
+            lambda: random_matrix(SplitMix64(1), 2, 2, -1),
+            "entry bound must be >= 0",
+            id="negative-bound",
+        ),
+    ],
+)
+def test_validation_errors(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
