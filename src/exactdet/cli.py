@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence, TextIO
 
-from .core import Matrix, format_scalar
+from .core import Matrix, _parse_count, format_scalar
 from .engines import (
     DodgsonResult,
     complementary_minor,
@@ -240,15 +240,9 @@ def _cmd_det(args: argparse.Namespace) -> dict:
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
-    """Comma-separated runs of ASCII digits, each with optional surrounding whitespace."""
-    tokens = [tok.strip() for tok in text.split(",")]
-    # as in the matrix header: int() alone also takes "１", "+1" and "1_0"
-    if all(tok.isascii() and tok.isdigit() for tok in tokens):
-        try:
-            return tuple(map(int, tokens))
-        except ValueError:  # past the interpreter's integer-string limit
-            pass
-    raise ValueError(f"malformed index list {text!r}")
+    """Comma-separated counts, each with optional surrounding whitespace."""
+    error = f"malformed index list {text!r}"
+    return tuple(_parse_count(tok.strip(), error) for tok in text.split(","))
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:

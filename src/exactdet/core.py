@@ -47,6 +47,15 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(int(num))
 
 
+def _parse_count(text: str, error: str) -> int:
+    """The count ``text`` spells in at most ``MAX_SCALAR_DIGITS`` ASCII digits, else
+    ValueError(error).  int() alone also takes "１", "+1", "1_0" and whitespace, and
+    past the interpreter's integer-string limit raises a diagnostic of its own."""
+    if text.isascii() and text.isdigit() and len(text) <= MAX_SCALAR_DIGITS:
+        return int(text)
+    raise ValueError(error)
+
+
 def format_scalar(value: Fraction) -> str:
     """Canonical text form: ``p`` for integers, ``p/q`` otherwise.  More than
     ``MAX_SCALAR_DIGITS`` digits in either part is refused, like such input."""
@@ -87,12 +96,16 @@ def index_set(indices: Iterable[int]) -> tuple[int, ...]:
 
 
 class _Record:
-    """An immutable value over the fields its subclass lists in ``__slots__``, in
-    constructor order: equality, hash, repr, pickling and copying all go through that
-    field tuple.  Each ``__init__`` validates, then sets every field once through
-    ``object.__setattr__``; any later assignment or deletion raises AttributeError."""
+    """An immutable value over the fields its subclass lists in ``__slots__``, in constructor
+    order: equality, hash, repr, pickling and copying all go through that field tuple.  A
+    subclass ``__init__`` validates, then passes every field to ``_Record.__init__``, which
+    sets each once; any later assignment or deletion raises AttributeError."""
 
     __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -137,9 +150,7 @@ class Matrix(_Record):
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged matrix rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def from_rows(

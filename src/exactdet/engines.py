@@ -50,9 +50,7 @@ class DodgsonResult(_Record):
     def __init__(self, value: Fraction, fallback_used: bool, fallback_depth: int) -> None:
         if not fallback_used and fallback_depth != 0:
             raise ValueError("fallback_depth must be 0 when no fallback occurred")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "fallback_used", fallback_used)
-        object.__setattr__(self, "fallback_depth", fallback_depth)
+        super().__init__(value, fallback_used, fallback_depth)
 
 
 def _require_square(matrix: Matrix) -> int:

@@ -50,11 +50,7 @@ class IdentityReport(_Record):
     ) -> None:
         if nonzero_residuals != len(witnesses):
             raise ValueError("witness list must match the nonzero-residual count")
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "operands", operands)
-        object.__setattr__(self, "residuals_checked", residuals_checked)
-        object.__setattr__(self, "nonzero_residuals", nonzero_residuals)
-        object.__setattr__(self, "witnesses", witnesses)
+        super().__init__(identity, operands, residuals_checked, nonzero_residuals, witnesses)
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Matrix, format_scalar, parse_scalar, scalar
+from .core import Matrix, _parse_count, format_scalar, parse_scalar, scalar
 
 
 def _shaped(rows, cols, body, convert) -> Matrix:
@@ -37,10 +37,10 @@ def parse_matrix_text(text: str) -> Matrix:
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
-    # ASCII digits only, as in the scalar grammar: int() would also take "1_0" and "１"
-    if len(header) != 2 or not all(tok.isascii() and tok.isdigit() for tok in header):
-        raise ValueError(f"header must be 'rows cols', got {lines[0]!r}")
-    rows, cols = (int(tok) for tok in header)
+    error = f"header must be 'rows cols', got {lines[0]!r}"
+    if len(header) != 2:
+        raise ValueError(error)
+    rows, cols = (_parse_count(tok, error) for tok in header)
     return _shaped(rows, cols, [line.split() for line in lines[1:]], parse_scalar)
 
 

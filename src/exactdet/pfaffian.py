@@ -20,7 +20,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .core import Matrix, ScalarLike, _Record, format_scalar, scalar
+from .core import Matrix, ScalarLike, _Record, _parse_count, format_scalar, scalar
 from .engines import complementary_minor, det_bareiss, first_minor
 
 
@@ -42,8 +42,7 @@ class AntisymmetricMatrix(_Record):
             raise ValueError(
                 f"order {order} needs {expected} strict-upper entries, got {len(upper)}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "upper", upper)
+        super().__init__(order, upper)
 
     def _upper_index(self, i: int, j: int) -> int:
         # row-major strict upper triangle, i < j, 1-based
@@ -199,14 +198,12 @@ def embedding_labels(n: int) -> tuple[str, ...]:
 
 
 def _parse_label(label: str, n: int) -> tuple[int, bool]:
+    """(i, starred) for a label ``i`` or ``i*``, i in 1..n read as headers and index lists are."""
     text = label.strip()
     starred = text.endswith("*")
     if starred:
         text = text[:-1]
-    # ASCII digits only, as in the matrix header: isdigit() alone takes "１" and "²"
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"malformed label {label!r}")
-    idx = int(text)
+    idx = _parse_count(text, f"malformed label {label!r}")
     if not 1 <= idx <= n:
         raise ValueError(f"label {label!r} out of range for order {n}")
     return idx, starred
@@ -250,6 +247,8 @@ def embedded_minor(matrix: Matrix, remove: Iterable[str]) -> Fraction:
     * ``{"i", "j*"}`` (i = j allowed)  ->  first_minor(A, i, j)
     * ``{"i", "j", "i*", "j*"}`` with i < j  ->  the minor deleting rows
       and columns {i, j}
+
+    A label's index is read as matrix headers and index lists are (``core._parse_count``).
     """
     if not matrix.is_square:
         raise ValueError(f"embedding requires a square matrix, got {matrix.rows}x{matrix.cols}")

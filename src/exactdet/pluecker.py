@@ -39,9 +39,7 @@ class SplitTerm(_Record):
     __slots__ = __match_args__ = ("left", "right", "sign")
 
     def __init__(self, left: tuple[int, ...], right: tuple[int, ...], sign: int) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "sign", sign)
+        super().__init__(left, right, sign)
 
 
 def split_enumeration(r: int) -> list[SplitTerm]:

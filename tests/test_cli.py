@@ -94,6 +94,15 @@ class TestDet:
         assert "more than 4300 digits" in captured.err
         assert "set_int_max_str_digits" not in captured.err
 
+    def test_oversized_header_count_exits_2_with_own_diagnostic(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("9" * 4301 + " 1\n1\n"))
+        assert main(["det", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("exactdet: error: header must be 'rows cols', got '999")
+        assert captured.err.count("\n") == 1
+        assert "set_int_max_str_digits" not in captured.err
+
     @pytest.mark.parametrize("command", [["det", "--engine", "bareiss"], ["embed"]])
     def test_oversized_output_exits_2_with_own_diagnostic(self, command, write, capsys):
         # each entry passes the input cap; det = pf has about 6000 digits
@@ -266,6 +275,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "malformed index list" in captured.err
+
+    def test_longest_index_reaches_the_range_check(self, write, capsys):
+        # 4300 digits pass the index grammar; one more is malformed (above)
+        path = write(emit_matrix_text(random_matrix(trial_stream(6, 0), 6, 6, 9)))
+        longest = "9" * 4300
+        assert main(["verify", path, "--identity", "jacobi", "--pair", f"{longest},2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"exactdet: error: rows ({longest},) ")
+        assert "out of range" in captured.err
 
     def test_index_list_allows_surrounding_whitespace(self, write, capsys):
         path = write(GOLDEN_TEXT)

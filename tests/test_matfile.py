@@ -105,6 +105,17 @@ class TestScalarDigitLimit:
         with pytest.raises(ValueError, match=f"more than {MAX_SCALAR_DIGITS} digits"):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("header", [f"{TOO_LONG} 1", f"1 {TOO_LONG}"], ids=["rows", "cols"])
+    def test_header_count_past_the_limit_is_malformed(self, header):
+        # the interpreter's own integer-string diagnostic must not leak through
+        with pytest.raises(ValueError, match="^header must be 'rows cols'") as info:
+            parse_matrix_text(f"{header}\n1\n")
+        assert "set_int_max_str_digits" not in str(info.value)
+
+    def test_longest_header_count_reaches_the_shape_check(self):
+        with pytest.raises(ValueError, match=f"^expected {LONGEST} matrix rows, found 1$"):
+            parse_matrix_text(f"{LONGEST} 1\n1\n")
+
     def test_longest_scalars_parse(self):
         expected = Matrix.from_rows([[-int(LONGEST), f"1/{LONGEST}"]])
         assert parse_matrix(f"1 2\n-{LONGEST} -1/-{LONGEST}\n") == expected

@@ -357,7 +357,9 @@ class TestEmbeddedMinor:
         with pytest.raises(ValueError):
             embedded_minor(m, removal)
 
-    @pytest.mark.parametrize("digit", ["１", "²"])
+    @pytest.mark.parametrize(
+        "digit", ["１", "²", pytest.param("7" * 4301, id="4301-digit-label")]
+    )
     def test_non_ascii_digit_label_is_malformed(self, digit):
         m = Matrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="malformed label"):
