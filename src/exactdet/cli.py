@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence, TextIO
 
-from .core import Matrix, _parse_count, format_scalar
+from .core import Matrix, _parse_count, _quote, format_scalar
 from .engines import (
     DodgsonResult,
     complementary_minor,
@@ -33,6 +33,7 @@ from .engines import (
     first_minor,
 )
 from .jacobi import (
+    _jacobi_residuals,
     generalized_pluecker_residual,
     jacobi_residual,
     minor_three_term_residual,
@@ -157,8 +158,8 @@ def _choices(
 
 
 def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    """One family's residual at one index choice, read from the matrix's one minor
-    table: the Jacobi pair (rows[0], cols[0]), every order-2 splitting of
+    """One family's residual at one index choice, over the matrix's one minor table:
+    the Jacobi pair (rows[0], cols[0]), every order-2 splitting of
     ``three-term`` and ``pluecker`` through the signed three-term formula, every
     other choice through the full signed splitting sum."""
     if name == "jacobi":
@@ -169,9 +170,14 @@ def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int
 
 
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
-    """The number of residuals one family's sweep checks, and its nonzero ones."""
+    """The number of residuals one family's sweep checks, and its nonzero ones; the
+    Jacobi sweep reads each ordered pair's residual from one batch of all pairs."""
     choices = _choices(name, matrix.rows, gen)
-    found = [(where, _residual(name, matrix, rows, cols)) for where, rows, cols in choices]
+    if name == "jacobi":
+        pairs = _jacobi_residuals(matrix)
+        found = [(where, pairs[tuple(sorted(rows + cols))]) for where, rows, cols in choices]
+    else:
+        found = [(where, _residual(name, matrix, rows, cols)) for where, rows, cols in choices]
     return len(found), [(where, res) for where, res in found if res != 0]
 
 
@@ -241,7 +247,7 @@ def _cmd_det(args: argparse.Namespace) -> dict:
 
 def _parse_indices(text: str) -> tuple[int, ...]:
     """Comma-separated counts, each with optional surrounding whitespace."""
-    error = f"malformed index list {text!r}"
+    error = f"malformed index list {_quote(text)}"
     return tuple(_parse_count(tok.strip(), error) for tok in text.split(","))
 
 

@@ -24,6 +24,17 @@ MAX_SCALAR_DIGITS = 4300
 _TOO_MANY_DIGITS = 10**MAX_SCALAR_DIGITS  # the least integer with more digits
 
 
+def _quote(value: object) -> str:
+    """How a diagnostic quotes input: the repr of text cut to its first 20 characters, or
+    the first 20 characters of any other value's repr, with "..." marking a cut."""
+    if isinstance(value, str):
+        shown, cut = repr(value[:20]), len(value) > 20
+    else:
+        shown = repr(value)
+        shown, cut = shown[:20], len(shown) > 20
+    return shown + "..." if cut else shown
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a canonical Fraction.
 
@@ -32,7 +43,7 @@ def parse_scalar(text: str) -> Fraction:
     most ``MAX_SCALAR_DIGITS`` digits in the numerator and the denominator.
     """
     if not isinstance(text, str) or not _SCALAR_RE.match(text):
-        raise ValueError(f"malformed scalar {text!r}")
+        raise ValueError(f"malformed scalar {_quote(text)}")
     num, _, den = text.partition("/")
     if max(len(num.lstrip("+-")), len(den.lstrip("+-"))) > MAX_SCALAR_DIGITS:
         raise ValueError(
@@ -42,7 +53,7 @@ def parse_scalar(text: str) -> Fraction:
     if den:
         d = int(den)
         if d == 0:
-            raise ValueError(f"zero denominator in scalar {text!r}")
+            raise ValueError(f"zero denominator in scalar {_quote(text)}")
         return Fraction(int(num), d)
     return Fraction(int(num))
 
@@ -71,12 +82,12 @@ def scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ValueError(f"not a scalar: {value!r}")
+        raise ValueError(f"not a scalar: {_quote(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)
-    raise ValueError(f"not a scalar: {value!r}")
+    raise ValueError(f"not a scalar: {_quote(value)}")
 
 
 def as_vector(values: Iterable[ScalarLike]) -> tuple[Fraction, ...]:

@@ -17,6 +17,10 @@ columns) of a splitting choice (``_Minors.halves``): each is a signed minor, and
 it lacks share one core elimination, run at most once per choice, that leaves an
 r x 2r block; each finishes as the r x r elimination of its columns of that block.
 Minors and core eliminations resume and slice by one rule (``_Minors._resume``).
+The five minors of a Jacobi pair {i, j} come from no chain: eliminating every other
+index with principal pivots leaves them in a 2 x 2 block over its last pivot, and one
+recursion over halves of the indices serves every pair in O(n^3) cell updates
+(``_Minors.pairs``), writing them back; a zero pivot falls back to the table reads.
 ``det_dodgson`` condenses on the same integer rows and hands a block with a zero
 interior to ``_bareiss``; it visits blocks in the order of a memoized recursion but
 drops a block once the block it is the interior of has condensed, so O(n^2) blocks
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm, prod
 from typing import Iterable
 
@@ -132,7 +136,8 @@ class _Minors(dict):
     of its kept rows' multipliers), whose quotient is the minor; the denominator depends
     on the deleted rows alone.  An index past the matrix deletes nothing, so the counts
     expose it (IndexError).  ``halves`` reads, signs and finishes the half-determinants
-    of one splitting choice, and writes back as minors those it had to compute.
+    of one splitting choice, and writes back as minors those it had to compute;
+    ``pairs`` eliminates the five minors of Jacobi pairs, and writes them back too.
 
     A minor and a core elimination both start from one resume step (``_resume``).  It
     resumes a ``_Chain``: the elimination of the cleared rows in index order, or of the
@@ -253,6 +258,75 @@ class _Minors(dict):
                 value = half[left] = sign * swaps * _bareiss(columns, prev) if swaps else 0
                 self[key] = append_sign * value, q
         return q, half
+
+    def pair(self, i: int, j: int) -> tuple[int, ...]:
+        """The five minors of the pair {i, j} as ``pairs`` gives them, read from the table
+        (so an index past the matrix raises its IndexError)."""
+        m_ij, q_i = self[(i,), (j,)]
+        m_ji, q_j = self[(j,), (i,)]
+        pair = (i, j) if i < j else (j, i)
+        m_pair, _ = self[pair, pair]
+        m_ii, _ = self[(i,), (i,)]
+        m_jj, _ = self[(j,), (j,)]
+        return m_ii, m_jj, m_ij, m_ji, m_pair, q_i * q_j
+
+    def pairs(self, parts: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], tuple]:
+        """The five minors of each pair i < j inside the one part of ``parts``, or across
+        its two parts: (i, j) -> (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}, q_i * q_j), integers as
+        the table holds them, and the one denominator of a product that keeps every row
+        twice but i and j once.  Recursive principal-pivot elimination (Griffin &
+        Tsatsomeros, "Principal minors, Part I", 2006, fraction-free): a part splits in
+        halves, and each pair of halves gets a copy of the block with every index outside
+        them eliminated, down to a 2 x 2 block over the last pivot p.  A principal pivot
+        order permutes rows and columns alike, so p is M_{ij,ij}, the diagonal M_jj and
+        M_ii, and the off-diagonal M_ji and M_ij times (-1)^(i+j+1), each bit for bit the
+        last step of its slice's own elimination (Sylvester's identity): O(n^3) cell
+        updates for all pairs.  Leaves write their minors back; a zero pivot sends the
+        pairs below it to the table reads (``pair``)."""
+        found: dict[tuple[int, int], tuple] = {}
+        every = tuple(range(1, self.n_rows + 1))
+        self._pairs(every, self.forward[0][1], 1, parts, prod(self.mults), found)
+        return found
+
+    def _pairs(self, ix, block, prev, parts, total, found) -> None:
+        """``pairs`` on the block over indices ``ix`` with last pivot ``prev``; ``total``
+        is the product of every row's multiplier."""
+        if len(ix) == 2:
+            (a, b), (c, d) = block
+            i, j = ix
+            q_i, q_j = total // self.mults[i - 1], total // self.mults[j - 1]
+            sign = (-1) ** (i + j + 1)
+            five = (d, a, sign * c, sign * b, prev)
+            keys = ((i,), (i,)), ((j,), (j,)), ((i,), (j,)), ((j,), (i,)), ((i, j), (i, j))
+            for key, value, q in zip(keys, five, (q_i, q_j, q_i, q_j, q_i // self.mults[j - 1])):
+                self.setdefault(key, (value, q))
+            found[i, j] = (*five, q_i * q_j)
+            return
+        halves = [(p[: len(p) // 2], p[len(p) // 2 :]) if len(p) > 1 else (p,) for p in parts]
+        if len(parts) == 1:
+            # the pairs inside each half, then those across; a part of one index has none
+            children = [halves[0][:1], halves[0][1:], halves[0]]
+        else:
+            children = list(product(*halves))
+        for child in children:
+            keep = set().union(*child)
+            if len(keep) < 2:
+                continue
+            if len(keep) == len(ix):
+                self._pairs(ix, block, prev, child, total, found)
+            else:
+                order = [p for p, x in enumerate(ix) if x not in keep]
+                drop = len(order)
+                order += [p for p, x in enumerate(ix) if x in keep]
+                work = [[block[r][c] for c in order] for r in order]
+                reached, last = _eliminate(work, 0, drop, prev)
+                if reached == drop:
+                    kept = tuple(ix[p] for p in order[drop:])
+                    work = [row[drop:] for row in work[drop:]]
+                    self._pairs(kept, work, last, child, total, found)
+                else:
+                    wanted = combinations(*child, 2) if len(child) == 1 else product(*child)
+                    found.update({(i, j): self.pair(i, j) for i, j in wanted})
 
 
 class _Chain(dict):

@@ -1,9 +1,13 @@
 """Exact-zero residuals for the minor identities of a single square matrix.
 
-Two families, both read from the matrix's one minor table:
+Two families, both over the matrix's one minor table:
 
 * the two-by-two minor identity
-  ``M_ii * M_jj - M_ij * M_ji = comp(A; {i,j}, {i,j}) * det A`` on unsigned minors,
+  ``M_ii * M_jj - M_ij * M_ji = comp(A; {i,j}, {i,j}) * det A`` on unsigned minors:
+  the minors of every pair of a sweep come from one recursive principal-pivot
+  elimination, those of a single pair from its one-leaf case (``_Minors.pairs``),
+  and det A from the table's own elimination in index order, so each residual
+  compares two elimination orders,
 * the splitting relations over r deleted rows and 2r chosen columns.  Deleting
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
@@ -26,6 +30,7 @@ never a property of the input matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable
 
 from .core import Matrix, _Record, index_set
@@ -63,40 +68,42 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
     Rejects i == j: the left side degenerates to zero but the double-deleted
     minor is undefined under any deletion convention.
     """
-    n = matrix.rows
-    if not matrix.is_square or n < 2:
-        raise ValueError(f"need a square matrix of order >= 2, got {matrix.rows}x{matrix.cols}")
+    _require_order_2(matrix)
     if i == j:
         raise ValueError("indices i and j must differ")
-    minor = _minors(matrix)
+    indices = range(1, matrix.rows + 1)
+    if i not in indices or j not in indices:
+        _minors(matrix).pair(i, j)  # an index past the matrix: the table raises IndexError
     pair = (i, j) if i < j else (j, i)
-    # the minors deleting both i and j first: each chain is then asked its shallower
-    # depth first, so no call rebuilds a snapshot from below one it already holds
-    m_ij, q_i = minor[(i,), (j,)]
-    m_ji, q_j = minor[(j,), (i,)]
-    m_pair, _ = minor[pair, pair]
-    m_ii, _ = minor[(i,), (i,)]
-    m_jj, _ = minor[(j,), (j,)]
-    det, _ = minor[(), ()]
-    # each product keeps every row twice but i and j once: all are over q_i * q_j
-    return Fraction(m_ii * m_jj - m_ij * m_ji - m_pair * det, q_i * q_j)
+    return _jacobi_residuals(matrix, ((pair[0],), (pair[1],)))[pair]
+
+
+def _jacobi_residuals(matrix: Matrix, parts: tuple = ()) -> dict[tuple[int, int], Fraction]:
+    """The residual of each pair i < j inside the one part of ``parts`` or across its two
+    (by default every pair), from one recursion (``_Minors.pairs``).  A residual is
+    symmetric in i and j, so it serves both ordered pairs."""
+    table = _minors(matrix)
+    minors = table.pairs(parts or (tuple(range(1, matrix.rows + 1)),))
+    # det A is the table's own elimination in index order, so each residual compares two
+    # elimination orders; each product keeps every row twice but i and j once
+    det, _ = table[(), ()]
+    return {
+        pair: Fraction(m_ii * m_jj - m_ij * m_ji - m_pair * det, q)
+        for pair, (m_ii, m_jj, m_ij, m_ji, m_pair, q) in minors.items()
+    }
 
 
 def verify_all_jacobi(matrix: Matrix) -> IdentityReport:
     """Evaluate the two-by-two minor identity over every ordered pair i != j."""
+    _require_order_2(matrix)
     n = matrix.rows
-    if not matrix.is_square or n < 2:
-        raise ValueError(f"need a square matrix of order >= 2, got {matrix.rows}x{matrix.cols}")
-    checked = 0
-    witnesses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            residual = jacobi_residual(matrix, i, j)
-            checked += 1
-            if residual != 0:
-                witnesses.append(((i, j), residual))
+    residuals = _jacobi_residuals(matrix)
+    witnesses = [
+        ((i, j), res)
+        for i, j in permutations(range(1, n + 1), 2)
+        if (res := residuals[min(i, j), max(i, j)]) != 0
+    ]
+    checked = n * (n - 1)
     return IdentityReport(
         identity="jacobi",
         operands=f"{n}x{n}, all {checked} ordered pairs",
@@ -104,6 +111,11 @@ def verify_all_jacobi(matrix: Matrix) -> IdentityReport:
         nonzero_residuals=len(witnesses),
         witnesses=tuple(witnesses),
     )
+
+
+def _require_order_2(matrix: Matrix) -> None:
+    if not matrix.is_square or matrix.rows < 2:
+        raise ValueError(f"need a square matrix of order >= 2, got {matrix.rows}x{matrix.cols}")
 
 
 def minor_three_term_residual(

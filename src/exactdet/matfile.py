@@ -14,22 +14,33 @@ from __future__ import annotations
 
 import json
 
-from .core import Matrix, _parse_count, format_scalar, parse_scalar, scalar
+from .core import Matrix, _parse_count, _quote, format_scalar, parse_scalar, scalar
 
 
 def _shaped(rows, cols, body, convert) -> Matrix:
     """The rows x cols matrix whose body is a list of entry lists, each
-    entry converted by convert; the one shape check for both formats."""
+    entry converted by convert, each distinct string entry once; the one
+    shape check for both formats."""
     if any(not isinstance(dim, int) or isinstance(dim, bool) or dim < 1 for dim in (rows, cols)):
-        raise ValueError(f"matrix dimensions must be positive integers, got {rows!r} {cols!r}")
+        shown = f"{_quote(rows)} {_quote(cols)}"
+        raise ValueError(f"matrix dimensions must be positive integers, got {shown}")
     if not isinstance(body, list):
-        raise ValueError(f"expected a list of {rows} matrix rows, got {body!r}")
+        raise ValueError(f"expected a list of {rows} matrix rows, got {_quote(body)}")
     if len(body) != rows:
         raise ValueError(f"expected {rows} matrix rows, found {len(body)}")
     for row in body:
         if not isinstance(row, list) or len(row) != cols:
-            raise ValueError(f"expected {cols} entries per row, got {row!r}")
-    return Matrix(rows, cols, tuple(tuple(convert(v) for v in row) for row in body))
+            raise ValueError(f"expected {cols} entries per row, got {_quote(row)}")
+    seen: dict = {}
+
+    def entry(value):
+        if not isinstance(value, str):
+            return convert(value)
+        if value not in seen:
+            seen[value] = convert(value)
+        return seen[value]
+
+    return Matrix(rows, cols, tuple(tuple(entry(v) for v in row) for row in body))
 
 
 def parse_matrix_text(text: str) -> Matrix:
@@ -37,7 +48,7 @@ def parse_matrix_text(text: str) -> Matrix:
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
-    error = f"header must be 'rows cols', got {lines[0]!r}"
+    error = f"header must be 'rows cols', got {_quote(lines[0])}"
     if len(header) != 2:
         raise ValueError(error)
     rows, cols = (_parse_count(tok, error) for tok in header)

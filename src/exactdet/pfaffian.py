@@ -20,7 +20,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .core import Matrix, ScalarLike, _Record, _parse_count, format_scalar, scalar
+from .core import Matrix, ScalarLike, _Record, _parse_count, _quote, format_scalar, scalar
 from .engines import complementary_minor, det_bareiss, first_minor
 
 
@@ -203,9 +203,9 @@ def _parse_label(label: str, n: int) -> tuple[int, bool]:
     starred = text.endswith("*")
     if starred:
         text = text[:-1]
-    idx = _parse_count(text, f"malformed label {label!r}")
+    idx = _parse_count(text, f"malformed label {_quote(label)}")
     if not 1 <= idx <= n:
-        raise ValueError(f"label {label!r} out of range for order {n}")
+        raise ValueError(f"label {_quote(label)} out of range for order {n}")
     return idx, starred
 
 

@@ -7,7 +7,9 @@ import re
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,14 +21,16 @@ from exactdet import (
     Matrix,
     complementary_minor,
     det_dodgson,
+    det_laplace,
     emit_matrix_text,
     jacobi_residual,
     parse_matrix,
+    submatrix_delete,
     verify_all_jacobi,
 )
 from exactdet.cli import main
 from exactdet.randgen import random_matrix, trial_stream
-from test_golden import _singular_cores_text, _stopped_chains_text
+from test_golden import CASES, GOLDEN, _singular_cores_text, _stopped_chains_text
 
 GOLDEN_TEXT = "3 3\n1 2 3\n4 5 6\n7 8 10\n"
 IDENTITY3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
@@ -86,6 +90,25 @@ class TestDet:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1000000000" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["det", "-"], "9" * 100_000 + " 1\n1\n"),
+            (["det", "-"], "1 2\n1 1" + "x" * 99_997 + "\n"),
+            (["det", "-"], '{"rows": 1, "cols": 1, "entries": [[' + "1, " * 33_333 + "1]]}"),
+            (["verify", "-", "--identity", "jacobi", "--pair", "1," + "x" * 99_998], GOLDEN_TEXT),
+        ],
+        ids=["header", "entry", "json-row", "pair"],
+    )
+    def test_diagnostics_quote_bounded_input(self, argv, text, capsys, monkeypatch):
+        # each quotes the offending text cut to 20 characters
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("exactdet: error: ")
+        assert len(captured.err.encode()) < 300
 
     def test_oversized_scalar_exits_2_with_own_diagnostic(self, write, capsys):
         assert main(["det", write("2 2\n" + "7" * 5000 + " 1\n2 3\n")]) == 2
@@ -320,10 +343,11 @@ class TestVerify:
         assert "overall: FAIL" in out
 
     def test_sweep_violation_lists_witnesses(self, write, capsys, monkeypatch):
-        def broken(matrix, i, j):
-            return Fraction(3, 2) if {i, j} == {1, 2} else Fraction(0)
+        def broken(matrix):
+            pairs = combinations(range(1, 4), 2)
+            return {pair: Fraction(3, 2) if pair == (1, 2) else Fraction(0) for pair in pairs}
 
-        monkeypatch.setattr(cli, "jacobi_residual", broken)
+        monkeypatch.setattr(cli, "_jacobi_residuals", broken)
         code = main(["verify", write(GOLDEN_TEXT), "--identity", "jacobi"])
         assert code == 1
         out = capsys.readouterr().out
@@ -437,22 +461,29 @@ class TestOneMinorTable:
             monkeypatch.setattr(engines, name, counted)
         return counts
 
-    # det, the n^2 first minors, the double minors (the principal ones below
-    # order 4, where only Jacobi reads them; all C(n,2)^2 from order 4) and, at
-    # order 6, the C(6,3)^2 minors of the r = 3 splittings
-    @pytest.mark.parametrize("n, eliminations", [(2, 6), (3, 13), (4, 53), (5, 126), (6, 662)])
-    def test_verify(self, n, eliminations, write, capsys, monkeypatch):
+    # det, then (from order 4) the non-principal double minors and, at order 6, the
+    # C(6,3)^2 minors of the r = 3 splittings: the Jacobi recursion writes every first and
+    # principal double minor back; ``before`` counts those too, read through the table
+    # (the principal double minors below order 4), as while Jacobi pairs read it
+    ELIMINATIONS = {2: 1, 3: 1, 4: 31, 5: 91, 6: 611}
+
+    @pytest.mark.parametrize("n, before", [(2, 6), (3, 13), (4, 53), (5, 126), (6, 662)])
+    def test_verify(self, n, before, write, capsys, monkeypatch):
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         counts = self._counted(monkeypatch)
         assert main(["verify", path]) == 0
-        assert counts == {"_bareiss": eliminations, "_integer_rows": 1}
+        assert counts == {"_bareiss": self.ELIMINATIONS[n], "_integer_rows": 1}
+        assert self.ELIMINATIONS[n] < before
 
     # the summed cube of the orders _bareiss eliminates: fresh eliminations of every
     # slice make 29916 at order 6 and 2070070 at order 12, and resumed minors with every
     # half-determinant its own minor 15139 and 964879, so a minor that stops resuming
-    # its shared prefix, or a half that stops finishing as an r x r block, fails here
-    @pytest.mark.parametrize("n, cubes", [(6, 13875), (12, 92021)])
-    def test_verify_resumes_shared_prefixes(self, n, cubes, write, capsys, monkeypatch):
+    # its shared prefix, or a half that stops finishing as an r x r block, fails here;
+    # ``before`` is the sum while Jacobi pairs read the table
+    CUBES = {6: 12696, 12: 41234}
+
+    @pytest.mark.parametrize("n, before", [(6, 13875), (12, 92021)])
+    def test_verify_resumes_shared_prefixes(self, n, before, write, capsys, monkeypatch):
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         good = engines._bareiss
         orders = []
@@ -463,15 +494,18 @@ class TestOneMinorTable:
 
         monkeypatch.setattr(engines, "_bareiss", counted)
         assert main(["verify", path]) == 0
-        assert sum(k**3 for k in orders) == cubes
+        assert sum(k**3 for k in orders) == self.CUBES[n] < before
 
     # the entries every Bareiss step updates, summed over the run: 267784 at order 12
     # and 1358930 at order 18 while each half-determinant of a splitting choice was its
     # own minor, not one core elimination per choice, 4822, 91897 and 415683 while
-    # every core elimination resumed the forward chain, however shallow, and 4339, 78875
-    # and 371602 while Jacobi asked M_ii and M_jj before the minors deleting both i and j
-    @pytest.mark.parametrize("n, cells", [(6, 4285), (12, 78370), (18, 369818)])
-    def test_verify_cell_updates(self, n, cells, write, capsys, monkeypatch):
+    # every core elimination resumed the forward chain, however shallow, 4339, 78875
+    # and 371602 while Jacobi asked M_ii and M_jj before the minors deleting both i and j,
+    # and ``before`` while Jacobi pairs read the table, not one recursion
+    CELLS = {6: 4233, 12: 66152, 18: 243319}
+
+    @pytest.mark.parametrize("n, before", [(6, 4285), (12, 78370), (18, 369818)])
+    def test_verify_cell_updates(self, n, before, write, capsys, monkeypatch):
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         good = engines._eliminate
         updates = []
@@ -483,7 +517,7 @@ class TestOneMinorTable:
 
         monkeypatch.setattr(engines, "_eliminate", counted)
         assert main(["verify", path]) == 0
-        assert sum(updates) == cells
+        assert sum(updates) == self.CELLS[n] < before
 
     # a chain learns its stop only when a request passes it, so a resume that meets a
     # zero pivot not yet found must ask again: every resume, minor or splitting core,
@@ -511,7 +545,8 @@ class TestOneMinorTable:
             )
             if step != max(ahead, behind):
                 short.append((drop_rows, drop_cols, step, max(ahead, behind)))
-        assert len(resumes) > 400
+        # 528 and 451 resumes while Jacobi pairs read the table, 396 and 410 since
+        assert len(resumes) > 350
         assert short == []
 
     def test_stopped_chains_store_each_snapshot_once(self, capsys, monkeypatch):
@@ -536,6 +571,32 @@ class TestOneMinorTable:
             if key != snap[0]
         ]
         assert aliases == []
+
+    # a zero principal pivot sends the pairs below it to the table reads: every pair
+    # when the diagonal is zero, none on a seeded input; the reports stay the golden ones
+    @pytest.mark.parametrize(
+        "case, fallbacks",
+        [
+            ("verify-json-jacobi-zero-diagonal", 28),
+            ("verify-json-chain-stops", 49),
+            ("verify-json-chain-singular-cores", 53),
+            ("verify-json-n9", 0),
+        ],
+    )
+    def test_zero_pivots_fall_back_to_the_table(self, case, fallbacks, capsys, monkeypatch):
+        argv, text = CASES[case]
+        good = engines._Minors.pair
+        pairs = []
+
+        def counted(table, i, j):
+            pairs.append((i, j))
+            return good(table, i, j)
+
+        monkeypatch.setattr(engines._Minors, "pair", counted)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main(argv)
+        assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == GOLDEN[case]
+        assert len(pairs) == len(set(pairs)) == fallbacks
 
     def test_embed_minors(self, write, capsys, monkeypatch):
         # det, 25 first minors and 10 principal double minors
@@ -562,7 +623,7 @@ class TestFaultInjection:
     SWEEP_SEAMS = [
         ("minor_three_term_residual", {"three-term", "pluecker"}),
         ("generalized_pluecker_residual", {"generalized", "pluecker"}),
-        ("jacobi_residual", {"jacobi"}),
+        ("_jacobi_residuals", {"jacobi"}),
     ]
     SELECTION_SEAMS = [
         ("minor_three_term_residual", ["three-term", "--rows", "1,2", "--cols", "1,2,3,4"]),
@@ -576,15 +637,22 @@ class TestFaultInjection:
     def _failing(report: dict) -> set[str]:
         return {rec["check"] for rec in report["results"] if not rec["pass"]}
 
+    @staticmethod
+    def _broken(seam: str):
+        """A seam's stand-in with every residual 1; the Jacobi batch maps each pair to one."""
+        if seam == "_jacobi_residuals":
+            return lambda *args: defaultdict(lambda: Fraction(1))
+        return lambda *args: Fraction(1)
+
     @pytest.mark.parametrize("seam, families", SWEEP_SEAMS)
     def test_verify_sweep(self, seam, families, write, capsys, monkeypatch):
-        monkeypatch.setattr(cli, seam, lambda *args: Fraction(1))
+        monkeypatch.setattr(cli, seam, self._broken(seam))
         assert main(["verify", write(FOUR), "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == families
 
     @pytest.mark.parametrize("seam, families", SWEEP_SEAMS)
     def test_fuzz_sweep(self, seam, families, capsys, monkeypatch):
-        monkeypatch.setattr(cli, seam, lambda *args: Fraction(1))
+        monkeypatch.setattr(cli, seam, self._broken(seam))
         assert main(["fuzz", "--seed", "3", "--trials", "4", "--size-max", "5"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == families
 
@@ -609,7 +677,8 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("n", [6, 12])
     def test_shared_prefix_fault_fails_every_family(self, n, write, capsys, monkeypatch):
-        # every snapshot a chain stores past step 0 gets one wrong entry, its last
+        # every snapshot a chain stores past step 0 gets one wrong entry, its last; every
+        # family that reads the chains fails, and Jacobi reads them only at a zero pivot
         build = engines._Chain.__missing__
 
         def perturbed(chain, depth):
@@ -622,7 +691,24 @@ class TestFaultInjection:
         monkeypatch.setattr(engines._Chain, "__missing__", perturbed)
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         assert main(["verify", path, "--json"]) == 1
-        assert self._failing(json.loads(capsys.readouterr().out)) == set(cli.IDENTITY_NAMES)
+        failing = self._failing(json.loads(capsys.readouterr().out))
+        assert failing == {"three-term", "generalized", "pluecker"}
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_recursion_fault_fails_jacobi(self, n, write, capsys, monkeypatch):
+        # the last entry of every 2 x 2 block the Jacobi recursion ends in is one too
+        # large: M_ii and every minor written back from it are wrong
+        leaf = engines._Minors._pairs
+
+        def perturbed(table, ix, block, *rest):
+            if len(ix) == 2:
+                block = [block[0], block[1][:-1] + [block[1][-1] + 1]]
+            return leaf(table, ix, block, *rest)
+
+        monkeypatch.setattr(engines._Minors, "_pairs", perturbed)
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        assert main(["verify", path, "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"jacobi"}
 
     @pytest.mark.parametrize("n", [6, 12])
     def test_split_fault_fails_the_splitting_families(self, n, write, capsys, monkeypatch):
@@ -665,26 +751,45 @@ class TestFaultInjection:
 
     def test_elimination_fault_report_is_exact(self, capsys, monkeypatch):
         # every row multiplier differs, so a residual over the wrong denominator, or a
-        # witness rounded anywhere, changes these bytes; the digest was captured when
-        # every minor and product was still its own Fraction
+        # witness rounded anywhere, changes these bytes; the digest was first captured
+        # when every minor and product was still its own Fraction, and re-pinned when
+        # Jacobi pairs moved onto the recursion: its minors do not pass through _bareiss,
+        # and the splitting families read the ones it writes back
         self._odd_fault(monkeypatch)
         monkeypatch.setattr(sys, "stdin", io.StringIO(RATIONAL6))
         assert main(["verify", "-", "--json"]) == 1
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "3d85d363784b9cf4b5b7a242456db4e431d4f2d63eefb9fc063cd56e51306237"
+        assert digest == "16e21ea9d64c87e70e7f0fb6eef88028ecaa6cdbe9a63e834df9cd165014d743"
+        # each splitting family run on its own, where no recursion writes minors back,
+        # reports the records the whole report carried before: their own computation is
+        # unchanged
+        records = []
+        for name in ("three-term", "generalized", "pluecker"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(RATIONAL6))
+            assert main(["verify", "-", "--identity", name, "--json"]) == 1
+            records += json.loads(capsys.readouterr().out)["results"]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "8d6b2f6ffd950cc30cf96884f12510d6829f20e49ef1e747357c5ac834627010"
 
     def test_elimination_fault_jacobi_matches_the_minor_formula(self, monkeypatch):
+        # the recursion's minors never pass through _bareiss, det A does
         self._odd_fault(monkeypatch)
         m = parse_matrix(RATIONAL6)
+        det = complementary_minor(m, (), ())
+        assert det != det_laplace(m)
+
+        def minor(rows, cols):
+            return det_laplace(submatrix_delete(m, rows, cols))
+
         for i in range(1, 7):
             for j in range(1, 7):
                 if i == j:
                     continue
                 pair = (min(i, j), max(i, j))
                 expected = (
-                    complementary_minor(m, (i,), (i,)) * complementary_minor(m, (j,), (j,))
-                    - complementary_minor(m, (i,), (j,)) * complementary_minor(m, (j,), (i,))
-                    - complementary_minor(m, pair, pair) * complementary_minor(m, (), ())
+                    minor((i,), (i,)) * minor((j,), (j,))
+                    - minor((i,), (j,)) * minor((j,), (i,))
+                    - minor(pair, pair) * det
                 )
                 assert expected != 0
                 assert jacobi_residual(m, i, j) == expected

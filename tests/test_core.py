@@ -14,6 +14,7 @@ from exactdet import (
     scalar,
     submatrix_delete,
 )
+from exactdet.core import _quote
 
 GOLDEN = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
 
@@ -48,6 +49,19 @@ class TestParseScalar:
     def test_format_round_trip(self):
         for text in ["0", "-7", "3/2", "-11/13", "123456789123456789"]:
             assert format_scalar(parse_scalar(text)) == text
+
+    @pytest.mark.parametrize(
+        "value, quoted",
+        [
+            ("x" * 20, repr("x" * 20)),
+            ("x" * 21, repr("x" * 20) + "..."),
+            ("a\tb", repr("a\tb")),
+            ([1, 2], "[1, 2]"),
+            (list(range(10)), "[0, 1, 2, 3, 4, 5, 6..."),
+        ],
+    )
+    def test_diagnostics_quote_at_most_20_characters(self, value, quoted):
+        assert _quote(value) == quoted
 
     def test_scalar_rejects_floats(self):
         with pytest.raises(ValueError):

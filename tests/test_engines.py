@@ -455,33 +455,24 @@ class TestSharedPrefixes:
         assert built == []
 
     def test_jacobi_selection_builds_each_step_once(self, monkeypatch):
-        # M_jj asks the forward chain for step 58, the minors deleting both i and j for
-        # step 23: asked deep first, the chain built 0 -> 58 and then 0 -> 23 again, with
-        # 307609 cell updates; asked shallow first it extends 0 -> 23 -> 58
-        good_missing = engines._Chain.__missing__
+        # one elimination of every index but i and j (70209 cell updates) and det's own
+        # (70210), and no chain snapshot; read from the chains, the pair cost 307609 cell
+        # updates asked deep first (0 -> 58, then 0 -> 23 again) and 253605 asked shallow
+        # first (0 -> 23 -> 58)
         good_eliminate = engines._eliminate
         builds = []
         updates = []
-
-        def recorded(chain, depth):
-            base = max(k for k in chain if k < depth)
-            snap = good_missing(chain, depth)
-            builds.append((chain.flip, base, snap[0]))
-            return snap
 
         def counted(work, k, stop, prev):
             reached, last = good_eliminate(work, k, stop, prev)
             updates.extend((len(work) - t - 1) * (len(work[t]) - t - 1) for t in range(k, reached))
             return reached, last
 
-        monkeypatch.setattr(engines._Chain, "__missing__", recorded)
+        monkeypatch.setattr(engines._Chain, "__missing__", lambda chain, k: builds.append(k))
         monkeypatch.setattr(engines, "_eliminate", counted)
         assert jacobi_residual(seeded(60, 60), 24, 59) == 0
-        for flip in (False, True):
-            spans = sorted((base, step) for f, base, step in builds if f == flip)
-            assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:])), (flip, spans)
-        assert (False, 23, 58) in builds
-        assert sum(updates) == 253_605
+        assert builds == []
+        assert sum(updates) == 140_419
 
     def test_jacobi_selection_stores_only_requested_steps(self):
         # fresh eliminations peaked at ~0.19 MB here and this selection at ~0.40 MB, the
@@ -508,6 +499,42 @@ class TestSharedPrefixes:
         finally:
             tracemalloc.stop()
         assert peak < 600_000
+
+
+class TestPrincipalPairs:
+    """The five minors of every pair from the Jacobi recursion, over the whole sweep and
+    as the one-leaf case of a single pair, and every minor it writes back, equal a fresh
+    table's, over the same denominator, bit for bit."""
+
+    @staticmethod
+    def _inputs(n):
+        rows = [list(row) for row in seeded(800 + n, n).entries]
+        zero_diagonal = [[v * (i != j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        leading_zero = [
+            [v * (i > 1 or j > 1) for j, v in enumerate(row)] for i, row in enumerate(rows)
+        ]
+        trailing_zero = [row[::-1] for row in leading_zero[::-1]]
+        singular = rows[:-1] + [[sum(col) for col in zip(*rows[:-1])]]
+        yield Matrix.from_rows(rows)
+        yield seeded_rational(820 + n, n)
+        yield Matrix.identity(n)
+        for other in (zero_diagonal, leading_zero, trailing_zero, singular):
+            yield Matrix.from_rows(other)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_match_a_fresh_table(self, n):
+        for m in self._inputs(n):
+            fresh = engines._Minors(m)
+            swept = engines._Minors(m)
+            single = engines._Minors(m)
+            sweep = swept.pairs((tuple(range(1, n + 1)),))
+            assert sorted(sweep) == list(combinations(range(1, n + 1), 2))
+            for i, j in sweep:
+                expected = fresh.pair(i, j)
+                assert sweep[i, j] == expected, (i, j)
+                assert single.pairs(((i,), (j,))) == {(i, j): expected}, (i, j)
+            for table in (swept, single):
+                assert all(fresh[key] == value for key, value in table.items())
 
 
 class TestMinors:

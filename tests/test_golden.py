@@ -11,8 +11,11 @@ strict upper triangle.  All of them predate the CLI's move onto one record
 rule, one sweep loop for every family (Jacobi included) and one matrix
 reader, and that move left every digest unchanged.  The two
 ``verify-json-chain-*`` cases were captured before the splitting halves moved
-into the minor table.  Any change to a report's bytes, its record order or its
-witness labels shows up here.  Error cases pin exit code 2, an empty stdout and
+into the minor table.  ``verify-json-jacobi-zero-diagonal``,
+``select-jacobi-n60`` and the two ``verify-*-n1`` cases (no pair to check) were
+captured before Jacobi pairs moved onto recursive principal-pivot eliminations.
+Any change to a report's bytes, its record order or its witness labels shows
+up here.  Error cases pin exit code 2, an empty stdout and
 the diagnostic prefix, not the message text.
 """
 
@@ -89,13 +92,32 @@ def _singular_cores_text() -> str:
     return _rows_text(rows)
 
 
+def _zero_diagonal_text() -> str:
+    """8x8 integer entries with a zero diagonal: every elimination of the Jacobi recursion
+    meets a zero principal pivot first, so every pair reads its minors from the table."""
+    rng = random.Random(8)
+    return _rows_text([[rng.randint(-9, 9) * (i != j) for j in range(8)] for i in range(8)])
+
+
+def _order_60_text() -> str:
+    """60x60 integer entries in -9..9, drawn as the CI's order-60 smoke runs draw them."""
+    rng = random.Random(60)
+    return _rows_text([[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)])
+
+
 def _verify_cases() -> dict[str, tuple[list[str], str]]:
     cases: dict[str, tuple[list[str], str]] = {}
-    for n in (2, 3, 4, 5, 6, 7, 9):
+    for n in (1, 2, 3, 4, 5, 6, 7, 9):
         cases[f"verify-text-n{n}"] = (["verify", "-"], _matrix_text(n))
         cases[f"verify-json-n{n}"] = (["verify", "-", "--json"], _matrix_text(n))
     cases["verify-json-chain-stops"] = (["verify", "-", "--json"], _stopped_chains_text())
     cases["verify-json-chain-singular-cores"] = (["verify", "-", "--json"], _singular_cores_text())
+    cases["verify-json-jacobi-zero-diagonal"] = (
+        ["verify", "-", "--identity", "jacobi", "--json"], _zero_diagonal_text()
+    )
+    cases["select-jacobi-n60"] = (
+        ["verify", "-", "--identity", "jacobi", "--pair", "23,41", "--json"], _order_60_text()
+    )
     return cases
 
 
@@ -176,9 +198,11 @@ GOLDEN = {
     "select-generalized-r2": (0, "fc2815080082a90a310c6c8438be010fadb095f2215e94024f34d9d9c942029d"),
     "select-generalized-r3": (0, "202f3c4c2cd93470fe6ed423d1e502010d9d1ec7cf6381566c3ddbfad20c1665"),
     "select-jacobi": (0, "5c96c4c1f9f85b5a8482945fd62185564ac61e074fcf385a5526858a11af30af"),
+    "select-jacobi-n60": (0, "65a99b8ce788d56d9d2c3b146e1b08a333ae01b8be77f864f8eb7deea63de4c5"),
     "select-pluecker-r1": (0, "ff46bde08b3b2a2e13c8fd51c738bb8c34ba2633f327f4ab59b880e408204384"),
     "select-pluecker-r2": (0, "c55271841965e69dabf11ca0a7936ef715b917a26c4b88c474d701e442706b25"),
     "select-three-term": (0, "6d810fd1c21f63620bd778446d1954d3da1e69ebaac64c4dc49d59c8b0e8854d"),
+    "verify-json-n1": (0, "8bacd5b38dc408e3d678b7a793bafc050a6f7c4a6a32e1c678d14a3322372e6a"),
     "verify-json-n2": (0, "e659beb46b5bcc9e9e962230028826fbfd157fbf999f80889dd89c0a37bcfb8d"),
     "verify-json-n3": (0, "69e515acd6796125fd1d7498b8db344acfc07940b09d41556e5d47c32d810d82"),
     "verify-json-n4": (0, "96868f40450a49f4f74da36ac8c347df251550e368cef839f5aa209cb022be19"),
@@ -188,6 +212,8 @@ GOLDEN = {
     "verify-json-n9": (0, "93ccb80119c61250753ae1c4d9b832ce411fd6306add515d6e4487fc8af8b4a0"),
     "verify-json-chain-stops": (0, "3210d97c31899c2f1def69f75302d9a3cb75af65506f3a140be7260f8a65d699"),
     "verify-json-chain-singular-cores": (0, "426c57d91ff74cf37c1c0d9c33d194c53e47f5253f17c46caf057904df46e9f3"),
+    "verify-json-jacobi-zero-diagonal": (0, "e0c348ad6cee0d1719b9894f0a253330718b6ef862068abdba4c2464cefa11ed"),
+    "verify-text-n1": (0, "5146f28181e66ec84759a81b4046a20fbf2fba3cd59dbdc4995860ded6a95e39"),
     "verify-text-n2": (0, "5880544bdee50c863b4c22d2e56986bb05c93c7694e10d3c37f2631c1541e680"),
     "verify-text-n3": (0, "b59a1c39cad1d55a5210cb988c3c9b346d595a9312f1c7103f92e067efff78f9"),
     "verify-text-n4": (0, "e23539856987a9161d8e2155e3ad99cd30ff1b1a17a246a1613cfacd115bca52"),

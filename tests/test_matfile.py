@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import exactdet.matfile as matfile
 from exactdet import (
     Matrix,
     emit_matrix_json,
@@ -121,6 +122,50 @@ class TestScalarDigitLimit:
         assert parse_matrix(f"1 2\n-{LONGEST} -1/-{LONGEST}\n") == expected
         json_text = '{"rows": 1, "cols": 2, "entries": [[-%s, "1/%s"]]}' % (LONGEST, LONGEST)
         assert parse_matrix(json_text) == expected
+
+
+class TestDistinctTokens:
+    """One reader call converts each distinct string token once and shares the value."""
+
+    @staticmethod
+    def _counted(monkeypatch, name):
+        calls = []
+        good = getattr(matfile, name)
+
+        def counted(value):
+            calls.append(value)
+            return good(value)
+
+        monkeypatch.setattr(matfile, name, counted)
+        return calls
+
+    def test_text_tokens(self, monkeypatch):
+        calls = self._counted(monkeypatch, "parse_scalar")
+        m = parse_matrix_text("3 3\n1 2 1/2\n2 1 1/2\n1/2 -1 1\n")
+        assert calls == ["1", "2", "1/2", "-1"]
+        assert m == Matrix.from_rows([[1, 2, "1/2"], [2, 1, "1/2"], ["1/2", -1, 1]])
+        assert m.entries[0][2] is m.entries[1][2] is m.entries[2][0]
+
+    def test_json_strings_only(self, monkeypatch):
+        calls = self._counted(monkeypatch, "scalar")
+        m = parse_matrix_json('{"rows": 2, "cols": 2, "entries": [["3", 3], ["3", 3]]}')
+        assert calls == ["3", 3, 3]
+        assert m == Matrix.from_rows([[3, 3], [3, 3]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n1 x\ny x\n", "malformed scalar 'x'"),
+            ("2 2\nx 1/0\n1/0 x\n", "malformed scalar 'x'"),
+            ("2 2\n1 1/0\n1/0 x\n", "zero denominator in scalar '1/0'"),
+            ('{"rows": 1, "cols": 2, "entries": [[1, true]]}', "not a scalar: True"),
+            ('{"rows": 1, "cols": 3, "entries": [["1", 1, true]]}', "not a scalar: True"),
+        ],
+    )
+    def test_first_bad_token_raises(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            parse_matrix(text)
+        assert str(caught.value) == message
 
 
 class TestSniffing:

@@ -365,6 +365,14 @@ class TestEmbeddedMinor:
         with pytest.raises(ValueError, match="malformed label"):
             embedded_minor(m, {digit, "2*"})
 
+    @pytest.mark.parametrize("label", ["7" * 100_000, "x" * 100_000 + "*"])
+    def test_long_label_diagnostic_is_bounded(self, label):
+        # the diagnostic quotes the label cut to 20 characters
+        m = Matrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="malformed label") as caught:
+            embedded_minor(m, {label, "2*"})
+        assert len(str(caught.value)) < 300
+
 
 @pytest.mark.parametrize(
     "call, error, fragment",
