@@ -251,6 +251,18 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     return tuple(_parse_count(tok.strip(), error) for tok in text.split(","))
 
 
+def _integer_option(text: str, signed: bool = False) -> int:
+    """An integer option's value: a count as ``_parse_count`` reads it, after one leading
+    '-' if ``signed``.  argparse reports the ArgumentTypeError and exits 2."""
+    negative = signed and text.startswith("-")
+    error = f"malformed {'integer' if signed else 'count'} {_quote(text)}"
+    try:
+        value = _parse_count(text[negative:], error)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return -value if negative else value
+
+
 def _cmd_verify(args: argparse.Namespace) -> dict:
     matrix = _read_square_matrix(args)
     # an empty list is a selection too, and _parse_indices refuses it
@@ -464,11 +476,20 @@ def build_parser() -> argparse.ArgumentParser:
     embed.set_defaults(func=_cmd_embed, json=False, stream="stderr")
 
     fuzz = sub.add_parser("fuzz", help="seeded differential fuzzing")
-    fuzz.add_argument("--seed", type=int, required=True, help="generator seed")
-    fuzz.add_argument("--trials", type=int, required=True, help="number of trials (>= 1)")
-    fuzz.add_argument("--size-max", type=int, default=6, help="largest matrix order (>= 2)")
     fuzz.add_argument(
-        "--entry-bound", type=int, default=9, help="entries drawn from [-bound, bound]"
+        "--seed",
+        type=lambda text: _integer_option(text, signed=True),
+        required=True,
+        help="generator seed",
+    )
+    fuzz.add_argument(
+        "--trials", type=_integer_option, required=True, help="number of trials (>= 1)"
+    )
+    fuzz.add_argument(
+        "--size-max", type=_integer_option, default=6, help="largest matrix order (>= 2)"
+    )
+    fuzz.add_argument(
+        "--entry-bound", type=_integer_option, default=9, help="entries drawn from [-bound, bound]"
     )
     fuzz.add_argument(
         "--identity",

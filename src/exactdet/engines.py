@@ -6,21 +6,16 @@ products; the CLI stops it at n=7).  Every other determinant and minor comes fro
 ``_minors``, one table per matrix that clears its denominators once and caches each
 minor as an integer elimination over the product of its kept rows' multipliers;
 the public accessors build one ``Fraction`` from that pair, and the residual kernels
-combine the integers themselves.  A minor that deletes something does not eliminate
-its slice from scratch: it resumes one of two eliminations of the whole matrix, one
-in index order and one from the last row and column back, kept at the steps minors
-asked for (``_Chain``), from the deepest step that touched only rows and columns the
-slice keeps.  Each entry those steps leave is a bordered minor of the slice itself
-(Sylvester's identity), so finishing the slice's part gives its determinant bit for
-bit.  The table alone serves the half-determinants det(core | r of the 2r chosen
-columns) of a splitting choice (``_Minors.halves``): each is a signed minor, and those
-it lacks share one core elimination, run at most once per choice, that leaves an
-r x 2r block; each finishes as the r x r elimination of its columns of that block.
-Minors and core eliminations resume and slice by one rule (``_Minors._resume``).
-The five minors of a Jacobi pair {i, j} come from no chain: eliminating every other
-index with principal pivots leaves them in a 2 x 2 block over its last pivot, and one
-recursion over halves of the indices serves every pair in O(n^3) cell updates
-(``_Minors.pairs``), writing them back; a zero pivot falls back to the table reads.
+combine the integers themselves.  A minor copies its slice of the cleared rows and
+eliminates it (``_Minors._slice``).  The table alone serves the half-determinants
+det(core | r of the 2r chosen columns) of a splitting choice (``_Minors.halves``): each
+is a signed minor, and those it lacks share one core elimination, run at most once per
+choice, that leaves an r x 2r block; each finishes as the r x r elimination of its
+columns of that block.  The five minors of a Jacobi pair {i, j} need no slice of
+their own: eliminating every other index with principal pivots leaves them in a 2 x 2
+block over its last pivot, and one recursion over halves of the indices serves every
+pair in O(n^3) cell updates (``_Minors.pairs``), writing them back; a zero pivot falls
+back to the table reads.
 ``det_dodgson`` condenses on the same integer rows and hands a block with a zero
 interior to ``_bareiss``; it visits blocks in the order of a memoized recursion but
 drops a block once the block it is the interior of has condensed, so O(n^2) blocks
@@ -139,34 +134,23 @@ class _Minors(dict):
     of one splitting choice, and writes back as minors those it had to compute;
     ``pairs`` eliminates the five minors of Jacobi pairs, and writes them back too.
 
-    A minor and a core elimination both start from one resume step (``_resume``).  It
-    resumes a ``_Chain``: the elimination of the cleared rows in index order, or of the
-    rows with rows and columns both reversed, whichever has more steps in common with
-    the slice's own elimination: the forward chain the steps before the first deleted
-    index, the reversed one the steps after the last, each up to its stop.  Deleting
-    nothing resumes the forward chain at step 0, the cleared rows themselves: one fresh
-    elimination that stores no snapshot.  Each chain is memory the table keeps: about
-    n^3 / 3 integers at worst.  Readers on several threads may share a table: at worst
-    two of them compute the same minor, with the same value."""
+    The table keeps the cleared integer rows.  A minor and a core elimination each copy
+    their own slice of them (``_slice``) and eliminate it; nothing mutates the rows, so
+    readers on several threads may share a table: at worst two of them compute the same
+    minor, with the same value."""
 
     def __init__(self, matrix: Matrix) -> None:
-        self.mults, rows = _integer_rows(matrix)
+        self.mults, self.rows = _integer_rows(matrix)
         self.n_rows = matrix.rows
         self.n_cols = matrix.cols
-        self.forward = _Chain(rows, flip=False)
-        self.backward = _Chain(rows, flip=True)
 
-    def _resume(
+    def _slice(
         self, drop_rows: tuple[int, ...], drop_cols: tuple[int, ...], chosen: tuple[int, ...] = ()
-    ) -> tuple[int, int, list[list[int]], int]:
-        """The slice of the kept rows (all but ``drop_rows``) over the kept columns (all
-        but ``drop_cols``), with the ``chosen`` columns appended, as it stands after the
-        steps it shares with the deeper chain.  Returns (q, sign, work, prev): the kept
-        rows' product of multipliers, the sign (-1)^(s * r) of the permutation that
-        moves the s rows and columns the reversed chain eliminated first to the front
-        (r = kept rows - kept columns, so +1 for a square minor and for the forward
-        chain), a fresh copy of the slice and the chain's last pivot.  Each half of the
-        slice, r of the chosen columns appended to the kept ones, must be square."""
+    ) -> tuple[int, list[list[int]]]:
+        """The kept rows' product of multipliers, and a fresh copy of the kept rows (all
+        but ``drop_rows``) over the kept columns (all but ``drop_cols``) with the
+        ``chosen`` columns appended.  Each half of the slice, r of the chosen columns
+        appended to the kept ones, must be square."""
         n_rows, n_cols = self.n_rows, self.n_cols
         keep_rows = [i for i in range(n_rows) if i + 1 not in drop_rows]
         keep_cols = [j for j in range(n_cols) if j + 1 not in drop_cols]
@@ -175,39 +159,18 @@ class _Minors(dict):
                 f"rows {drop_rows} or columns {drop_cols} out of range for "
                 f"the {n_rows}x{n_cols} matrix"
             )
-        r = len(keep_rows) - len(keep_cols)
-        if r != len(chosen) // 2:
+        if len(keep_rows) - len(keep_cols) != len(chosen) // 2:
             raise ValueError(
                 f"the {n_rows}x{n_cols} matrix minus rows {drop_rows}, "
                 f"columns {drop_cols} is not square"
             )
-        # the steps each chain shares with the slice's own elimination, as far as the chain
-        # goes: the indices before the first deleted one, and those after the last (none
-        # for either chain if nothing is deleted)
-        ahead = min(min(drop_rows + drop_cols, default=1) - 1, self.forward.stop)
-        behind = min(
-            n_rows - max(drop_rows, default=n_rows),
-            n_cols - max(drop_cols, default=n_cols),
-            self.backward.stop,
-        )
-        chain = self.forward if ahead >= behind else self.backward
-        step, block, prev = chain[max(ahead, behind)]
-        if step < min(ahead, behind):
-            # the chain has just found its stop, short of the other chain: ask again (each
-            # chain finds its stop once, so this happens at most twice)
-            return self._resume(drop_rows, drop_cols, chosen)
-        # a block holds the rows and columns from its step on (up to the last minus its
-        # step, if reversed), and the slice keeps all the ones before (after) it
-        lo = 0 if chain.flip else step
-        rows_at = keep_rows[lo : lo + len(keep_rows) - step]
-        cols_at = keep_cols[lo : lo + len(keep_cols) - step] + [c - 1 for c in chosen]
-        work = [[block[i - lo][j - lo] for j in cols_at] for i in rows_at]
-        sign = -1 if chain.flip and step * r % 2 else 1
-        return prod(self.mults[i] for i in keep_rows), sign, work, prev
+        cols = keep_cols + [c - 1 for c in chosen]
+        work = [[row[j] for j in cols] for row in [self.rows[i] for i in keep_rows]]
+        return prod(self.mults[i] for i in keep_rows), work
 
     def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
-        q, sign, work, prev = self._resume(*key)
-        value = self[key] = sign * _bareiss(work, prev), q
+        q, work = self._slice(*key)
+        value = self[key] = _bareiss(work), q
         return value
 
     def halves(
@@ -221,8 +184,8 @@ class _Minors(dict):
         any product of two halves is an integer over q^2.  Each half is the minor that
         deletes the rows and the other chosen columns, times the column-append sign
         (-1)^#{(x, y) : x a core column, y appended, x > y}, and is read from the table.
-        Halves the table lacks share one core elimination: the kept rows over the core
-        columns with the chosen ones appended, resumed (``_resume``) and eliminated over
+        Halves the table lacks share one core elimination: the slice of the kept rows
+        over the core columns with the chosen ones appended (``_slice``), eliminated over
         the core columns only, swapping rows at a zero pivot (every half is 0 if a core
         column has no pivot).  Each entry of the r x 2r block left under the chosen
         columns is a bordered minor of the core that reads one chosen column, and the
@@ -230,7 +193,7 @@ class _Minors(dict):
         each half finishes as the r x r elimination of its columns of that block, bit
         for bit, and goes back into the table as a minor.  Each position set is read
         once: in a splitting sum it is the left side of one term and the right of
-        another.  The chain's snapshots are copied, never mutated."""
+        another."""
         r = len(cols) // 2
         # the chosen column at position p has n - c_p columns after it, 2r - p of them
         # chosen: the positions that flip the sign an odd number of times
@@ -250,12 +213,12 @@ class _Minors(dict):
                 value, q = found
                 half[left] = sign * value
         if missing:
-            q, sign, work, prev = self._resume(drop_rows, cols, cols)
+            q, work = self._slice(drop_rows, cols, cols)
             depth = len(work) - r
-            swaps, prev = _reduce(work, depth, prev)
+            swaps, prev = _reduce(work, depth, 1)
             for left, key, append_sign in missing:
                 columns = [[row[depth + p - 1] for p in left] for row in work[depth:]]
-                value = half[left] = sign * swaps * _bareiss(columns, prev) if swaps else 0
+                value = half[left] = swaps * _bareiss(columns, prev) if swaps else 0
                 self[key] = append_sign * value, q
         return q, half
 
@@ -285,7 +248,7 @@ class _Minors(dict):
         pairs below it to the table reads (``pair``)."""
         found: dict[tuple[int, int], tuple] = {}
         every = tuple(range(1, self.n_rows + 1))
-        self._pairs(every, self.forward[0][1], 1, parts, prod(self.mults), found)
+        self._pairs(every, self.rows, 1, parts, prod(self.mults), found)
         return found
 
     def _pairs(self, ix, block, prev, parts, total, found) -> None:
@@ -327,52 +290,6 @@ class _Minors(dict):
                 else:
                     wanted = combinations(*child, 2) if len(child) == 1 else product(*child)
                     found.update({(i, j): self.pair(i, j) for i, j in wanted})
-
-
-class _Chain(dict):
-    """One Bareiss elimination of a matrix's integer ``rows`` (of the rows with rows and
-    columns both reversed if ``flip``), kept only at the steps minors asked for.
-
-    ``chain[k]`` is (s, block, prev): the block left after s steps, in index order, and
-    its last pivot prev, the leading (trailing, if ``flip``) s x s minor (1 at s = 0,
-    where the block is ``rows`` itself).  The block holds rows and columns s onward (all
-    but the last s, if ``flip``).  A miss copies the deepest stored snapshot before it
-    (reversed while it eliminates, if ``flip``), runs the steps between and stores the
-    result only under the step s it reached.  After s steps each entry of the block is a
-    bordered minor of the pivot block (Sylvester's identity, which holds for a pivot
-    block in either corner), built only from rows and columns that any slice keeping the
-    pivot block's rows and columns keeps too.  So those s steps are the ones an
-    elimination of such a slice that starts with them makes, with the same values, and
-    finishing the slice's part of the block over prev gives its determinant bit for bit:
-    this memoizes identical steps and derives no minor through an identity.
-
-    The chain stops at its first zero pivot (``stop``), because the row swap there
-    depends on which rows the slice keeps; a deeper request gets that step's snapshot
-    (``_Minors._resume`` asks no deeper once the stop is known, so no alias is stored),
-    and the slice's own elimination makes the swap.  Snapshots are never mutated, so
-    readers on several threads may share a chain; at worst two build the same one.
-    """
-
-    def __init__(self, rows: list[list[int]], flip: bool) -> None:
-        self.flip = flip
-        self.stop = len(rows)
-        self[0] = (0, rows, 1)
-
-    def __missing__(self, depth: int) -> tuple[int, list[list[int]], int]:
-        base = depth - 1
-        while base not in self:
-            base -= 1
-        step, block, prev = self[base]
-        work = [row[::-1] for row in reversed(block)] if self.flip else [row[:] for row in block]
-        done, prev = _eliminate(work, 0, depth - base, prev)
-        step += done
-        if step < depth:
-            self.stop = step
-        if self.flip:
-            block = [row[done:][::-1] for row in reversed(work[done:])]
-        else:
-            block = [row[done:] for row in work[done:]]
-        return self.setdefault(step, (step, block, prev))
 
 
 def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int, int]:
@@ -419,9 +336,9 @@ def _reduce(work: list[list[int]], stop: int, prev: int) -> tuple[int, int]:
 
 def _bareiss(work: list[list[int]], prev: int = 1) -> int:
     """Determinant of a square integer matrix, eliminated in place (1 if empty).  Given
-    the last pivot ``prev`` of a ``_Chain`` snapshot or a core block (``halves``) that
-    ``work`` was sliced from, it finishes that slice's elimination instead and returns
-    the slice's determinant, det(work) / prev^(order - 1).  A zero pivot swaps rows with sign
+    the last pivot ``prev`` of the core elimination (``halves``) that ``work`` was sliced
+    from, it finishes that slice's elimination instead and returns the slice's
+    determinant, det(work) / prev^(order - 1).  A zero pivot swaps rows with sign
     tracking, and a pivotless column gives 0."""
     sign, prev = _reduce(work, len(work), prev)
     return sign * prev

@@ -29,8 +29,9 @@ from exactdet import (
     verify_all_jacobi,
 )
 from exactdet.cli import main
+from exactdet.core import _quote
 from exactdet.randgen import random_matrix, trial_stream
-from test_golden import CASES, GOLDEN, _singular_cores_text, _stopped_chains_text
+from test_golden import CASES, GOLDEN
 
 GOLDEN_TEXT = "3 3\n1 2 3\n4 5 6\n7 8 10\n"
 IDENTITY3 = "3 3\n1 0 0\n0 1 0\n0 0 1\n"
@@ -435,6 +436,29 @@ class TestFuzz:
     def test_invalid_parameters_exit_2(self, args, capsys):
         assert main(args) == 2
 
+    # int() alone would take every one of these but the last two
+    MALFORMED = [" +7", "+7", "7 ", "１", "1_0", "0x7", "1" * 4301]
+
+    @pytest.mark.parametrize("text", MALFORMED + ["-7"])
+    @pytest.mark.parametrize("option", ["--trials", "--size-max", "--entry-bound"])
+    def test_malformed_count_options_exit_2(self, option, text, capsys):
+        args = {"--seed": "1", "--trials": "1", option: text}
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", *(word for pair in args.items() for word in pair)])
+        assert exc.value.code == 2
+        assert f"argument {option}: malformed count {_quote(text)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", MALFORMED + ["-", "- 7", "-１"])
+    def test_malformed_seed_exits_2(self, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--seed", text, "--trials", "1"])
+        assert exc.value.code == 2
+        assert f"argument --seed: malformed integer {_quote(text)}" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        assert main(["fuzz", "--seed", "-5", "--trials", "2", "--size-max", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == -5
+
     def test_orders_beyond_laplace_limit(self, capsys):
         # seed 42, trial 4 draws n=8: sweeps sample and Laplace sits out
         args = ["fuzz", "--seed", "42", "--trials", "5", "--size-max", "8",
@@ -475,11 +499,11 @@ class TestOneMinorTable:
         assert counts == {"_bareiss": self.ELIMINATIONS[n], "_integer_rows": 1}
         assert self.ELIMINATIONS[n] < before
 
-    # the summed cube of the orders _bareiss eliminates: fresh eliminations of every
-    # slice make 29916 at order 6 and 2070070 at order 12, and resumed minors with every
-    # half-determinant its own minor 15139 and 964879, so a minor that stops resuming
-    # its shared prefix, or a half that stops finishing as an r x r block, fails here;
-    # ``before`` is the sum while Jacobi pairs read the table
+    # the summed cube of the orders _bareiss eliminates: every half-determinant its own
+    # fresh minor made 29916 at order 6 and 2070070 at order 12, and its own minor resumed
+    # from a shared elimination of the whole matrix 15139 and 964879, so a half that stops
+    # resuming its choice's shared core elimination, finishing as an r x r block, fails
+    # here; ``before`` is the sum while Jacobi pairs read the table
     CUBES = {6: 12696, 12: 41234}
 
     @pytest.mark.parametrize("n, before", [(6, 13875), (12, 92021)])
@@ -496,16 +520,16 @@ class TestOneMinorTable:
         assert main(["verify", path]) == 0
         assert sum(k**3 for k in orders) == self.CUBES[n] < before
 
-    # the entries every Bareiss step updates, summed over the run: 267784 at order 12
-    # and 1358930 at order 18 while each half-determinant of a splitting choice was its
-    # own minor, not one core elimination per choice, 4822, 91897 and 415683 while
-    # every core elimination resumed the forward chain, however shallow, 4339, 78875
-    # and 371602 while Jacobi asked M_ii and M_jj before the minors deleting both i and j,
-    # and ``before`` while Jacobi pairs read the table, not one recursion
-    CELLS = {6: 4233, 12: 66152, 18: 243319}
+    # the entries every Bareiss step updates, summed over the run.  Each minor and each
+    # splitting core eliminates its own slice of the cleared rows; while they resumed two
+    # shared eliminations of the whole matrix, kept at the steps asked for, the sums were
+    # 4233, 66152 and 243319 (4285, 78370 and 369818 while Jacobi pairs read those too).
+    # Deleting the shared eliminations trades these extra updates for less code and a
+    # lower traced peak: 1.32 MB against 1.89 MB for ``verify`` at order 30
+    CELLS = {6: 4650, 12: 96365, 18: 370993}
 
-    @pytest.mark.parametrize("n, before", [(6, 4285), (12, 78370), (18, 369818)])
-    def test_verify_cell_updates(self, n, before, write, capsys, monkeypatch):
+    @pytest.mark.parametrize("n", [6, 12, 18])
+    def test_verify_cell_updates(self, n, write, capsys, monkeypatch):
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         good = engines._eliminate
         updates = []
@@ -517,60 +541,7 @@ class TestOneMinorTable:
 
         monkeypatch.setattr(engines, "_eliminate", counted)
         assert main(["verify", path]) == 0
-        assert sum(updates) == self.CELLS[n] < before
-
-    # a chain learns its stop only when a request passes it, so a resume that meets a
-    # zero pivot not yet found must ask again: every resume, minor or splitting core,
-    # ends as deep as the deeper chain goes under the stops both know after the run
-    @pytest.mark.parametrize("text", [_stopped_chains_text, _singular_cores_text])
-    def test_every_resume_reaches_the_deeper_chain(self, text, capsys, monkeypatch):
-        good = engines._Minors._resume
-        resumes = []
-
-        def recorded(table, drop_rows, drop_cols, chosen=()):
-            q, sign, work, prev = good(table, drop_rows, drop_cols, chosen)
-            step = table.n_rows - len(drop_rows) - len(work)
-            resumes.append((table, drop_rows, drop_cols, step))
-            return q, sign, work, prev
-
-        monkeypatch.setattr(engines._Minors, "_resume", recorded)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text()))
-        assert main(["verify", "-", "--json"]) == 0
-        short = []
-        for table, drop_rows, drop_cols, step in resumes:
-            n = table.n_rows
-            ahead = min(min(drop_rows + drop_cols, default=1) - 1, table.forward.stop)
-            behind = min(
-                n - max(drop_rows, default=n), n - max(drop_cols, default=n), table.backward.stop
-            )
-            if step != max(ahead, behind):
-                short.append((drop_rows, drop_cols, step, max(ahead, behind)))
-        # 528 and 451 resumes while Jacobi pairs read the table, 396 and 410 since
-        assert len(resumes) > 350
-        assert short == []
-
-    def test_stopped_chains_store_each_snapshot_once(self, capsys, monkeypatch):
-        # both chains stop at step 1 here; a request past a stop gets that snapshot
-        # but is not stored under its own key too
-        good = engines._Minors.__init__
-        tables = []
-
-        def recorded(table, matrix):
-            good(table, matrix)
-            tables.append(table)
-
-        monkeypatch.setattr(engines._Minors, "__init__", recorded)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(_stopped_chains_text()))
-        assert main(["verify", "-", "--json"]) == 0
-        assert [(t.forward.stop, t.backward.stop) for t in tables if t.n_rows == 14] == [(1, 1)]
-        aliases = [
-            (chain.flip, key, snap[0])
-            for table in tables
-            for chain in (table.forward, table.backward)
-            for key, snap in chain.items()
-            if key != snap[0]
-        ]
-        assert aliases == []
+        assert sum(updates) == self.CELLS[n]
 
     # a zero principal pivot sends the pairs below it to the table reads: every pair
     # when the diagonal is zero, none on a seeded input; the reports stay the golden ones
@@ -677,18 +648,17 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("n", [6, 12])
     def test_shared_prefix_fault_fails_every_family(self, n, write, capsys, monkeypatch):
-        # every snapshot a chain stores past step 0 gets one wrong entry, its last; every
-        # family that reads the chains fails, and Jacobi reads them only at a zero pivot
-        build = engines._Chain.__missing__
+        # every slice that deletes rows gets one wrong entry, its last; every family that
+        # reads slices fails, and Jacobi reads them only at a zero pivot
+        good = engines._Minors._slice
 
-        def perturbed(chain, depth):
-            snap = build(chain, depth)
-            step, block, _ = snap
-            if step and step == depth:
-                block[-1][-1] += 1
-            return snap
+        def perturbed(table, drop_rows, drop_cols, chosen=()):
+            q, work = good(table, drop_rows, drop_cols, chosen)
+            if drop_rows:
+                work[-1][-1] += 1
+            return q, work
 
-        monkeypatch.setattr(engines._Chain, "__missing__", perturbed)
+        monkeypatch.setattr(engines._Minors, "_slice", perturbed)
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         assert main(["verify", path, "--json"]) == 1
         failing = self._failing(json.loads(capsys.readouterr().out))

@@ -336,7 +336,7 @@ def test_engines_safe_for_concurrent_use():
     with ThreadPoolExecutor(max_workers=4) as pool:
         concurrent = list(pool.map(det_bareiss, matrices))
     assert concurrent == sequential
-    # four readers share one table, so they build and resume the same chains; the
+    # four readers share one table, so they read and write the same minors; the
     # splitting halves also write back into it while the others read
     pairs = [(i, j) for i in range(1, 13) for j in range(1, 13)]
     rng = random.Random(316)
@@ -365,43 +365,29 @@ def test_engines_safe_for_concurrent_use():
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == sequential * 4
-    # a resumed elimination or a split that wrote into a stored snapshot would change these
+    # a slice or a split that wrote into the table's cleared rows would change these
     table.clear()
     assert [run(shared, task) for task in tasks] == sequential
 
 
-def _fresh(mults, rows, drop_rows, drop_cols):
-    """A fresh elimination of the slice of the cleared ``rows``, and its denominator."""
-    keep_rows = [i for i in range(len(rows)) if i + 1 not in drop_rows]
-    keep_cols = [j for j in range(len(rows[0])) if j + 1 not in drop_cols]
-    block = [[rows[i][j] for j in keep_cols] for i in keep_rows]
-    return engines._bareiss(block), prod(mults[i] for i in keep_rows)
-
-
-def _vanishing(matrix, step, trailing):
-    """``matrix`` with its leading (its trailing, if ``trailing``) minor of order step + 1
-    made zero: entry (1, 1) is zeroed at step 0, and later row step + 1 starts as row 1."""
-    rows = [list(row) for row in matrix.entries]
-    if trailing:
-        rows = [row[::-1] for row in rows[::-1]]
-    if step:
-        rows[step][: step + 1] = rows[0][: step + 1]
-    else:
-        rows[0][0] = 0
-    if trailing:
-        rows = [row[::-1] for row in rows[::-1]]
-    return Matrix.from_rows(rows)
+ORACLE_ORDER = 7  # the largest slice the Laplace oracle checks, as the CLI's LAPLACE_LIMIT
 
 
 class TestSharedPrefixes:
-    """Every minor that deletes something resumes one of two shared eliminations of the
-    cleared rows (``_Chain``), and must equal a fresh elimination of its slice, over the
-    same denominator, bit for bit."""
+    """Every minor the table serves equals the Laplace oracle on its slice, over the
+    product of its kept rows' multipliers."""
 
     @staticmethod
     def _deletions(n, rng):
-        """Every deletion set of size <= 2, and 20 sampled ones of size 3, shuffled so
-        that deep and shallow snapshots are asked for in either order."""
+        """Every deletion set of size <= 2 and 20 sampled ones of size 3 up to order 7;
+        beyond it, 10 sampled ones of each size that leaves a slice of order <= 7."""
+
+        def sampled(size):
+            return tuple(sorted(rng.sample(range(1, n + 1), size)))
+
+        if n > ORACLE_ORDER:
+            sizes = range(n - ORACLE_ORDER, n + 1)
+            return [(sampled(size), sampled(size)) for size in sizes for _ in range(10)]
         sets = [
             (rows, cols)
             for size in range(min(n, 2) + 1)
@@ -409,33 +395,22 @@ class TestSharedPrefixes:
             for cols in combinations(range(1, n + 1), size)
         ]
         if n >= 3:
-            sets += [
-                (tuple(sorted(rng.sample(range(1, n + 1), 3))),
-                 tuple(sorted(rng.sample(range(1, n + 1), 3))))
-                for _ in range(20)
-            ]
-        rng.shuffle(sets)
+            sets += [(sampled(3), sampled(3)) for _ in range(20)]
         return sets
 
     def _check(self, matrix, seed):
         table = engines._minors(matrix)
-        cleared = engines._integer_rows(matrix)
+        mults, _ = engines._integer_rows(matrix)
         for rows, cols in self._deletions(matrix.rows, random.Random(seed)):
-            assert table[rows, cols] == _fresh(*cleared, rows, cols), (rows, cols)
+            value, q = table[rows, cols]
+            assert q == prod(m for i, m in enumerate(mults, 1) if i not in rows), (rows, cols)
+            expected = det_laplace(submatrix_delete(matrix, rows, cols))
+            assert Fraction(value, q) == expected, (rows, cols)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_seeded(self, n):
         self._check(seeded(700 + n, n), n)
         self._check(seeded_rational(720 + n, n), n)
-
-    @pytest.mark.parametrize("trailing", [False, True])
-    @pytest.mark.parametrize("n", [5, 8])
-    def test_chain_stops_at_a_zero_pivot(self, n, trailing):
-        for step in (0, 1, n // 2):
-            m = _vanishing(seeded_rational(740 + n, n), step, trailing)
-            chain = engines._Chain(engines._integer_rows(m)[1], flip=trailing)
-            assert chain[n - 1][0] == chain.stop == step
-            self._check(m, step)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
     def test_structured(self, n):
@@ -446,21 +421,10 @@ class TestSharedPrefixes:
         for m in (Matrix.identity(n), anti, Matrix.from_rows(rows)):
             self._check(m, n)
 
-    def test_deleting_nothing_stores_no_snapshot(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(engines._Chain, "__missing__", lambda chain, depth: built.append(depth))
-        m = seeded(780, 8)
-        assert det_bareiss(m) == det_laplace(m)
-        assert complementary_minor(m, (), ()) == det_bareiss(m)
-        assert built == []
-
     def test_jacobi_selection_builds_each_step_once(self, monkeypatch):
         # one elimination of every index but i and j (70209 cell updates) and det's own
-        # (70210), and no chain snapshot; read from the chains, the pair cost 307609 cell
-        # updates asked deep first (0 -> 58, then 0 -> 23 again) and 253605 asked shallow
-        # first (0 -> 23 -> 58)
+        # (70210), not five eliminations of the pair's minors through the table
         good_eliminate = engines._eliminate
-        builds = []
         updates = []
 
         def counted(work, k, stop, prev):
@@ -468,16 +432,13 @@ class TestSharedPrefixes:
             updates.extend((len(work) - t - 1) * (len(work[t]) - t - 1) for t in range(k, reached))
             return reached, last
 
-        monkeypatch.setattr(engines._Chain, "__missing__", lambda chain, k: builds.append(k))
         monkeypatch.setattr(engines, "_eliminate", counted)
         assert jacobi_residual(seeded(60, 60), 24, 59) == 0
-        assert builds == []
         assert sum(updates) == 140_419
 
     def test_jacobi_selection_stores_only_requested_steps(self):
-        # fresh eliminations peaked at ~0.19 MB here and this selection at ~0.40 MB, the
-        # most of the pairs (1, 60), (2, 59), (10, 50), (20, 40) and (30, 31); a snapshot
-        # at every step of one chain alone holds ~3 MB
+        # ~0.19 MB here: the cleared rows and one working copy of them; keeping a snapshot
+        # at every step of one elimination would hold ~3 MB
         m = seeded(60, 60)
         tracemalloc.start()
         try:
@@ -488,9 +449,8 @@ class TestSharedPrefixes:
         assert peak < 600_000
 
     def test_splitting_selection_stores_only_requested_steps(self):
-        # this choice resumes the reversed chain at step 4 and peaked at ~0.31 MB here
-        # (~0.19 MB while every core elimination resumed the forward chain, here at step
-        # 0); a snapshot at every step of one chain alone holds ~3 MB
+        # ~0.19 MB here: the cleared rows and one core slice; keeping a snapshot at every
+        # step of one elimination would hold ~3 MB
         m = seeded(60, 60)
         tracemalloc.start()
         try:

@@ -67,8 +67,9 @@ def _rows_text(rows: list[list]) -> str:
 
 
 def _stopped_chains_text() -> str:
-    """14x14 p/q entries whose leading and trailing 2x2 minors vanish: both chains of the
-    minor table stop at step 1, and 54 of its 240 splitting cores resume the reversed one."""
+    """14x14 p/q entries whose leading and trailing 2x2 minors vanish: 49 of the 91 Jacobi
+    pairs meet a zero principal pivot and read their minors from the table, and 71 of the
+    240 splitting cores swap rows."""
     rng = random.Random(14)
     rows = [
         [f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}" for _ in range(14)]
@@ -80,9 +81,9 @@ def _stopped_chains_text() -> str:
 
 
 def _singular_cores_text() -> str:
-    """12x12 integer entries with column 9 equal to column 3, so 86 splitting cores have
-    no pivot, and a zero leading 2x2 block, so the forward chain stops at step 0 and 129
-    of its 239 splitting cores resume the reversed chain."""
+    """12x12 integer entries with column 9 equal to column 3, so 86 of the 239 splitting
+    cores have no pivot, and a zero leading 2x2 block, so 131 of them swap rows and 53 of
+    the 66 Jacobi pairs read their minors from the table."""
     rng = random.Random(12)
     rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
     for row in rows:

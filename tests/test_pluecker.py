@@ -190,19 +190,19 @@ def test_one_core_elimination_per_choice(monkeypatch):
     once, though it is the left side of one splitting and the right of another."""
     splits = []
     finished = []
-    resume = engines._Minors._resume
+    slice_ = engines._Minors._slice
     bareiss = engines._bareiss
 
-    def counted_resume(table, drop_rows, drop_cols, chosen=()):
+    def counted_slice(table, drop_rows, drop_cols, chosen=()):
         if chosen:
             splits.append((drop_rows, drop_cols))
-        return resume(table, drop_rows, drop_cols, chosen)
+        return slice_(table, drop_rows, drop_cols, chosen)
 
     def counted_bareiss(work, *args):
         finished.append(len(work))
         return bareiss(work, *args)
 
-    monkeypatch.setattr(engines._Minors, "_resume", counted_resume)
+    monkeypatch.setattr(engines._Minors, "_slice", counted_slice)
     monkeypatch.setattr(engines, "_bareiss", counted_bareiss)
     m = random_matrix(trial_stream(4, 0), 9, 9, 9)
     rows, cols = (2, 5, 7), (1, 3, 4, 6, 8, 9)
@@ -225,9 +225,9 @@ def _kinds(n, rng):
     """Square inputs of order n whose splitting choices take every path of ``halves``:
     integer, p/q, identity and sparse entries; ``repeated``, whose columns 1 and 2 are
     equal, so every core that keeps both is singular and all its halves are 0;
-    ``leading``, whose leading 2 x 2 block is zero, so the forward chain stops at step 0
-    and a core elimination has to swap rows; and ``trailing``, its mirror, whose
-    trailing 2 x 2 block is zero, so the reversed chain stops at step 0."""
+    ``leading``, whose leading 2 x 2 block is zero, so a core elimination that keeps
+    its rows and columns has to swap rows; and ``trailing``, its mirror, whose trailing
+    2 x 2 block is zero."""
     integer = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
     repeated = [row[:] for row in integer]
     for row in repeated:
@@ -332,23 +332,9 @@ class TestHalvesMatchMinors:
     def test_core_row_swap(self, monkeypatch):
         matrix = _kinds(9, random.Random(9))["leading"]
         rows, cols = (4, 8), (3, 5, 6, 9)
-        table = engines._minors(matrix)
         signs = self._core_signs(monkeypatch)
         assert all(_assert_halves(matrix, rows, cols).values())
         assert len(signs) == 1 and signs[0] != 0
-        assert table.forward.stop == 0
-
-    # the reversed chain shares 3 steps with both choices and the forward chain none; the
-    # second moves those steps past r = 3 rows and columns, an odd permutation
-    @pytest.mark.parametrize(
-        "rows, cols", [((1, 3), (2, 4, 5, 6)), ((1, 2, 4), (1, 2, 3, 4, 5, 6))]
-    )
-    def test_low_choice_resumes_the_reversed_chain(self, rows, cols):
-        matrix = _kinds(9, random.Random(9))["integer"]
-        table = engines._minors(matrix)
-        assert all(_assert_halves(matrix, rows, cols).values())
-        assert 3 in table.backward and table.backward[3][0] == 3
-        assert list(table.forward) == [0]
 
     @pytest.mark.parametrize("n, r", [(2, 1), (4, 1), (5, 2), (6, 3), (9, 2), (10, 3)])
     def test_appended_vectors(self, n, r):
