@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterator, Sequence, TextIO
 
 from .core import Matrix, _parse_count, _quote, format_scalar
@@ -33,10 +33,10 @@ from .engines import (
     first_minor,
 )
 from .jacobi import (
-    _jacobi_residuals,
     generalized_pluecker_residual,
     jacobi_residual,
     minor_three_term_residual,
+    verify_all_jacobi,
 )
 from .matfile import emit_matrix_json, emit_matrix_text, parse_matrix
 from .pfaffian import (
@@ -133,14 +133,9 @@ def _sampled_index_set(gen: SplitMix64, n: int, size: int) -> tuple[int, ...]:
 def _choices(
     name: str, n: int, gen: SplitMix64
 ) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...]]]:
-    """Every index choice a sweep of one family checks, with its witness label:
-    each ordered Jacobi pair i != j as ((i,), (j,)); else r rows and 2r columns
-    per splitting order r, all of them up to EXHAUSTIVE_LIMIT, SAMPLE_COUNT
-    seeded draws per order beyond."""
-    if name == "jacobi":
-        for i, j in permutations(range(1, n + 1), 2):
-            yield f"i={i} j={j}", (i,), (j,)
-        return
+    """Every index choice a sweep of a splitting family checks, with its witness
+    label: r rows and 2r columns per splitting order r, all of them up to
+    EXHAUSTIVE_LIMIT, SAMPLE_COUNT seeded draws per order beyond."""
     for r in _SPLITTINGS[name]:
         if 2 * r > n:
             return
@@ -170,14 +165,17 @@ def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int
 
 
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
-    """The number of residuals one family's sweep checks, and its nonzero ones; the
-    Jacobi sweep reads each ordered pair's residual from one batch of all pairs."""
-    choices = _choices(name, matrix.rows, gen)
+    """The number of residuals one family's sweep checks, and its nonzero ones.  The
+    Jacobi sweep is ``verify_all_jacobi``, every ordered pair from one batch; a 1 x 1
+    matrix has no pair, so it checks none."""
     if name == "jacobi":
-        pairs = _jacobi_residuals(matrix)
-        found = [(where, pairs[tuple(sorted(rows + cols))]) for where, rows, cols in choices]
-    else:
-        found = [(where, _residual(name, matrix, rows, cols)) for where, rows, cols in choices]
+        if matrix.rows < 2:
+            return 0, []
+        report = verify_all_jacobi(matrix)
+        witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
+        return report.residuals_checked, witnesses
+    choices = _choices(name, matrix.rows, gen)
+    found = [(where, _residual(name, matrix, rows, cols)) for where, rows, cols in choices]
     return len(found), [(where, res) for where, res in found if res != 0]
 
 

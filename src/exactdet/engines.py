@@ -3,11 +3,13 @@
 ``det_laplace`` is the ground-truth oracle, independent of the workhorses: a
 ``Fraction`` cofactor expansion memoized by column subset (exponential, n * 2^(n-1)
 products; the CLI stops it at n=7).  Every other determinant and minor comes from
-``_minors``, one table per matrix that clears its denominators once and caches each
-minor as an integer elimination over the product of its kept rows' multipliers;
-the public accessors build one ``Fraction`` from that pair, and the residual kernels
-combine the integers themselves.  A minor copies its slice of the cleared rows and
-eliminates it (``_Minors._slice``).  The table alone serves the half-determinants
+``_minors``, one table per matrix that clears its denominators once (the one call of
+``_integer_rows``) and caches each minor as an integer elimination over the product of
+its kept rows' multipliers.  ``complementary_minor`` is the one public accessor that
+reads it: ``det_bareiss``, ``first_minor`` and ``signed_cofactor`` delegate to it and
+inherit its index checks, and it builds one ``Fraction`` from the pair; the residual
+kernels combine the integers themselves.  A minor copies its slice of the cleared rows
+and eliminates it (``_Minors._slice``).  The table alone serves the half-determinants
 det(core | r of the 2r chosen columns) of a splitting choice (``_Minors.halves``): each
 is a signed minor, and those it lacks share one core elimination, run at most once per
 choice, that leaves an r x 2r block; each finishes as the r x r elimination of its
@@ -16,7 +18,7 @@ their own: eliminating every other index with principal pivots leaves them in a 
 block over its last pivot, and one recursion over halves of the indices serves every
 pair in O(n^3) cell updates (``_Minors.pairs``), writing them back; a zero pivot falls
 back to the table reads.
-``det_dodgson`` condenses on the same integer rows and hands a block with a zero
+``det_dodgson`` condenses the table's own cleared rows and hands a block with a zero
 interior to ``_bareiss``; it visits blocks in the order of a memoized recursion but
 drops a block once the block it is the interior of has condensed, so O(n^2) blocks
 are live, not ~n^3/3.  All engines agree exactly.
@@ -89,12 +91,11 @@ def det_laplace(matrix: Matrix) -> Fraction:
 def det_bareiss(matrix: Matrix) -> Fraction:
     """Fraction-free Bareiss determinant, exact over the rationals.
 
-    The minor that deletes nothing: ``_integer_rows`` clears each row's
-    denominators, ``_bareiss`` eliminates in pure integer arithmetic with exact
+    The minor that deletes nothing (``complementary_minor``): the table clears each
+    row's denominators, ``_bareiss`` eliminates in pure integer arithmetic with exact
     interior divisions, and the row multipliers are divided back at the end.
     """
-    _require_square(matrix)
-    return Fraction(*_minors(matrix)[(), ()])
+    return complementary_minor(matrix, (), ())
 
 
 def _integer_rows(matrix: Matrix) -> tuple[list[int], list[list[int]]]:
@@ -233,27 +234,29 @@ class _Minors(dict):
         m_jj, _ = self[(j,), (j,)]
         return m_ii, m_jj, m_ij, m_ji, m_pair, q_i * q_j
 
-    def pairs(self, parts: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], tuple]:
-        """The five minors of each pair i < j inside the one part of ``parts``, or across
-        its two parts: (i, j) -> (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}, q_i * q_j), integers as
-        the table holds them, and the one denominator of a product that keeps every row
-        twice but i and j once.  Recursive principal-pivot elimination (Griffin &
-        Tsatsomeros, "Principal minors, Part I", 2006, fraction-free): a part splits in
-        halves, and each pair of halves gets a copy of the block with every index outside
-        them eliminated, down to a 2 x 2 block over the last pivot p.  A principal pivot
-        order permutes rows and columns alike, so p is M_{ij,ij}, the diagonal M_jj and
-        M_ii, and the off-diagonal M_ji and M_ij times (-1)^(i+j+1), each bit for bit the
-        last step of its slice's own elimination (Sylvester's identity): O(n^3) cell
-        updates for all pairs.  Leaves write their minors back; a zero pivot sends the
-        pairs below it to the table reads (``pair``)."""
+    def pairs(self, indices: tuple[int, ...]) -> dict[tuple[int, int], tuple]:
+        """The five minors of each pair i < j of the ascending ``indices``: (i, j) ->
+        (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}, q_i * q_j), integers as the table holds them,
+        and the one denominator of a product that keeps every row twice but i and j once.
+        Recursive principal-pivot elimination (Griffin & Tsatsomeros, "Principal minors,
+        Part I", 2006, fraction-free): an index set splits in halves, and each half, and
+        the two halves together, get a copy of the block with every index outside them
+        eliminated, down to a 2 x 2 block over the last pivot p.  A principal pivot order
+        permutes rows and columns alike, so p is M_{ij,ij}, the diagonal M_jj and M_ii,
+        and the off-diagonal M_ji and M_ij times (-1)^(i+j+1), each bit for bit the last
+        step of its slice's own elimination (Sylvester's identity): O(n^3) cell updates
+        for all pairs.  A single pair (i, j) is one leaf: its halves (i,) and (j,) hold no
+        pair, so it is one elimination of every other index.  Leaves write their minors
+        back; a zero pivot sends the pairs below it to the table reads (``pair``)."""
         found: dict[tuple[int, int], tuple] = {}
         every = tuple(range(1, self.n_rows + 1))
-        self._pairs(every, self.rows, 1, parts, prod(self.mults), found)
+        self._pairs(every, self.rows, 1, (indices,), prod(self.mults), found)
         return found
 
     def _pairs(self, ix, block, prev, parts, total, found) -> None:
-        """``pairs`` on the block over indices ``ix`` with last pivot ``prev``; ``total``
-        is the product of every row's multiplier."""
+        """``pairs`` on the block over indices ``ix`` with last pivot ``prev``, for the
+        pairs inside the one part of ``parts`` or across its two; ``total`` is the
+        product of every row's multiplier."""
         if len(ix) == 2:
             (a, b), (c, d) = block
             i, j = ix
@@ -395,25 +398,27 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
 
     where the M's are the corner minors of size s-1 and ``interior`` is the
     central minor of size s-2 (det of the 0x0 block is 1).  The recursion visits
-    contiguous blocks of the integer rows that ``det_bareiss`` eliminates, so each
-    division is an exact ``//``; a block with a zero interior goes to ``_bareiss``
-    instead, and the first such fallback is recorded.  Each block is computed once
-    and dropped once the block it is the interior of has condensed (``_Blocks``), so
-    at most O(n^2) blocks are live.  Each level of the recursion nests a frame; an
+    contiguous blocks of the matrix's minor table's cleared rows (``_minors``), the
+    rows every minor is sliced from, so each division is an exact ``//`` and the value
+    is over the product of the table's multipliers; a block with a zero interior goes
+    to ``_bareiss`` on a copy of its rows instead, and the first such fallback is
+    recorded.  Neither ``_Blocks`` nor the table writes to those rows.  Each block is
+    computed once and dropped once the block it is the interior of has condensed
+    (``_Blocks``), so at most O(n^2) blocks are live.  Each level of the recursion nests a frame; an
     order too deep for the interpreter's recursion limit raises ValueError.
     """
     n = _require_square(matrix)
     if n < 1:
         raise ValueError("condensation requires n >= 1")
-    mults, rows = _integer_rows(matrix)
-    table = _Blocks(rows)
+    minors = _minors(matrix)
+    table = _Blocks(minors.rows)
     try:
         value = table[0, 0, n]
     except RecursionError:
         raise ValueError(
             f"condensation of order {n} nests deeper than the recursion limit allows"
         ) from None
-    return DodgsonResult(Fraction(value, prod(mults)), table.depth > 0, table.depth)
+    return DodgsonResult(Fraction(value, prod(minors.mults)), table.depth > 0, table.depth)
 
 
 def complementary_minor(
@@ -430,8 +435,7 @@ def complementary_minor(
 
 def first_minor(matrix: Matrix, i: int, j: int) -> Fraction:
     """Unsigned first minor: determinant with row i and column j deleted."""
-    _require_square(matrix)
-    return Fraction(*_minors(matrix)[(i,), (j,)])
+    return complementary_minor(matrix, (i,), (j,))
 
 
 def signed_cofactor(

@@ -4,10 +4,11 @@ Two families, both over the matrix's one minor table:
 
 * the two-by-two minor identity
   ``M_ii * M_jj - M_ij * M_ji = comp(A; {i,j}, {i,j}) * det A`` on unsigned minors:
-  the minors of every pair of a sweep come from one recursive principal-pivot
-  elimination, those of a single pair from its one-leaf case (``_Minors.pairs``),
-  and det A from the table's own elimination in index order, so each residual
-  compares two elimination orders,
+  the minors of every pair of an index set come from one recursive principal-pivot
+  elimination (``_Minors.pairs``): all indices for ``verify_all_jacobi``, which the
+  CLI's sweep reads, and the pair itself for ``jacobi_residual``, the one-leaf case;
+  det A is the table's own elimination in index order, so each residual compares two
+  elimination orders,
 * the splitting relations over r deleted rows and 2r chosen columns.  Deleting
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
@@ -66,24 +67,27 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
     """Residual of the two-by-two minor identity at the ordered pair (i, j).
 
     Rejects i == j: the left side degenerates to zero but the double-deleted
-    minor is undefined under any deletion convention.
+    minor is undefined under any deletion convention.  The indices are then read as
+    an index set, as ``complementary_minor`` reads them: a non-integer, a bool or an
+    index below 1 raises ValueError, one past the matrix IndexError.
     """
     _require_order_2(matrix)
     if i == j:
         raise ValueError("indices i and j must differ")
-    indices = range(1, matrix.rows + 1)
-    if i not in indices or j not in indices:
+    pair = index_set((i, j))
+    if pair[1] > matrix.rows:
         _minors(matrix).pair(i, j)  # an index past the matrix: the table raises IndexError
-    pair = (i, j) if i < j else (j, i)
-    return _jacobi_residuals(matrix, ((pair[0],), (pair[1],)))[pair]
+    return _jacobi_residuals(matrix, pair)[pair]
 
 
-def _jacobi_residuals(matrix: Matrix, parts: tuple = ()) -> dict[tuple[int, int], Fraction]:
-    """The residual of each pair i < j inside the one part of ``parts`` or across its two
-    (by default every pair), from one recursion (``_Minors.pairs``).  A residual is
-    symmetric in i and j, so it serves both ordered pairs."""
+def _jacobi_residuals(
+    matrix: Matrix, indices: tuple[int, ...] = ()
+) -> dict[tuple[int, int], Fraction]:
+    """The residual of each pair i < j of the ascending ``indices`` (by default every
+    pair), from one recursion (``_Minors.pairs``); a single pair (i, j) is its one-leaf
+    case.  A residual is symmetric in i and j, so it serves both ordered pairs."""
     table = _minors(matrix)
-    minors = table.pairs(parts or (tuple(range(1, matrix.rows + 1)),))
+    minors = table.pairs(indices or tuple(range(1, matrix.rows + 1)))
     # det A is the table's own elimination in index order, so each residual compares two
     # elimination orders; each product keeps every row twice but i and j once
     det, _ = table[(), ()]

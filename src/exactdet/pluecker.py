@@ -14,7 +14,8 @@ asserted against zero, so it carries no information.
 
 Every half-determinant of one sum keeps the same rows, so the minor table gives
 each as an integer over one shared denominator q (the product of those rows'
-multipliers); the table's ``halves`` reads, signs, computes and caches them all.
+multipliers); a minor table of M | vectors (``engines._Minors``, built directly so
+the caller's held table stays) reads, signs and computes them all in ``halves``.
 This module keeps only the kernels: ``_splitting_sum`` and ``_three_term`` sum
 integer products, and each residual is one ``Fraction(total, q^2)``.
 """
@@ -27,7 +28,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .core import Matrix, ScalarLike, _Record, augment_columns
-from .engines import _minors
+from .engines import _Minors
 
 # integer half-determinants by position set, all over one shared denominator
 _Half = Mapping[tuple[int, ...], int]
@@ -64,8 +65,10 @@ def _splittings(r: int) -> tuple[SplitTerm, ...]:
 def _half_dets(
     matrix: Matrix, vectors: Sequence[Sequence[ScalarLike]]
 ) -> tuple[int, _Half]:
-    """The minor table's (q, halves) of M | all vectors over its last 2r columns, where
-    every column-append sign is +."""
+    """The (q, halves) of M | all vectors over its last 2r columns, where every
+    column-append sign is +, from a table of that throwaway augmented matrix alone: it
+    never enters the one-slot cache (``engines._minors``), so the caller's held table
+    stays."""
     if len(vectors) < 2 or len(vectors) % 2:
         raise ValueError(f"need an even number (2r) of vectors, got {len(vectors)}")
     r = len(vectors) // 2
@@ -76,7 +79,7 @@ def _half_dets(
         raise ValueError(
             f"matrix must be {n}x{n - r} for a splitting of order {r}, got {n}x{matrix.cols}"
         )
-    return _minors(augment_columns(matrix, vectors)).halves((), tuple(range(n - r + 1, n + r + 1)))
+    return _Minors(augment_columns(matrix, vectors)).halves((), tuple(range(n - r + 1, n + r + 1)))
 
 
 def _signed_products(r: int, half: _Half) -> list[tuple[SplitTerm, int]]:

@@ -16,6 +16,7 @@ import pytest
 
 import exactdet.cli as cli
 import exactdet.engines as engines
+import exactdet.jacobi as jacobi
 from exactdet import (
     DodgsonResult,
     Matrix,
@@ -25,7 +26,10 @@ from exactdet import (
     emit_matrix_text,
     jacobi_residual,
     parse_matrix,
+    pluecker_sum,
+    pluecker_terms,
     submatrix_delete,
+    three_term_residual,
     verify_all_jacobi,
 )
 from exactdet.cli import main
@@ -348,7 +352,7 @@ class TestVerify:
             pairs = combinations(range(1, 4), 2)
             return {pair: Fraction(3, 2) if pair == (1, 2) else Fraction(0) for pair in pairs}
 
-        monkeypatch.setattr(cli, "_jacobi_residuals", broken)
+        monkeypatch.setattr(jacobi, "_jacobi_residuals", broken)
         code = main(["verify", write(GOLDEN_TEXT), "--identity", "jacobi"])
         assert code == 1
         out = capsys.readouterr().out
@@ -507,7 +511,7 @@ class TestOneMinorTable:
     CUBES = {6: 12696, 12: 41234}
 
     @pytest.mark.parametrize("n, before", [(6, 13875), (12, 92021)])
-    def test_verify_resumes_shared_prefixes(self, n, before, write, capsys, monkeypatch):
+    def test_verify_finishes_halves_from_one_core(self, n, before, write, capsys, monkeypatch):
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
         good = engines._bareiss
         orders = []
@@ -582,6 +586,45 @@ class TestOneMinorTable:
         assert main(["pfaffian", write(SKEW4), "--check", "square"]) == 0
         assert counts == {"_bareiss": 1, "_integer_rows": 1}
 
+    def test_det_clears_once(self, write, capsys, monkeypatch):
+        # Bareiss and Dodgson past the Laplace limit: Dodgson condenses the table's rows
+        path = write(emit_matrix_text(random_matrix(trial_stream(8, 0), 8, 8, 9)))
+        counts = self._counted(monkeypatch)
+        assert main(["det", path]) == 0
+        assert counts["_integer_rows"] == 1
+
+    def test_fuzz_clears_once_per_trial(self, capsys, monkeypatch):
+        # each trial's matrix is cleared once for its engines and all four sweeps
+        counts = self._counted(monkeypatch)
+        assert main(["fuzz", "--seed", "1", "--trials", "6", "--size-max", "7"]) == 0
+        assert counts["_integer_rows"] == 6
+
+    @pytest.mark.parametrize("call", [pluecker_sum, three_term_residual, pluecker_terms])
+    def test_splitting_kernels_keep_the_held_table(self, call):
+        # the augmented matrix M | vectors gets a table of its own, outside the cache
+        m = Matrix.from_rows([[1, Fraction(1, 2)], [3, 4], [5, -6], [Fraction(7, 3), 8]])
+        held = Matrix.from_rows([[2, 1], [1, 3]])
+        table = engines._minors(held)
+        vectors = [[1, 0, 2, 1], [0, 1, -1, 3], [4, 2, 0, 1], [1, 1, 1, 0]]
+        if call is three_term_residual:
+            call(m, *vectors)
+        else:
+            call(m, vectors)
+        assert engines._held == (held, table)
+
+    def test_dodgson_leaves_the_table_rows(self):
+        # a zero interior sends its block to _bareiss on a copy; nothing writes to the
+        # cleared rows the condensation shares with every minor
+        m = Matrix.from_rows(
+            [[Fraction(1, 2), 2, 3, 1], [4, 0, 0, 6], [7, 0, 0, Fraction(5, 3)], [1, 8, 9, 2]]
+        )
+        table = engines._minors(m)
+        result = det_dodgson(m)
+        assert result.fallback_used
+        assert result.value == det_laplace(m)
+        assert engines._minors(m) is table
+        assert table.rows == engines._integer_rows(m)[1]
+
 
 def _wrong_dodgson(matrix):
     good = det_dodgson(matrix)
@@ -609,21 +652,24 @@ class TestFaultInjection:
         return {rec["check"] for rec in report["results"] if not rec["pass"]}
 
     @staticmethod
-    def _broken(seam: str):
-        """A seam's stand-in with every residual 1; the Jacobi batch maps each pair to one."""
+    def _break(seam: str, monkeypatch) -> None:
+        """Replace a seam with a stand-in whose every residual is 1.  The Jacobi batch is
+        ``jacobi._jacobi_residuals``, which ``verify_all_jacobi`` reads for the sweep; it
+        maps each pair to one.  The other seams are the CLI's own names."""
         if seam == "_jacobi_residuals":
-            return lambda *args: defaultdict(lambda: Fraction(1))
-        return lambda *args: Fraction(1)
+            monkeypatch.setattr(jacobi, seam, lambda *args: defaultdict(lambda: Fraction(1)))
+        else:
+            monkeypatch.setattr(cli, seam, lambda *args: Fraction(1))
 
     @pytest.mark.parametrize("seam, families", SWEEP_SEAMS)
     def test_verify_sweep(self, seam, families, write, capsys, monkeypatch):
-        monkeypatch.setattr(cli, seam, self._broken(seam))
+        self._break(seam, monkeypatch)
         assert main(["verify", write(FOUR), "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == families
 
     @pytest.mark.parametrize("seam, families", SWEEP_SEAMS)
     def test_fuzz_sweep(self, seam, families, capsys, monkeypatch):
-        monkeypatch.setattr(cli, seam, self._broken(seam))
+        self._break(seam, monkeypatch)
         assert main(["fuzz", "--seed", "3", "--trials", "4", "--size-max", "5"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == families
 
@@ -647,7 +693,7 @@ class TestFaultInjection:
         monkeypatch.setattr(engines, "_bareiss", odd_fault)
 
     @pytest.mark.parametrize("n", [6, 12])
-    def test_shared_prefix_fault_fails_every_family(self, n, write, capsys, monkeypatch):
+    def test_slice_fault_fails_every_splitting_family(self, n, write, capsys, monkeypatch):
         # every slice that deletes rows gets one wrong entry, its last; every family that
         # reads slices fails, and Jacobi reads them only at a zero pivot
         good = engines._Minors._slice

@@ -375,7 +375,8 @@ ORACLE_ORDER = 7  # the largest slice the Laplace oracle checks, as the CLI's LA
 
 class TestSharedPrefixes:
     """Every minor the table serves equals the Laplace oracle on its slice, over the
-    product of its kept rows' multipliers."""
+    product of its kept rows' multipliers; and a single Jacobi or splitting selection
+    costs one elimination per minor it needs and peaks at one working copy."""
 
     @staticmethod
     def _deletions(n, rng):
@@ -436,7 +437,7 @@ class TestSharedPrefixes:
         assert jacobi_residual(seeded(60, 60), 24, 59) == 0
         assert sum(updates) == 140_419
 
-    def test_jacobi_selection_stores_only_requested_steps(self):
+    def test_jacobi_selection_peaks_at_one_working_copy(self):
         # ~0.19 MB here: the cleared rows and one working copy of them; keeping a snapshot
         # at every step of one elimination would hold ~3 MB
         m = seeded(60, 60)
@@ -448,7 +449,7 @@ class TestSharedPrefixes:
             tracemalloc.stop()
         assert peak < 600_000
 
-    def test_splitting_selection_stores_only_requested_steps(self):
+    def test_splitting_selection_peaks_at_one_working_copy(self):
         # ~0.19 MB here: the cleared rows and one core slice; keeping a snapshot at every
         # step of one elimination would hold ~3 MB
         m = seeded(60, 60)
@@ -487,12 +488,12 @@ class TestPrincipalPairs:
             fresh = engines._Minors(m)
             swept = engines._Minors(m)
             single = engines._Minors(m)
-            sweep = swept.pairs((tuple(range(1, n + 1)),))
+            sweep = swept.pairs(tuple(range(1, n + 1)))
             assert sorted(sweep) == list(combinations(range(1, n + 1), 2))
             for i, j in sweep:
                 expected = fresh.pair(i, j)
                 assert sweep[i, j] == expected, (i, j)
-                assert single.pairs(((i,), (j,))) == {(i, j): expected}, (i, j)
+                assert single.pairs((i, j)) == {(i, j): expected}, (i, j)
             for table in (swept, single):
                 assert all(fresh[key] == value for key, value in table.items())
 
@@ -522,10 +523,18 @@ class TestMinors:
         assert first_minor(Matrix.identity(3), 1, 1) == 1
 
     def test_first_minor_bounds(self):
-        with pytest.raises(IndexError):
+        # read as index sets, as complementary_minor reads them: 0 is no index at all
+        with pytest.raises(ValueError, match="index sets hold positive integers, got 0"):
             first_minor(GOLDEN, 0, 1)
         with pytest.raises(IndexError):
             first_minor(GOLDEN, 1, 4)
+
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_first_minor_refuses_non_integer_indices(self, index):
+        # the index-set check complementary_minor applies
+        for args in ((index, 2), (2, index)):
+            with pytest.raises(ValueError, match=f"positive integers, got {index!r}"):
+                first_minor(GOLDEN, *args)
 
     def test_signed_cofactor(self):
         assert signed_cofactor(Matrix.identity(3), {1}, {2}) == 0

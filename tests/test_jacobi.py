@@ -70,6 +70,13 @@ class TestJacobiResidual:
         with pytest.raises(IndexError):
             jacobi_residual(GOLDEN, 1, 4)
 
+    @pytest.mark.parametrize("index", [0, True, 1.0])
+    def test_indices_read_as_an_index_set(self, index):
+        # the index-set check complementary_minor applies, before the range check
+        for args in ((index, 3), (3, index)):
+            with pytest.raises(ValueError, match=f"positive integers, got {index!r}"):
+                jacobi_residual(GOLDEN, *args)
+
     def test_scaling_invariance(self):
         m = seeded(22, 4)
         scaled = m.scale(Fraction(-5, 7))
