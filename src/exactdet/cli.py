@@ -33,6 +33,7 @@ from .engines import (
     first_minor,
 )
 from .jacobi import (
+    _splitting_residuals,
     generalized_pluecker_residual,
     jacobi_residual,
     minor_three_term_residual,
@@ -132,31 +133,25 @@ def _sampled_index_set(gen: SplitMix64, n: int, size: int) -> tuple[int, ...]:
 
 def _choices(
     name: str, n: int, gen: SplitMix64
-) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...]]]:
-    """Every index choice a sweep of a splitting family checks, with its witness
-    label: r rows and 2r columns per splitting order r, all of them up to
-    EXHAUSTIVE_LIMIT, SAMPLE_COUNT seeded draws per order beyond."""
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every index choice a sweep of a splitting family checks: r rows and 2r columns
+    per splitting order r, all of them up to EXHAUSTIVE_LIMIT, SAMPLE_COUNT seeded draws
+    per order beyond."""
     for r in _SPLITTINGS[name]:
         if 2 * r > n:
             return
         if n <= EXHAUSTIVE_LIMIT:
             indices = range(1, n + 1)
-            choices = product(combinations(indices, r), combinations(indices, 2 * r))
+            yield from product(combinations(indices, r), combinations(indices, 2 * r))
         else:
-            choices = (
-                (_sampled_index_set(gen, n, r), _sampled_index_set(gen, n, 2 * r))
-                for _ in range(SAMPLE_COUNT)
-            )
-        for rows, cols in choices:
-            where = f"rows={rows} cols={cols}"
-            yield (where if name == "three-term" else f"r={r} {where}"), rows, cols
+            for _ in range(SAMPLE_COUNT):
+                yield _sampled_index_set(gen, n, r), _sampled_index_set(gen, n, 2 * r)
 
 
 def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    """One family's residual at one index choice, over the matrix's one minor table:
-    the Jacobi pair (rows[0], cols[0]), every order-2 splitting of
-    ``three-term`` and ``pluecker`` through the signed three-term formula, every
-    other choice through the full signed splitting sum."""
+    """A single selection's residual: the Jacobi pair (rows[0], cols[0]), an order-2
+    splitting of ``three-term`` and ``pluecker`` through the signed three-term formula,
+    every other splitting through the full signed splitting sum."""
     if name == "jacobi":
         return jacobi_residual(matrix, rows[0], cols[0])
     if name != "generalized" and len(rows) == 2:
@@ -167,16 +162,22 @@ def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
     """The number of residuals one family's sweep checks, and its nonzero ones.  The
     Jacobi sweep is ``verify_all_jacobi``, every ordered pair from one batch; a 1 x 1
-    matrix has no pair, so it checks none."""
+    matrix has no pair, so it checks none.  A splitting family's sweep is one batch too,
+    ``_splitting_residuals`` over all its choices, with the three-term formula at r = 2
+    but for ``generalized``; only a nonzero residual gets a witness label."""
     if name == "jacobi":
         if matrix.rows < 2:
             return 0, []
         report = verify_all_jacobi(matrix)
         witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
         return report.residuals_checked, witnesses
-    choices = _choices(name, matrix.rows, gen)
-    found = [(where, _residual(name, matrix, rows, cols)) for where, rows, cols in choices]
-    return len(found), [(where, res) for where, res in found if res != 0]
+    choices = list(_choices(name, matrix.rows, gen))
+    found = _splitting_residuals(matrix, choices, three_term=name != "generalized")
+    witnesses = []
+    for rows, cols, res in found:
+        where = f"rows={rows} cols={cols}"
+        witnesses.append((where if name == "three-term" else f"r={len(rows)} {where}", res))
+    return len(choices), witnesses
 
 
 def _sweep_record(name: str, matrix: Matrix, gen: SplitMix64) -> dict:

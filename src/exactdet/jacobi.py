@@ -13,9 +13,11 @@ Two families, both over the matrix's one minor table:
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
   times its column-append sign, and the table serves all of one choice's halves
-  (``_Minors.halves``).  ``generalized_pluecker_residual`` takes the
-  full signed splitting sum over those halves, ``minor_three_term_residual``
-  the r = 2 three-term formula.
+  (``_Minors.halves``).  One batch, ``_splitting_residuals``, evaluates a list
+  of choices on those integer halves: the full signed splitting sum, or at r = 2
+  the three-term formula.  The CLI's splitting sweeps are that batch, and
+  ``generalized_pluecker_residual`` and ``minor_three_term_residual`` are it
+  applied to one validated choice.
 
 Both sum integers: the table gives each minor as an integer over the product of
 its kept rows' multipliers, and every product in one residual keeps the same rows
@@ -135,8 +137,7 @@ def minor_three_term_residual(
     rows, quad = _checked(matrix, row_pair, cols)
     if len(rows) != 2:
         raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {len(rows)}")
-    q, half = _minors(matrix).halves(rows, quad)
-    return Fraction(_three_term(half), q * q)
+    return _one(matrix, rows, quad, three_term=True)
 
 
 def generalized_pluecker_residual(
@@ -148,8 +149,35 @@ def generalized_pluecker_residual(
     raw-index sign prefactor of the signed-cofactor reading is a constant across terms
     and is deliberately not reproduced."""
     rows, cols = _checked(matrix, del_rows, chosen_cols)
-    q, half = _minors(matrix).halves(rows, cols)
-    return Fraction(_splitting_sum(len(rows), half), q * q)
+    return _one(matrix, rows, cols, three_term=False)
+
+
+def _one(
+    matrix: Matrix, rows: tuple[int, ...], cols: tuple[int, ...], three_term: bool
+) -> Fraction:
+    """``_splitting_residuals`` at the one choice (rows, cols)."""
+    found = _splitting_residuals(matrix, ((rows, cols),), three_term)
+    return found[0][2] if found else Fraction(0)
+
+
+def _splitting_residuals(
+    matrix: Matrix, choices: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], three_term: bool
+) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+    """The nonzero splitting residuals of the square matrix at the ``choices``, in their
+    order, each as (rows, cols, residual).  A choice is r ascending deleted rows and 2r
+    ascending chosen columns, with 2r at most the order; the caller has checked that.
+    Each choice reads its halves from the table once and sums integers: the three-term
+    formula at r = 2 if ``three_term``, else the full signed splitting sum.  Only a
+    nonzero sum becomes a ``Fraction``."""
+    halves = _minors(matrix).halves
+    found = []
+    for rows, cols in choices:
+        q, half = halves(rows, cols)
+        r = len(rows)
+        total = _three_term(half) if three_term and r == 2 else _splitting_sum(r, half)
+        if total:
+            found.append((rows, cols, Fraction(total, q * q)))
+    return found
 
 
 def _checked(

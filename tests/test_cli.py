@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import exactdet.cli as cli
+import exactdet.core as core
 import exactdet.engines as engines
 import exactdet.jacobi as jacobi
 from exactdet import (
@@ -547,6 +548,28 @@ class TestOneMinorTable:
         assert main(["verify", path]) == 0
         assert sum(updates) == self.CELLS[n]
 
+    # each splitting sweep hands its own ascending choices to one batch, so no choice is
+    # read again as an index set; while each went through the single-choice functions,
+    # two index_set calls validated it, 1750 at order 6 and 720 at order 12
+    @pytest.mark.parametrize("n, halves", [(6, 875), (12, 360)])
+    def test_verify_reads_each_choice_once(self, n, halves, write, capsys, monkeypatch):
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        counts = {"index_set": 0, "halves": 0}
+
+        def counter(name, good):
+            def counted(*args):
+                counts[name] += 1
+                return good(*args)
+
+            return counted
+
+        index_set = counter("index_set", core.index_set)
+        for module in (core, engines, jacobi):
+            monkeypatch.setattr(module, "index_set", index_set)
+        monkeypatch.setattr(engines._Minors, "halves", counter("halves", engines._Minors.halves))
+        assert main(["verify", path]) == 0
+        assert counts == {"index_set": 0, "halves": halves}
+
     # a zero principal pivot sends the pairs below it to the table reads: every pair
     # when the diagonal is zero, none on a seeded input; the reports stay the golden ones
     @pytest.mark.parametrize(
@@ -634,9 +657,12 @@ def _wrong_dodgson(matrix):
 class TestFaultInjection:
     """Every family's residual seam and the Dodgson engine must be able to fail a run."""
 
+    # a splitting sweep is one batch, ``_splitting_residuals``, whose every choice sums
+    # its halves with one of two kernels: the three-term formula (three-term, and
+    # pluecker at r = 2) or the full splitting sum (generalized, and pluecker at r = 1)
     SWEEP_SEAMS = [
-        ("minor_three_term_residual", {"three-term", "pluecker"}),
-        ("generalized_pluecker_residual", {"generalized", "pluecker"}),
+        ("_three_term", {"three-term", "pluecker"}),
+        ("_splitting_sum", {"generalized", "pluecker"}),
         ("_jacobi_residuals", {"jacobi"}),
     ]
     SELECTION_SEAMS = [
@@ -653,13 +679,14 @@ class TestFaultInjection:
 
     @staticmethod
     def _break(seam: str, monkeypatch) -> None:
-        """Replace a seam with a stand-in whose every residual is 1.  The Jacobi batch is
-        ``jacobi._jacobi_residuals``, which ``verify_all_jacobi`` reads for the sweep; it
-        maps each pair to one.  The other seams are the CLI's own names."""
+        """Replace a sweep seam in ``jacobi`` with a stand-in whose every residual is
+        nonzero.  The Jacobi batch ``_jacobi_residuals``, which ``verify_all_jacobi``
+        reads, maps each pair to one; each kernel the splitting batch reads sums every
+        choice's halves to one."""
         if seam == "_jacobi_residuals":
             monkeypatch.setattr(jacobi, seam, lambda *args: defaultdict(lambda: Fraction(1)))
         else:
-            monkeypatch.setattr(cli, seam, lambda *args: Fraction(1))
+            monkeypatch.setattr(jacobi, seam, lambda *args: 1)
 
     @pytest.mark.parametrize("seam, families", SWEEP_SEAMS)
     def test_verify_sweep(self, seam, families, write, capsys, monkeypatch):
@@ -786,6 +813,30 @@ class TestFaultInjection:
             records += json.loads(capsys.readouterr().out)["results"]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == "8d6b2f6ffd950cc30cf96884f12510d6829f20e49ef1e747357c5ac834627010"
+
+    # failing reports under the fault, pinned before the splitting sweeps became one
+    # batch that labels only nonzero residuals: the witness labels, their order and
+    # values, and the nonzero= and (+k more) counts; golden digests see passing reports
+    FAILING = {
+        "verify-n6": "1c21c178dd756210c2ce3300745af96d7d3075ff6aedb4e904f54a649df40a8a",
+        "verify-n12": "b4f6093798d8a415a72db1ba7f72e9f0ab12cb279f562ec74630f1ac31b50e87",
+        "fuzz": "9cb78064b54a6c9d03ffa70f756453e6f9d393002f0cd67acb8ba8821892042e",
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_elimination_fault_failing_report_is_pinned(self, case, capsys, monkeypatch):
+        self._odd_fault(monkeypatch)
+        if case == "fuzz":
+            argv = ["fuzz", "--seed", "3", "--trials", "4", "--size-max", "9"]
+        else:
+            n = int(case.removeprefix("verify-n"))
+            matrix = random_matrix(trial_stream(n, 0), n, n, 9)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(emit_matrix_text(matrix)))
+            argv = ["verify", "-", "--json"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "more)" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FAILING[case]
 
     def test_elimination_fault_jacobi_matches_the_minor_formula(self, monkeypatch):
         # the recursion's minors never pass through _bareiss, det A does

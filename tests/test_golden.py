@@ -13,7 +13,11 @@ reader, and that move left every digest unchanged.  The two
 ``verify-json-chain-*`` cases were captured before the splitting halves moved
 into the minor table.  ``verify-json-jacobi-zero-diagonal``,
 ``select-jacobi-n60`` and the two ``verify-*-n1`` cases (no pair to check) were
-captured before Jacobi pairs moved onto recursive principal-pivot eliminations.
+captured before Jacobi pairs moved onto recursive principal-pivot eliminations,
+and ``verify-json-q-n6`` and ``-n9`` (p/q entries) before the splitting sweeps
+became one integer batch.  A passing sweep's report names only the order and the
+residual counts, so these two share their digests with ``verify-json-n6`` and
+``-n9``: they pin that every residual on p/q entries is exactly zero.
 Any change to a report's bytes, its record order or its witness labels shows
 up here.  Error cases pin exit code 2, an empty stdout and
 the diagnostic prefix, not the message text.
@@ -111,6 +115,10 @@ def _verify_cases() -> dict[str, tuple[list[str], str]]:
     for n in (1, 2, 3, 4, 5, 6, 7, 9):
         cases[f"verify-text-n{n}"] = (["verify", "-"], _matrix_text(n))
         cases[f"verify-json-n{n}"] = (["verify", "-", "--json"], _matrix_text(n))
+    for n in (6, 9):
+        cases[f"verify-json-q-n{n}"] = (
+            ["verify", "-", "--json"], emit_matrix_text(_rational(5000 + n, n))
+        )
     cases["verify-json-chain-stops"] = (["verify", "-", "--json"], _stopped_chains_text())
     cases["verify-json-chain-singular-cores"] = (["verify", "-", "--json"], _singular_cores_text())
     cases["verify-json-jacobi-zero-diagonal"] = (
@@ -211,6 +219,8 @@ GOLDEN = {
     "verify-json-n6": (0, "a42bab2cf822d2324e3ac52d308ab8dedb6b854024724a7c08c97882f310f994"),
     "verify-json-n7": (0, "d1dc210a9e9d7503c8968df11e6d89ce88927116c502ee195a0d8e64f64c63cd"),
     "verify-json-n9": (0, "93ccb80119c61250753ae1c4d9b832ce411fd6306add515d6e4487fc8af8b4a0"),
+    "verify-json-q-n6": (0, "a42bab2cf822d2324e3ac52d308ab8dedb6b854024724a7c08c97882f310f994"),
+    "verify-json-q-n9": (0, "93ccb80119c61250753ae1c4d9b832ce411fd6306add515d6e4487fc8af8b4a0"),
     "verify-json-chain-stops": (0, "3210d97c31899c2f1def69f75302d9a3cb75af65506f3a140be7260f8a65d699"),
     "verify-json-chain-singular-cores": (0, "426c57d91ff74cf37c1c0d9c33d194c53e47f5253f17c46caf057904df46e9f3"),
     "verify-json-jacobi-zero-diagonal": (0, "e0c348ad6cee0d1719b9894f0a253330718b6ef862068abdba4c2464cefa11ed"),
