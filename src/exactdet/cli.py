@@ -131,30 +131,31 @@ def _sampled_index_set(gen: SplitMix64, n: int, size: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _choices(
-    name: str, n: int, gen: SplitMix64
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every index choice a sweep of a splitting family checks: r rows and 2r columns
-    per splitting order r, all of them up to EXHAUSTIVE_LIMIT, SAMPLE_COUNT seeded draws
-    per order beyond."""
-    for r in _SPLITTINGS[name]:
-        if 2 * r > n:
-            return
-        if n <= EXHAUSTIVE_LIMIT:
-            indices = range(1, n + 1)
-            yield from product(combinations(indices, r), combinations(indices, 2 * r))
-        else:
-            for _ in range(SAMPLE_COUNT):
-                yield _sampled_index_set(gen, n, r), _sampled_index_set(gen, n, 2 * r)
+def _choices(r: int, n: int, gen: SplitMix64) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every index choice of splitting order r a sweep checks at order n: r rows and 2r
+    columns, all of them up to EXHAUSTIVE_LIMIT, SAMPLE_COUNT seeded draws beyond."""
+    if n <= EXHAUSTIVE_LIMIT:
+        indices = range(1, n + 1)
+        return list(product(combinations(indices, r), combinations(indices, 2 * r)))
+    return [
+        (_sampled_index_set(gen, n, r), _sampled_index_set(gen, n, 2 * r))
+        for _ in range(SAMPLE_COUNT)
+    ]
+
+
+def _three_term_at(name: str, r: int) -> bool:
+    """Whether a splitting family checks order r through the signed three-term formula:
+    ``three-term`` and ``pluecker`` do at r = 2, every other order and every order of
+    ``generalized`` takes the full signed splitting sum."""
+    return r == 2 and name != "generalized"
 
 
 def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    """A single selection's residual: the Jacobi pair (rows[0], cols[0]), an order-2
-    splitting of ``three-term`` and ``pluecker`` through the signed three-term formula,
-    every other splitting through the full signed splitting sum."""
+    """A single selection's residual: the Jacobi pair (rows[0], cols[0]), or a splitting
+    through the formula ``_three_term_at`` picks."""
     if name == "jacobi":
         return jacobi_residual(matrix, rows[0], cols[0])
-    if name != "generalized" and len(rows) == 2:
+    if _three_term_at(name, len(rows)):
         return minor_three_term_residual(matrix, rows, cols)
     return generalized_pluecker_residual(matrix, rows, cols)
 
@@ -162,22 +163,25 @@ def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
     """The number of residuals one family's sweep checks, and its nonzero ones.  The
     Jacobi sweep is ``verify_all_jacobi``, every ordered pair from one batch; a 1 x 1
-    matrix has no pair, so it checks none.  A splitting family's sweep is one batch too,
-    ``_splitting_residuals`` over all its choices, with the three-term formula at r = 2
-    but for ``generalized``; only a nonzero residual gets a witness label."""
+    matrix has no pair, so it checks none.  A splitting family's sweep is one batch per
+    order r, ``_splitting_residuals`` over all its choices through the formula
+    ``_three_term_at`` picks; only a nonzero residual gets a witness label."""
     if name == "jacobi":
         if matrix.rows < 2:
             return 0, []
         report = verify_all_jacobi(matrix)
         witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
         return report.residuals_checked, witnesses
-    choices = list(_choices(name, matrix.rows, gen))
-    found = _splitting_residuals(matrix, choices, three_term=name != "generalized")
-    witnesses = []
-    for rows, cols, res in found:
-        where = f"rows={rows} cols={cols}"
-        witnesses.append((where if name == "three-term" else f"r={len(rows)} {where}", res))
-    return len(choices), witnesses
+    checked, witnesses = 0, []
+    for r in _SPLITTINGS[name]:
+        if 2 * r > matrix.rows:
+            break
+        choices = _choices(r, matrix.rows, gen)
+        checked += len(choices)
+        for rows, cols, res in _splitting_residuals(matrix, choices, _three_term_at(name, r)):
+            where = f"rows={rows} cols={cols}"
+            witnesses.append((where if name == "three-term" else f"r={r} {where}", res))
+    return checked, witnesses
 
 
 def _sweep_record(name: str, matrix: Matrix, gen: SplitMix64) -> dict:

@@ -13,11 +13,11 @@ Two families, both over the matrix's one minor table:
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
   times its column-append sign, and the table serves all of one choice's halves
-  (``_Minors.halves``).  One batch, ``_splitting_residuals``, evaluates a list
-  of choices on those integer halves: the full signed splitting sum, or at r = 2
-  the three-term formula.  The CLI's splitting sweeps are that batch, and
-  ``generalized_pluecker_residual`` and ``minor_three_term_residual`` are it
-  applied to one validated choice.
+  (``_Minors.halves``).  One step, ``_choice_sum``, sums one choice's
+  integer halves: the full signed splitting sum, or at r = 2 the three-term
+  formula.  ``generalized_pluecker_residual`` and ``minor_three_term_residual``
+  are that step on one validated choice; the CLI's splitting sweeps run it over
+  all of an order's choices as one batch, ``_splitting_residuals``.
 
 Both sum integers: the table gives each minor as an integer over the product of
 its kept rows' multipliers, and every product in one residual keeps the same rows
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from .core import Matrix, _Record, index_set
 from .engines import _minors
@@ -137,7 +137,8 @@ def minor_three_term_residual(
     rows, quad = _checked(matrix, row_pair, cols)
     if len(rows) != 2:
         raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {len(rows)}")
-    return _one(matrix, rows, quad, three_term=True)
+    q, total = _choice_sum(_minors(matrix).halves, rows, quad, three_term=True)
+    return Fraction(total, q * q)
 
 
 def generalized_pluecker_residual(
@@ -149,32 +150,36 @@ def generalized_pluecker_residual(
     raw-index sign prefactor of the signed-cofactor reading is a constant across terms
     and is deliberately not reproduced."""
     rows, cols = _checked(matrix, del_rows, chosen_cols)
-    return _one(matrix, rows, cols, three_term=False)
+    q, total = _choice_sum(_minors(matrix).halves, rows, cols, three_term=False)
+    return Fraction(total, q * q)
 
 
-def _one(
-    matrix: Matrix, rows: tuple[int, ...], cols: tuple[int, ...], three_term: bool
-) -> Fraction:
-    """``_splitting_residuals`` at the one choice (rows, cols)."""
-    found = _splitting_residuals(matrix, ((rows, cols),), three_term)
-    return found[0][2] if found else Fraction(0)
+def _choice_sum(
+    halves: Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, Mapping[tuple[int, ...], int]]],
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    three_term: bool,
+) -> tuple[int, int]:
+    """One choice's residual as (q, total), the residual being total / q^2: its halves
+    read from the table once (``halves`` is ``_Minors.halves``) and summed as integers,
+    by the three-term formula if ``three_term`` (the caller's r = 2 choice), else by the
+    full signed splitting sum."""
+    q, half = halves(rows, cols)
+    return q, _three_term(half) if three_term else _splitting_sum(len(rows), half)
 
 
 def _splitting_residuals(
     matrix: Matrix, choices: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], three_term: bool
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
     """The nonzero splitting residuals of the square matrix at the ``choices``, in their
-    order, each as (rows, cols, residual).  A choice is r ascending deleted rows and 2r
-    ascending chosen columns, with 2r at most the order; the caller has checked that.
-    Each choice reads its halves from the table once and sums integers: the three-term
-    formula at r = 2 if ``three_term``, else the full signed splitting sum.  Only a
-    nonzero sum becomes a ``Fraction``."""
+    order, each as (rows, cols, residual): ``_choice_sum`` over one minor table.
+    A choice is r ascending deleted rows and 2r ascending chosen columns, with 2r at most
+    the order, and r = 2 if ``three_term``; the caller has checked that.  Only a nonzero
+    sum becomes a ``Fraction``."""
     halves = _minors(matrix).halves
     found = []
     for rows, cols in choices:
-        q, half = halves(rows, cols)
-        r = len(rows)
-        total = _three_term(half) if three_term and r == 2 else _splitting_sum(r, half)
+        q, total = _choice_sum(halves, rows, cols, three_term)
         if total:
             found.append((rows, cols, Fraction(total, q * q)))
     return found

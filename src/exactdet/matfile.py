@@ -19,8 +19,8 @@ from .core import Matrix, _parse_count, _quote, format_scalar, parse_scalar, sca
 
 def _shaped(rows, cols, body, convert) -> Matrix:
     """The rows x cols matrix whose body is a list of entry lists, each
-    entry converted by convert, each distinct string or int entry once; the
-    one shape check for both formats."""
+    entry converted by convert, each distinct string entry once; the one
+    shape check for both formats."""
     if any(not isinstance(dim, int) or isinstance(dim, bool) or dim < 1 for dim in (rows, cols)):
         shown = f"{_quote(rows)} {_quote(cols)}"
         raise ValueError(f"matrix dimensions must be positive integers, got {shown}")
@@ -34,8 +34,7 @@ def _shaped(rows, cols, body, convert) -> Matrix:
     seen: dict = {}
 
     def entry(value):
-        # a bool or a float equal to an int would share its key
-        if type(value) is not str and type(value) is not int:
+        if not isinstance(value, str):
             return convert(value)
         if value not in seen:
             seen[value] = convert(value)
@@ -57,16 +56,9 @@ def parse_matrix_text(text: str) -> Matrix:
 
 
 def parse_matrix_json(text: str) -> Matrix:
-    literals: dict[str, int] = {}
-
-    def integer(literal: str) -> int:
-        # integer literals obey the scalar digit limit too; each distinct one is read once
-        if literal not in literals:
-            literals[literal] = parse_scalar(literal).numerator
-        return literals[literal]
-
     try:
-        data = json.loads(text, parse_int=integer)
+        # integer literals obey the scalar digit limit too
+        data = json.loads(text, parse_int=lambda literal: parse_scalar(literal).numerator)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON matrix: {exc}") from None
     if not isinstance(data, dict):

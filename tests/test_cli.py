@@ -657,7 +657,7 @@ def _wrong_dodgson(matrix):
 class TestFaultInjection:
     """Every family's residual seam and the Dodgson engine must be able to fail a run."""
 
-    # a splitting sweep is one batch, ``_splitting_residuals``, whose every choice sums
+    # a splitting sweep is one batch per order, ``_splitting_residuals``, whose every choice sums
     # its halves with one of two kernels: the three-term formula (three-term, and
     # pluecker at r = 2) or the full splitting sum (generalized, and pluecker at r = 1)
     SWEEP_SEAMS = [
