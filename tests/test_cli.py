@@ -167,6 +167,28 @@ class TestDet:
             " recursion limit allows\n"
         )
 
+    @pytest.mark.skipif(not engines._can_split(), reason="no os.fork or fewer than two usable CPUs")
+    def test_split_elimination_reports_once(self):
+        # the worker leaves through os._exit, so it never flushes the stdout it inherits
+        n = engines._SPLIT_MIN_ORDER
+        matrix = random_matrix(trial_stream(n, 0), n, n, 9)
+        text = f"{n} {n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in matrix.entries)
+        argv = ["det", "-", "--engine", "bareiss", "--json"]
+        serial = (
+            "import sys\nfrom exactdet import engines\nfrom exactdet.cli import main\n"
+            f"engines._SPLIT_MIN_ORDER = sys.maxsize\nsys.exit(main({argv!r}))"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        runs = [
+            subprocess.run(command, input=text, capture_output=True, text=True, env=env)
+            for command in ([sys.executable, "-m", "exactdet", *argv], [sys.executable, "-c", serial])
+        ]
+        assert [(run.returncode, run.stderr) for run in runs] == [(0, "")] * 2
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.count('"command"') == 1
+
     def test_largest_printable_value_prints(self, write, capsys):
         big = "7" * 4300
         assert main(["det", write(f"1 1\n{big}\n")]) == 0

@@ -1,5 +1,7 @@
+import os
 import random
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -630,3 +632,131 @@ class TestRationalMinors:
                         residuals.append(got)
         assert len(residuals) == 560
         assert any(residuals)
+
+
+def _serial(rows):
+    """The one-process elimination of a copy of ``rows``."""
+    sign, last = engines._reduce([row[:] for row in rows], len(rows), 1)
+    return sign * last
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_split = pytest.mark.skipif(
+    not engines._can_split(), reason="no os.fork or fewer than two usable CPUs"
+)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every fresh elimination of order 2 or more splits; the forks made are counted."""
+    monkeypatch.setattr(engines, "_SPLIT_MIN_ORDER", 2)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+# (rows, determinant, or None for the Laplace oracle's): a zero leading pivot at step 0
+# (the caller's column) and at step 1 (the worker's); no pivot in column 0, and none in
+# column 1 once column 0 is eliminated; the identity; J - I, whose determinant is
+# (-1)^(n-1) (n-1); a circulant with a zero diagonal
+SPECIAL = [
+    ([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 1, 2], [3, 4, 5, 7]], None),
+    ([[1, 2, 3, 4], [2, 4, 5, 6], [3, 7, 1, 2], [4, 1, 5, 9]], None),
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+    ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 0),
+    ([[int(i == j) for j in range(12)] for i in range(12)], 1),
+    ([[int(i != j) for j in range(9)] for i in range(9)], 8),
+    ([[(i - j) % 5 for j in range(7)] for i in range(7)], None),
+]
+
+
+@needs_split
+class TestSplitElimination:
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equals_serial(self, split, n, rational):
+        matrix = seeded_rational(n, n) if rational else seeded(n, n)
+        _, rows = engines._integer_rows(matrix)
+        assert engines._bareiss([row[:] for row in rows]) == _serial(rows)
+        assert split == [os.getpid()]
+        _no_child_left()
+
+    @pytest.mark.parametrize("rows, det", SPECIAL)
+    def test_special_matrices(self, split, rows, det):
+        value = engines._bareiss([row[:] for row in rows])
+        assert len(split) == 1
+        _no_child_left()
+        assert value == _serial(rows)
+        assert value == (det_laplace(Matrix.from_rows(rows)) if det is None else det)
+
+    @pytest.mark.parametrize("n", range(2, ORACLE_ORDER + 1))
+    def test_det_matches_laplace(self, split, n):
+        matrix = seeded_rational(40 + n, n)
+        assert det_bareiss(matrix) == det_laplace(matrix)
+        assert len(split) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_caller_exception_kills_and_reaps_the_worker(self, split, monkeypatch, error):
+        caller = os.getpid()
+        receive = engines._receive
+        calls = []
+
+        def failing(fd):
+            if os.getpid() == caller:
+                calls.append(fd)
+                if len(calls) == 3:
+                    raise error("receive failed")
+            return receive(fd)
+
+        monkeypatch.setattr(engines, "_receive", failing)
+        _, rows = engines._integer_rows(seeded(7, 12))
+        with pytest.raises(error, match="receive failed"):
+            engines._bareiss([row[:] for row in rows])
+        assert len(calls) == 3
+        _no_child_left()
+
+    def test_worker_exit_fails_the_caller(self, split, monkeypatch):
+        caller = os.getpid()
+        send = engines._send
+
+        def dying(fd, column):
+            if os.getpid() != caller:
+                os._exit(1)
+            send(fd, column)
+
+        monkeypatch.setattr(engines, "_send", dying)
+        _, rows = engines._integer_rows(seeded(8, 12))
+        with pytest.raises(OSError, match="other process of a split elimination exited"):
+            engines._bareiss([row[:] for row in rows])
+        _no_child_left()
+
+
+def test_split_waits_for_a_lone_thread(monkeypatch):
+    # a forked child would hold only the calling thread, so no fork while another runs
+    monkeypatch.setattr(engines, "_SPLIT_MIN_ORDER", 2)
+
+    def refuse():
+        raise AssertionError("forked while a second thread was alive")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    _, rows = engines._integer_rows(seeded(9, 12))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert engines._bareiss([row[:] for row in rows]) == _serial(rows)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
