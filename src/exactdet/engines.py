@@ -23,12 +23,16 @@ interior to ``_bareiss``; it visits blocks in the order of a memoized recursion 
 drops a block once the block it is the interior of has condensed, so O(n^2) blocks
 are live, not ~n^3/3.  All engines agree exactly.
 
-Every fresh elimination (a minor, ``det_bareiss``, a Dodgson fallback block) goes
-through ``_bareiss``.  From order ``_SPLIT_MIN_ORDER`` up it runs on two processes
-when ``os.fork`` exists, two CPUs are usable and no other thread runs: a forked worker
-takes every other column, and the two send each other the next pivot column over a
-pipe, so the value is the serial one bit for bit.  The pair recursion (``_pairs``),
-the splitting cores and the halves' finishes always run serially.
+A fresh minor (``det_bareiss`` among them) is eliminated in ``_Minors.__missing__``,
+the one place that may split an elimination across two processes: from order
+``_SPLIT_MIN_ORDER`` = 64 up, when ``os.fork`` exists, two CPUs are usable and no other
+thread runs, a forked worker takes every other column, and the two send each other the
+next pivot column over one socket pair, so the value is the serial one bit for bit
+(``_split``).  Every other elimination is serial: Dodgson's fallback blocks
+(``_bareiss``), the splitting cores, the halves' finishes and the pair recursion
+(``_pairs``).  The split stays rather than Bareiss's two-step elimination alone, which
+was bit-identical but slower on the benchmark's large determinants (about 4.45 against
+5.2 operations per second on 2 vCPUs) and peaked higher (19.4 against 17.8 MB RSS).
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -181,7 +185,8 @@ class _Minors(dict):
 
     def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
         q, work = self._slice(*key)
-        value = self[key] = _bareiss(work), q
+        split = len(work) >= _SPLIT_MIN_ORDER and _can_split()
+        value = self[key] = _split(work) if split else _bareiss(work), q
         return value
 
     def halves(
@@ -352,21 +357,14 @@ def _bareiss(work: list[list[int]], prev: int = 1) -> int:
     the last pivot ``prev`` of the core elimination (``halves``) that ``work`` was sliced
     from, it finishes that slice's elimination instead and returns the slice's
     determinant, det(work) / prev^(order - 1).  A zero pivot swaps rows with sign
-    tracking, and a pivotless column gives 0.
-
-    A fresh elimination (``prev`` 1) of order ``_SPLIT_MIN_ORDER`` or more runs on two
-    processes when it can (``_can_split``): ``_split`` forks a worker, and the two
-    deal the columns between them (``_deal``), leaving ``work`` as it was.  The value
-    is ``_reduce``'s bit for bit.  Smaller slices and finishes stay serial, and so do
-    the pair recursion (``_pairs``) and the splitting cores, which call ``_eliminate``
-    and ``_reduce`` directly."""
-    if prev == 1 and len(work) >= _SPLIT_MIN_ORDER and _can_split():
-        return _split(work)
+    tracking, and a pivotless column gives 0.  Always serial, for Dodgson's fallback
+    blocks and the halves' finishes too: only a fresh minor of order
+    ``_SPLIT_MIN_ORDER`` or more splits instead (``_Minors.__missing__``)."""
     sign, prev = _reduce(work, len(work), prev)
     return sign * prev
 
 
-# the least order whose fresh elimination ``_bareiss`` splits across two processes.
+# the least order of a fresh minor that ``_Minors.__missing__`` splits in two processes.
 # Measured on 2 vCPUs (medians of 10 alternating pairs): the split took 1.49x the
 # serial time at order 40, 0.91x at 48, 0.77x at 60, 0.78x at 64 and 0.56x at 150,
 # faster in 10 of 10 pairs from 56 up; below 64 it saves at most a few milliseconds
@@ -388,50 +386,48 @@ def _can_split() -> bool:
 def _split(work: list[list[int]]) -> int:
     """``_bareiss(work)`` on two processes.  The forked worker eliminates the odd
     columns and the caller the even ones (``_deal``), each sending the other the
-    columns it needs over a pipe.  The worker leaves only through ``os._exit``, so it
-    never returns into the caller's frames or flushes inherited stdio, and it exits at
-    its first pipe read or write after the caller is gone.  The caller reaps it on
-    every path, killing it first when it leaves on an exception."""
-    from_caller, to_worker = os.pipe()
-    from_worker, to_caller = os.pipe()
-    try:
+    columns it needs over one socket pair.  The worker leaves only through
+    ``os._exit``, so it never returns into the caller's frames or flushes inherited
+    stdio, and it exits at its first read or write after the caller is gone.  The
+    caller reaps it on every path, killing it first when it leaves on an exception,
+    and raises ``OSError`` when the worker is gone early (end of stream, a reset or a
+    broken pipe)."""
+    import socket
+
+    caller, worker = socket.socketpair()
+    with caller, worker:
         pid = os.fork()
-    except OSError:
-        for fd in (to_worker, from_caller, from_worker, to_caller):
-            os.close(fd)
-        raise
-    if pid == 0:
-        code = 1
+        if pid == 0:
+            code = 1
+            try:
+                caller.close()
+                _deal(work, 1, worker.makefile("rb"), worker)
+                code = 0
+            finally:
+                os._exit(code)
+        worker.close()
         try:
-            os.close(to_worker)
-            os.close(from_worker)
-            _deal(work, 1, from_caller, to_caller)
-            code = 0
+            with caller.makefile("rb") as reader:
+                return _deal(work, 0, reader, caller)
+        except (EOFError, ConnectionError):
+            raise OSError("the other process of a split elimination exited") from None
+        except BaseException:
+            import signal  # only this path needs it, and it takes a millisecond to import
+
+            os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            os._exit(code)
-    try:
-        os.close(from_caller)
-        os.close(to_caller)
-        return _deal(work, 0, from_worker, to_worker)
-    except BaseException:
-        import signal  # only this path needs it, and it takes a millisecond to import
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(to_worker)
-        os.close(from_worker)
-        os.waitpid(pid, 0)
+            os.waitpid(pid, 0)
 
 
-def _deal(work: list[list[int]], first: int, receive: int, send: int) -> int:
+def _deal(work: list[list[int]], first: int, reader, peer) -> int:
     """One side of ``_split``: ``_reduce``'s steps on the columns ``first``, ``first``
     + 2, ... of ``work``, copied out and each held from the pivot row down.  At step k
-    the side that owns column k has it; the other reads it from the pipe ``receive``
-    (column 0 both sides copy).  Both then pick the same row swap from it, and each
-    updates its own columns, column k + 1 first: its owner writes that one to ``send``
-    as soon as it is done.  Returns the signed last pivot, 0 if a column has no
-    pivot, as both sides find it."""
+    the side that owns column k has it; the other reads it from ``reader`` (column 0
+    both sides copy).  Both then pick the same row swap from it, and each updates its
+    own columns, column k + 1 first: its owner sends that one to ``peer`` as soon as it
+    is done.  Returns the signed last pivot, 0 if a column has no pivot, as both sides
+    find it."""
     n = len(work)
     own = {j: [row[j] for row in work] for j in range(first, n, 2)}
     column = [row[0] for row in work]
@@ -440,7 +436,7 @@ def _deal(work: list[list[int]], first: int, receive: int, send: int) -> int:
         if k in own:
             column = own.pop(k)
         elif k:
-            column = _receive(receive)
+            column = _receive(reader)
         if column[0] == 0:
             swap = next((i for i, x in enumerate(column) if x), 0)
             if not swap:
@@ -454,32 +450,27 @@ def _deal(work: list[list[int]], first: int, receive: int, send: int) -> int:
             head = c[0]
             c = own[j] = [(x * pivot - f * head) // prev for x, f in zip(c[1:], factors)]
             if j == k + 1:
-                _send(send, c)
+                _send(peer, c)
         prev = pivot
     return sign * prev
 
 
-def _send(fd: int, column: list[int]) -> None:
-    """Write ``column`` to the pipe ``fd``: the length of its ``marshal`` encoding in 8
-    bytes, then the encoding."""
+def _send(peer, column: list[int]) -> None:
+    """Send ``column`` to the socket ``peer``: the length of its ``marshal`` encoding in
+    8 bytes, then the encoding."""
     data = marshal.dumps(column)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view) :]
+    peer.sendall(len(data).to_bytes(8, "little") + data)
 
 
-def _receive(fd: int) -> list[int]:
-    """Read one column that ``_send`` wrote to the pipe ``fd``."""
+def _receive(reader) -> list[int]:
+    """Read one column that ``_send`` sent, from the buffered ``reader`` of a socket;
+    ``EOFError`` if the other side is gone, before the column or inside it."""
 
     def read(size: int) -> bytes:
-        chunks = []
-        while size:
-            chunk = os.read(fd, size)
-            if not chunk:
-                raise OSError("the other process of a split elimination exited")
-            chunks.append(chunk)
-            size -= len(chunk)
-        return b"".join(chunks)
+        data = reader.read(size)
+        if len(data) < size:
+            raise EOFError
+        return data
 
     return marshal.loads(read(int.from_bytes(read(8), "little")))
 

@@ -1,3 +1,4 @@
+import marshal
 import os
 import random
 import sys
@@ -652,7 +653,7 @@ needs_split = pytest.mark.skipif(
 
 @pytest.fixture
 def split(monkeypatch):
-    """Every fresh elimination of order 2 or more splits; the forks made are counted."""
+    """Every fresh minor of order 2 or more splits; the forks made are counted."""
     monkeypatch.setattr(engines, "_SPLIT_MIN_ORDER", 2)
     forks = []
     fork = os.fork
@@ -687,13 +688,13 @@ class TestSplitElimination:
     def test_equals_serial(self, split, n, rational):
         matrix = seeded_rational(n, n) if rational else seeded(n, n)
         _, rows = engines._integer_rows(matrix)
-        assert engines._bareiss([row[:] for row in rows]) == _serial(rows)
+        assert engines._split([row[:] for row in rows]) == _serial(rows)
         assert split == [os.getpid()]
         _no_child_left()
 
     @pytest.mark.parametrize("rows, det", SPECIAL)
     def test_special_matrices(self, split, rows, det):
-        value = engines._bareiss([row[:] for row in rows])
+        value = engines._split([row[:] for row in rows])
         assert len(split) == 1
         _no_child_left()
         assert value == _serial(rows)
@@ -722,7 +723,7 @@ class TestSplitElimination:
         monkeypatch.setattr(engines, "_receive", failing)
         _, rows = engines._integer_rows(seeded(7, 12))
         with pytest.raises(error, match="receive failed"):
-            engines._bareiss([row[:] for row in rows])
+            engines._split([row[:] for row in rows])
         assert len(calls) == 3
         _no_child_left()
 
@@ -738,7 +739,39 @@ class TestSplitElimination:
         monkeypatch.setattr(engines, "_send", dying)
         _, rows = engines._integer_rows(seeded(8, 12))
         with pytest.raises(OSError, match="other process of a split elimination exited"):
-            engines._bareiss([row[:] for row in rows])
+            engines._split([row[:] for row in rows])
+        _no_child_left()
+
+    @pytest.mark.parametrize("seam", ["_send", "_receive"])
+    def test_worker_exit_mid_transfer_fails_the_caller(self, split, monkeypatch, seam):
+        # the worker exits after a column's 8-byte length but before its body, or at its
+        # first read: the caller's next read meets a reset, or its send a broken pipe
+        caller = os.getpid()
+        good = getattr(engines, seam)
+
+        def dying(*args):
+            if os.getpid() != caller:
+                if seam == "_send":
+                    peer, column = args
+                    peer.sendall(len(marshal.dumps(column)).to_bytes(8, "little"))
+                os._exit(1)
+            return good(*args)
+
+        monkeypatch.setattr(engines, seam, dying)
+        _, rows = engines._integer_rows(seeded(8, 12))
+        with pytest.raises(OSError, match="other process of a split elimination exited"):
+            engines._split([row[:] for row in rows])
+        _no_child_left()
+
+    def test_only_a_fresh_minor_forks(self, split):
+        # Dodgson's fallback blocks, the halves' core elimination and finishes stay serial
+        assert det_dodgson(Matrix.identity(6)).value == 1
+        vectors = [(1, 2), (3, 5), (7, 4), (2, 9)]
+        assert three_term_residual(Matrix(2, 0, ((), ())), *vectors) == 0
+        assert split == []
+        matrix = seeded_rational(47, 6)
+        assert det_bareiss(matrix) == det_laplace(matrix)
+        assert split == [os.getpid()]
         _no_child_left()
 
 
@@ -750,12 +783,13 @@ def test_split_waits_for_a_lone_thread(monkeypatch):
         raise AssertionError("forked while a second thread was alive")
 
     monkeypatch.setattr(os, "fork", refuse)
-    _, rows = engines._integer_rows(seeded(9, 12))
+    matrix = seeded(9, 12)
+    _, rows = engines._integer_rows(matrix)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert engines._bareiss([row[:] for row in rows]) == _serial(rows)
+        assert engines._Minors(matrix)[(), ()] == (_serial(rows), 1)
     finally:
         release.set()
         thread.join(timeout=10)
