@@ -35,6 +35,12 @@ def _quote(value: object) -> str:
     return shown + "..." if cut else shown
 
 
+def _quote_indices(indices: tuple[int, ...]) -> str:
+    """How a diagnostic quotes an index tuple: as its repr, each index by ``_quote``."""
+    shown = ", ".join(map(_quote, indices))
+    return f"({shown},)" if len(indices) == 1 else f"({shown})"
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a canonical Fraction.
 
@@ -99,10 +105,10 @@ def index_set(indices: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(indices))
     for x in out:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"index sets hold positive integers, got {x!r}")
+            raise ValueError(f"index sets hold positive integers, got {_quote(x)}")
     for a, b in zip(out, out[1:]):
         if a == b:
-            raise ValueError(f"duplicate index {a} in index set")
+            raise ValueError(f"duplicate index {_quote(a)} in index set")
     return out
 
 

@@ -16,8 +16,9 @@ choice, that leaves an r x 2r block; each finishes as the r x r elimination of i
 columns of that block.  The five minors of a Jacobi pair {i, j} need no slice of
 their own: eliminating every other index with principal pivots leaves them in a 2 x 2
 block over its last pivot, and one recursion over halves of the indices serves every
-pair in O(n^3) cell updates (``_Minors.pairs``), writing them back; a zero pivot falls
-back to the table reads.
+pair in O(n^3) cell updates (``_Minors.pairs``), which only writes them into the table;
+``_Minors.pair`` reads a pair's five minors, and eliminates as fresh slices those a zero
+pivot left unwritten.
 ``det_dodgson`` condenses the table's own cleared rows and hands a block with a zero
 interior to ``_bareiss``; it visits blocks in the order of a memoized recursion but
 drops a block once the block it is the interior of has condensed, so O(n^2) blocks
@@ -49,7 +50,7 @@ from itertools import combinations, product
 from math import lcm, prod
 from typing import Iterable
 
-from .core import Matrix, _Record, index_set
+from .core import Matrix, _quote_indices, _Record, index_set
 
 
 class DodgsonResult(_Record):
@@ -147,7 +148,7 @@ class _Minors(dict):
     on the deleted rows alone.  An index past the matrix deletes nothing, so the counts
     expose it (IndexError).  ``halves`` reads, signs and finishes the half-determinants
     of one splitting choice, and writes back as minors those it had to compute;
-    ``pairs`` eliminates the five minors of Jacobi pairs, and writes them back too.
+    ``pairs`` writes the five minors of Jacobi pairs, and ``pair`` reads them.
 
     The table keeps the cleared integer rows.  A minor and a core elimination each copy
     their own slice of them (``_slice``) and eliminate it; nothing mutates the rows, so
@@ -171,13 +172,13 @@ class _Minors(dict):
         keep_cols = [j for j in range(n_cols) if j + 1 not in drop_cols]
         if len(keep_rows) + len(drop_rows) + len(keep_cols) + len(drop_cols) != n_rows + n_cols:
             raise IndexError(
-                f"rows {drop_rows} or columns {drop_cols} out of range for "
-                f"the {n_rows}x{n_cols} matrix"
+                f"rows {_quote_indices(drop_rows)} or columns {_quote_indices(drop_cols)} out of "
+                f"range for the {n_rows}x{n_cols} matrix"
             )
         if len(keep_rows) - len(keep_cols) != len(chosen) // 2:
             raise ValueError(
-                f"the {n_rows}x{n_cols} matrix minus rows {drop_rows}, "
-                f"columns {drop_cols} is not square"
+                f"the {n_rows}x{n_cols} matrix minus rows {_quote_indices(drop_rows)}, "
+                f"columns {_quote_indices(drop_cols)} is not square"
             )
         cols = keep_cols + [c - 1 for c in chosen]
         work = [[row[j] for j in cols] for row in [self.rows[i] for i in keep_rows]]
@@ -239,8 +240,11 @@ class _Minors(dict):
         return q, half
 
     def pair(self, i: int, j: int) -> tuple[int, ...]:
-        """The five minors of the pair {i, j} as ``pairs`` gives them, read from the table
-        (so an index past the matrix raises its IndexError)."""
+        """The five minors of the pair {i, j}, (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}, q_i *
+        q_j): integers as the table holds them, and the one denominator of a product that
+        keeps every row twice but i and j once.  The one reader of a pair's minors: those
+        ``pairs`` wrote are read back, any other is eliminated as a fresh slice (so an
+        index past the matrix raises its IndexError)."""
         m_ij, q_i = self[(i,), (j,)]
         m_ji, q_j = self[(j,), (i,)]
         pair = (i, j) if i < j else (j, i)
@@ -249,26 +253,23 @@ class _Minors(dict):
         m_jj, _ = self[(j,), (j,)]
         return m_ii, m_jj, m_ij, m_ji, m_pair, q_i * q_j
 
-    def pairs(self, indices: tuple[int, ...]) -> dict[tuple[int, int], tuple]:
-        """The five minors of each pair i < j of the ascending ``indices``: (i, j) ->
-        (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}, q_i * q_j), integers as the table holds them,
-        and the one denominator of a product that keeps every row twice but i and j once.
-        Recursive principal-pivot elimination (Griffin & Tsatsomeros, "Principal minors,
-        Part I", 2006, fraction-free): an index set splits in halves, and each half, and
-        the two halves together, get a copy of the block with every index outside them
-        eliminated, down to a 2 x 2 block over the last pivot p.  A principal pivot order
-        permutes rows and columns alike, so p is M_{ij,ij}, the diagonal M_jj and M_ii,
-        and the off-diagonal M_ji and M_ij times (-1)^(i+j+1), each bit for bit the last
-        step of its slice's own elimination (Sylvester's identity): O(n^3) cell updates
-        for all pairs.  A single pair (i, j) is one leaf: its halves (i,) and (j,) hold no
-        pair, so it is one elimination of every other index.  Leaves write their minors
-        back; a zero pivot sends the pairs below it to the table reads (``pair``)."""
-        found: dict[tuple[int, int], tuple] = {}
+    def pairs(self, indices: tuple[int, ...]) -> None:
+        """Write the five minors of each pair i < j of the ascending ``indices`` into the
+        table, for ``pair`` to read.  Recursive principal-pivot elimination (Griffin &
+        Tsatsomeros, "Principal minors, Part I", 2006, fraction-free): an index set splits
+        in halves, and each half, and the two halves together, get a copy of the block
+        with every index outside them eliminated, down to a 2 x 2 block over the last
+        pivot p.  A principal pivot order permutes rows and columns alike, so p is
+        M_{ij,ij}, the diagonal M_jj and M_ii, and the off-diagonal M_ji and M_ij times
+        (-1)^(i+j+1), each bit for bit the last step of its slice's own elimination
+        (Sylvester's identity): O(n^3) cell updates for all pairs.  A single pair (i, j)
+        is one leaf: its halves (i,) and (j,) hold no pair, so it is one elimination of
+        every other index.  A zero pivot writes nothing for the pairs below it; ``pair``
+        eliminates their minors as fresh slices."""
         every = tuple(range(1, self.n_rows + 1))
-        self._pairs(every, self.rows, 1, (indices,), prod(self.mults), found)
-        return found
+        self._pairs(every, self.rows, 1, (indices,), prod(self.mults))
 
-    def _pairs(self, ix, block, prev, parts, total, found) -> None:
+    def _pairs(self, ix, block, prev, parts, total) -> None:
         """``pairs`` on the block over indices ``ix`` with last pivot ``prev``, for the
         pairs inside the one part of ``parts`` or across its two; ``total`` is the
         product of every row's multiplier."""
@@ -281,7 +282,6 @@ class _Minors(dict):
             keys = ((i,), (i,)), ((j,), (j,)), ((i,), (j,)), ((j,), (i,)), ((i, j), (i, j))
             for key, value, q in zip(keys, five, (q_i, q_j, q_i, q_j, q_i // self.mults[j - 1])):
                 self.setdefault(key, (value, q))
-            found[i, j] = (*five, q_i * q_j)
             return
         halves = [(p[: len(p) // 2], p[len(p) // 2 :]) if len(p) > 1 else (p,) for p in parts]
         if len(parts) == 1:
@@ -294,20 +294,16 @@ class _Minors(dict):
             if len(keep) < 2:
                 continue
             if len(keep) == len(ix):
-                self._pairs(ix, block, prev, child, total, found)
-            else:
-                order = [p for p, x in enumerate(ix) if x not in keep]
-                drop = len(order)
-                order += [p for p, x in enumerate(ix) if x in keep]
-                work = [[block[r][c] for c in order] for r in order]
-                reached, last = _eliminate(work, 0, drop, prev)
-                if reached == drop:
-                    kept = tuple(ix[p] for p in order[drop:])
-                    work = [row[drop:] for row in work[drop:]]
-                    self._pairs(kept, work, last, child, total, found)
-                else:
-                    wanted = combinations(*child, 2) if len(child) == 1 else product(*child)
-                    found.update({(i, j): self.pair(i, j) for i, j in wanted})
+                self._pairs(ix, block, prev, child, total)
+                continue
+            order = [p for p, x in enumerate(ix) if x not in keep]
+            drop = len(order)
+            order += [p for p, x in enumerate(ix) if x in keep]
+            work = [[block[r][c] for c in order] for r in order]
+            reached, last = _eliminate(work, 0, drop, prev)
+            if reached == drop:
+                kept = tuple(ix[p] for p in order[drop:])
+                self._pairs(kept, [row[drop:] for row in work[drop:]], last, child, total)
 
 
 def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int, int]:

@@ -4,11 +4,12 @@ Two families, both over the matrix's one minor table:
 
 * the two-by-two minor identity
   ``M_ii * M_jj - M_ij * M_ji = comp(A; {i,j}, {i,j}) * det A`` on unsigned minors:
-  the minors of every pair of an index set come from one recursive principal-pivot
-  elimination (``_Minors.pairs``): all indices for ``verify_all_jacobi``, which the
-  CLI's sweep reads, and the pair itself for ``jacobi_residual``, the one-leaf case;
-  det A is the table's own elimination in index order, so each residual compares two
-  elimination orders,
+  one recursive principal-pivot elimination (``_Minors.pairs``) writes the minors of
+  every pair of an index set into the table: all indices for ``verify_all_jacobi``,
+  which the CLI's sweep reads, and the pair itself for ``jacobi_residual``, the
+  one-leaf case; each pair's minors are then read back (``_Minors.pair``), which
+  eliminates those a zero pivot left unwritten.  det A is the table's own elimination
+  in index order, so each residual compares two elimination orders,
 * the splitting relations over r deleted rows and 2r chosen columns.  Deleting
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
@@ -33,7 +34,7 @@ never a property of the input matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Mapping
 
 from .core import Matrix, _Record, index_set
@@ -86,17 +87,20 @@ def _jacobi_residuals(
     matrix: Matrix, indices: tuple[int, ...] = ()
 ) -> dict[tuple[int, int], Fraction]:
     """The residual of each pair i < j of the ascending ``indices`` (by default every
-    pair), from one recursion (``_Minors.pairs``); a single pair (i, j) is its one-leaf
-    case.  A residual is symmetric in i and j, so it serves both ordered pairs."""
+    pair): one recursion (``_Minors.pairs``) writes their minors into the table, a single
+    pair (i, j) being its one-leaf case, and each pair's are read back (``_Minors.pair``).
+    A residual is symmetric in i and j, so it serves both ordered pairs."""
     table = _minors(matrix)
-    minors = table.pairs(indices or tuple(range(1, matrix.rows + 1)))
+    indices = indices or tuple(range(1, matrix.rows + 1))
+    table.pairs(indices)
     # det A is the table's own elimination in index order, so each residual compares two
     # elimination orders; each product keeps every row twice but i and j once
     det, _ = table[(), ()]
-    return {
-        pair: Fraction(m_ii * m_jj - m_ij * m_ji - m_pair * det, q)
-        for pair, (m_ii, m_jj, m_ij, m_ji, m_pair, q) in minors.items()
-    }
+    residuals = {}
+    for pair in combinations(indices, 2):
+        m_ii, m_jj, m_ij, m_ji, m_pair, q = table.pair(*pair)
+        residuals[pair] = Fraction(m_ii * m_jj - m_ij * m_ji - m_pair * det, q)
+    return residuals
 
 
 def verify_all_jacobi(matrix: Matrix) -> IdentityReport:

@@ -11,6 +11,7 @@ across implementations:
 * trial stream:  trial t (0-based) of seed s starts from
                  state0 = (mix64(s mod 2^64) + t) mod 2^64
 * bounded ints:  uniform in [lo, hi] by rejection: with m = hi - lo + 1,
+                 m <= 2^64 (a wider range is refused with ValueError),
                  draw 64-bit u until u < 2^64 - (2^64 mod m), return
                  lo + (u mod m)
 * matrices:      entries are drawn row-major; where a size is random it is
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Matrix
+from .core import Matrix, _quote
 from .pfaffian import AntisymmetricMatrix
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -48,10 +49,13 @@ class SplitMix64:
         return mix64(self.state)
 
     def next_int(self, lo: int, hi: int) -> int:
-        """Uniform integer in the inclusive range [lo, hi]."""
+        """Uniform integer in the inclusive range [lo, hi], of at most 2^64 values: past
+        that, 2^64 - (2^64 mod span) is 0 and would reject every draw."""
         if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+            raise ValueError(f"empty range [{_quote(lo)}, {_quote(hi)}]")
         span = hi - lo + 1
+        if span > 1 << 64:
+            raise ValueError(f"range [{_quote(lo)}, {_quote(hi)}] holds more than 2^64 values")
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             u = self.next_u64()

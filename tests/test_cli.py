@@ -328,13 +328,14 @@ class TestVerify:
         assert "malformed index list" in captured.err
 
     def test_longest_index_reaches_the_range_check(self, write, capsys):
-        # 4300 digits pass the index grammar; one more is malformed (above)
+        # 4300 digits pass the index grammar; one more is malformed (above).  The range
+        # check's diagnostic quotes the index cut to 20 characters
         path = write(emit_matrix_text(random_matrix(trial_stream(6, 0), 6, 6, 9)))
         longest = "9" * 4300
         assert main(["verify", path, "--identity", "jacobi", "--pair", f"{longest},2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"exactdet: error: rows ({longest},) ")
+        assert captured.err.startswith(f"exactdet: error: rows ({'9' * 20}...,) ")
         assert "out of range" in captured.err
 
     def test_index_list_allows_surrounding_whitespace(self, write, capsys):
@@ -592,8 +593,9 @@ class TestOneMinorTable:
         assert main(["verify", path]) == 0
         assert counts == {"index_set": 0, "halves": halves}
 
-    # a zero principal pivot sends the pairs below it to the table reads: every pair
-    # when the diagonal is zero, none on a seeded input; the reports stay the golden ones
+    # a zero principal pivot leaves the pairs below it unwritten, and the table reads
+    # (``_Minors.pair``) eliminate their minors as fresh slices: every pair when the
+    # diagonal is zero, none on a seeded input; the reports stay the golden ones
     @pytest.mark.parametrize(
         "case, fallbacks",
         [
@@ -605,18 +607,18 @@ class TestOneMinorTable:
     )
     def test_zero_pivots_fall_back_to_the_table(self, case, fallbacks, capsys, monkeypatch):
         argv, text = CASES[case]
-        good = engines._Minors.pair
-        pairs = []
+        good = engines._Minors.pairs
+        unwritten = []
 
-        def counted(table, i, j):
-            pairs.append((i, j))
-            return good(table, i, j)
+        def counted(table, indices):
+            good(table, indices)
+            unwritten.extend(p for p in combinations(indices, 2) if (p, p) not in table)
 
-        monkeypatch.setattr(engines._Minors, "pair", counted)
+        monkeypatch.setattr(engines._Minors, "pairs", counted)
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code = main(argv)
         assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == GOLDEN[case]
-        assert len(pairs) == len(set(pairs)) == fallbacks
+        assert len(unwritten) == len(set(unwritten)) == fallbacks
 
     def test_embed_minors(self, write, capsys, monkeypatch):
         # det, 25 first minors and 10 principal double minors

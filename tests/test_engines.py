@@ -466,9 +466,9 @@ class TestSharedPrefixes:
 
 
 class TestPrincipalPairs:
-    """The five minors of every pair from the Jacobi recursion, over the whole sweep and
-    as the one-leaf case of a single pair, and every minor it writes back, equal a fresh
-    table's, over the same denominator, bit for bit."""
+    """The Jacobi recursion writes the five minors of every pair, over the whole sweep
+    and as the one-leaf case of a single pair, and every minor it writes, and every pair
+    read back, equals a fresh table's, over the same denominator, bit for bit."""
 
     @staticmethod
     def _inputs(n):
@@ -485,18 +485,43 @@ class TestPrincipalPairs:
         for other in (zero_diagonal, leading_zero, trailing_zero, singular):
             yield Matrix.from_rows(other)
 
+    @staticmethod
+    def _keys(i, j):
+        return ((i,), (i,)), ((j,), (j,)), ((i,), (j,)), ((j,), (i,)), ((i, j), (i, j))
+
     @pytest.mark.parametrize("n", range(2, 15))
-    def test_match_a_fresh_table(self, n):
+    def test_match_a_fresh_table(self, n, monkeypatch):
+        # right after ``pairs``, before any read: a recursion that met no zero pivot
+        # (``_eliminate`` reached every step it was asked for) has written the five
+        # minors of each of its pairs; the identity never meets one
+        good = engines._eliminate
+        stopped = []
+
+        def watched(work, k, stop, prev):
+            reached, last = good(work, k, stop, prev)
+            stopped.append(reached < stop)
+            return reached, last
+
+        monkeypatch.setattr(engines, "_eliminate", watched)
+        every = tuple(range(1, n + 1))
         for m in self._inputs(n):
             fresh = engines._Minors(m)
             swept = engines._Minors(m)
             single = engines._Minors(m)
-            sweep = swept.pairs(tuple(range(1, n + 1)))
-            assert sorted(sweep) == list(combinations(range(1, n + 1), 2))
-            for i, j in sweep:
+            stopped.clear()
+            assert swept.pairs(every) is None
+            assert any(stopped) or all(
+                key in swept for i, j in combinations(every, 2) for key in self._keys(i, j)
+            )
+            assert m != Matrix.identity(n) or not any(stopped)
+            assert all(fresh[key] == value for key, value in swept.items())
+            for i, j in combinations(every, 2):
+                stopped.clear()
+                single.pairs((i, j))
+                assert any(stopped) or all(key in single for key in self._keys(i, j)), (i, j)
                 expected = fresh.pair(i, j)
-                assert sweep[i, j] == expected, (i, j)
-                assert single.pairs((i, j)) == {(i, j): expected}, (i, j)
+                assert swept.pair(i, j) == expected, (i, j)
+                assert single.pair(i, j) == expected, (i, j)
             for table in (swept, single):
                 assert all(fresh[key] == value for key, value in table.items())
 

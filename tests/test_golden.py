@@ -19,8 +19,8 @@ became one integer batch.  A passing sweep's report names only the order and the
 residual counts, so these two share their digests with ``verify-json-n6`` and
 ``-n9``: they pin that every residual on p/q entries is exactly zero.
 Any change to a report's bytes, its record order or its witness labels shows
-up here.  Error cases pin exit code 2, an empty stdout and
-the diagnostic prefix, not the message text.
+up here.  Error cases pin exit code 2, an empty stdout, the diagnostic prefix
+and one stderr line under 200 bytes, not the message text.
 """
 
 import hashlib
@@ -170,7 +170,12 @@ CASES: dict[str, tuple[list[str], str]] = {
     "embed-minors-q-n4": (["embed", "-", "--minors"], emit_matrix_text(_rational(3004, 4))),
 }
 
-# inputs that must be refused with exit code 2 before any report is printed
+# an index or bound of 4300 digits (the count grammar's limit), and one of 21 digits
+_LONG = "9" * 4300
+_PAST_2_64 = "1" + "0" * 20
+
+# inputs that must be refused with exit code 2 before any report is printed, in one
+# short stderr line: a diagnostic quotes at most 20 characters of any index or bound
 ERRORS: dict[str, tuple[list[str], str]] = {
     "det-non-square": (["det", "-"], "2 3\n1 2 3\n4 5 6\n"),
     "verify-non-square": (["verify", "-"], "2 3\n1 2 3\n4 5 6\n"),
@@ -180,6 +185,25 @@ ERRORS: dict[str, tuple[list[str], str]] = {
     "malformed-scalar": (["det", "-"], "1 1\n1.5\n"),
     "selection-without-identity": (["verify", "-", "--pair", "1,2"], _matrix_text(3)),
     "fuzz-zero-trials": (["fuzz", "--seed", "1", "--trials", "0"], ""),
+    # a draw over more than 2^64 values is refused, not rejected forever
+    "fuzz-entry-bound-past-2^64": (
+        ["fuzz", "--seed", "1", "--trials", "1", "--entry-bound", _PAST_2_64], ""
+    ),
+    "fuzz-size-max-past-2^64": (
+        ["fuzz", "--seed", "1", "--trials", "1", "--size-max", _PAST_2_64], ""
+    ),
+    "select-jacobi-long-index": (
+        ["verify", "-", "--identity", "jacobi", "--pair", f"1,{_LONG}"], _matrix_text(3)
+    ),
+    "select-generalized-long-index": (
+        ["verify", "-", "--identity", "generalized", "--rows", _LONG, "--cols", "1,2"],
+        _matrix_text(3),
+    ),
+    "select-three-term-long-duplicate": (
+        ["verify", "-", "--identity", "three-term"]
+        + ["--rows", "1,2", "--cols", f"1,2,{_LONG},{_LONG}"],
+        _matrix_text(6),
+    ),
 }
 
 # case -> (exit code, SHA-256 of stdout)
@@ -273,3 +297,4 @@ def test_error_exits_2_with_empty_stdout(name, capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("exactdet: error: ")
     assert err.count("\n") == 1
+    assert len(err.encode()) < 200

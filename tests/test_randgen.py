@@ -64,6 +64,14 @@ def test_different_trials_differ():
     assert a != b
 
 
+def test_draws_span_at_most_2_to_the_64():
+    # a span of exactly 2^64 rejects no draw; one more value would reject them all
+    assert SplitMix64(3).next_int(0, MASK) == SplitMix64(3).next_u64()
+    assert SplitMix64(3).next_int(-(1 << 63), (1 << 63) - 1) == SplitMix64(3).next_u64() - (1 << 63)
+    with pytest.raises(ValueError, match=re.escape("range [0, 18446744073709551616] holds more")):
+        SplitMix64(3).next_int(0, 1 << 64)
+
+
 @pytest.mark.parametrize(
     "call, fragment",
     [
