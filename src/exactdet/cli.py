@@ -60,9 +60,14 @@ LAPLACE_LIMIT = 7  # largest order fed to the Laplace oracle
 
 IDENTITY_NAMES = ("jacobi", "three-term", "generalized", "pluecker")
 
-# splitting orders r (r rows, 2r columns) per row-and-column family: the
-# orders a sweep covers and the only ones a single selection accepts
-_SPLITTINGS = {"three-term": (2,), "generalized": (1, 2, 3), "pluecker": (1, 2)}
+# splitting orders r (r rows, 2r columns) per row-and-column family, the orders a sweep
+# covers and the only ones a single selection accepts, each mapped to its formula: True
+# for the signed three-term formula, False for the full signed splitting sum
+_SPLITTINGS = {
+    "three-term": {2: True},
+    "generalized": {1: False, 2: False, 3: False},
+    "pluecker": {1: False, 2: True},
+}
 
 Witness = tuple[str, Fraction]
 
@@ -143,29 +148,12 @@ def _choices(r: int, n: int, gen: SplitMix64) -> list[tuple[tuple[int, ...], tup
     ]
 
 
-def _three_term_at(name: str, r: int) -> bool:
-    """Whether a splitting family checks order r through the signed three-term formula:
-    ``three-term`` and ``pluecker`` do at r = 2, every other order and every order of
-    ``generalized`` takes the full signed splitting sum."""
-    return r == 2 and name != "generalized"
-
-
-def _residual(name: str, matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    """A single selection's residual: the Jacobi pair (rows[0], cols[0]), or a splitting
-    through the formula ``_three_term_at`` picks."""
-    if name == "jacobi":
-        return jacobi_residual(matrix, rows[0], cols[0])
-    if _three_term_at(name, len(rows)):
-        return minor_three_term_residual(matrix, rows, cols)
-    return generalized_pluecker_residual(matrix, rows, cols)
-
-
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
     """The number of residuals one family's sweep checks, and its nonzero ones.  The
     Jacobi sweep is ``verify_all_jacobi``, every ordered pair from one batch; a 1 x 1
     matrix has no pair, so it checks none.  A splitting family's sweep is one batch per
     order r, ``_splitting_residuals`` over all its choices through the formula
-    ``_three_term_at`` picks; only a nonzero residual gets a witness label."""
+    ``_SPLITTINGS`` names; only a nonzero residual gets a witness label."""
     if name == "jacobi":
         if matrix.rows < 2:
             return 0, []
@@ -173,12 +161,12 @@ def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witnes
         witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
         return report.residuals_checked, witnesses
     checked, witnesses = 0, []
-    for r in _SPLITTINGS[name]:
+    for r, three_term in _SPLITTINGS[name].items():
         if 2 * r > matrix.rows:
             break
         choices = _choices(r, matrix.rows, gen)
         checked += len(choices)
-        for rows, cols, res in _splitting_residuals(matrix, choices, _three_term_at(name, r)):
+        for rows, cols, res in _splitting_residuals(matrix, choices, three_term):
             where = f"rows={rows} cols={cols}"
             witnesses.append((where if name == "three-term" else f"r={r} {where}", res))
     return checked, witnesses
@@ -293,8 +281,8 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
         pair = _parse_indices(args.pair)
         if len(pair) != 2:
             raise ValueError("--pair needs exactly two indices")
-        rows, cols = pair[:1], pair[1:]
         operands = f"n={matrix.rows} i={pair[0]} j={pair[1]}"
+        residual = jacobi_residual(matrix, *pair)
     else:
         if args.pair is not None or args.rows is None or args.cols is None:
             raise ValueError(f"{name} selection takes --rows and --cols")
@@ -304,7 +292,9 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
         orders = _SPLITTINGS[name]
         if len(rows) not in orders or len(cols) != 2 * len(rows):
             raise ValueError(f"{name} selection needs r rows and 2r columns, r in {set(orders)}")
-    return _residual_record(name, operands, _residual(name, matrix, rows, cols))
+        check = minor_three_term_residual if orders[len(rows)] else generalized_pluecker_residual
+        residual = check(matrix, rows, cols)
+    return _residual_record(name, operands, residual)
 
 
 def _cmd_pfaffian(args: argparse.Namespace) -> dict:

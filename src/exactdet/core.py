@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import log10
 from typing import Iterable, Sequence, Union
 
 Scalar = Fraction
@@ -26,10 +27,15 @@ _TOO_MANY_DIGITS = 10**MAX_SCALAR_DIGITS  # the least integer with more digits
 
 def _quote(value: object) -> str:
     """How a diagnostic quotes input: the repr of text cut to its first 20 characters, or
-    the first 20 characters of any other value's repr, with "..." marking a cut."""
+    the first 20 characters of any other value's repr, with "..." marking a cut.  An int
+    of more than 256 bits is read from its leading 40 or so digits, the same first 20
+    characters, because the interpreter refuses to convert one past 4300 digits."""
     if isinstance(value, str):
         shown, cut = repr(value[:20]), len(value) > 20
     else:
+        if type(value) is int and value.bit_length() > 256:
+            lead = abs(value) // 10 ** (int(log10(abs(value))) - 40)
+            value = lead if value > 0 else -lead
         shown = repr(value)
         shown, cut = shown[:20], len(shown) > 20
     return shown + "..." if cut else shown

@@ -4,21 +4,21 @@
 ``Fraction`` cofactor expansion memoized by column subset (exponential, n * 2^(n-1)
 products; the CLI stops it at n=7).  Every other determinant and minor comes from
 ``_minors``, one table per matrix that clears its denominators once (the one call of
-``_integer_rows``) and caches each minor as an integer elimination over the product of
-its kept rows' multipliers.  ``complementary_minor`` is the one public accessor that
-reads it: ``det_bareiss``, ``first_minor`` and ``signed_cofactor`` delegate to it and
-inherit its index checks, and it builds one ``Fraction`` from the pair; the residual
-kernels combine the integers themselves.  A minor copies its slice of the cleared rows
-and eliminates it (``_Minors._slice``).  The table alone serves the half-determinants
-det(core | r of the 2r chosen columns) of a splitting choice (``_Minors.halves``): each
-is a signed minor, and those it lacks share one core elimination, run at most once per
-choice, that leaves an r x 2r block; each finishes as the r x r elimination of its
-columns of that block.  The five minors of a Jacobi pair {i, j} need no slice of
-their own: eliminating every other index with principal pivots leaves them in a 2 x 2
-block over its last pivot, and one recursion over halves of the indices serves every
-pair in O(n^3) cell updates (``_Minors.pairs``), which only writes them into the table;
-``_Minors.pair`` reads a pair's five minors, and eliminates as fresh slices those a zero
-pivot left unwritten.
+``_integer_rows``) and caches each minor as the integer elimination of its slice, over
+one denominator that only ``_Minors.q`` computes.  ``complementary_minor`` is the one
+public accessor that reads it: ``det_bareiss``, ``first_minor`` and ``signed_cofactor``
+delegate to it and inherit its index checks, and it builds one ``Fraction``; the
+residual kernels combine the integers themselves.  A minor copies its slice of the
+cleared rows and eliminates it (``_Minors._slice``).  The table alone serves the
+half-determinants det(core | r of the 2r chosen columns) of a splitting choice
+(``_Minors.halves``): each is a signed minor, and those it lacks share one core
+elimination, run at most once per choice, that leaves an r x 2r block; each finishes as
+the r x r elimination of its columns of that block.  The five minors of a Jacobi pair
+{i, j} need no slice of their own: eliminating every other index with principal pivots
+leaves them in a 2 x 2 block over its last pivot, and one recursion over halves of the
+indices serves every pair in O(n^3) cell updates (``_Minors.pairs``), which only writes
+them into the table; ``_Minors.pair`` reads a pair's five minors, and eliminates as
+fresh slices those a zero pivot left unwritten.
 ``det_dodgson`` condenses the table's own cleared rows and hands a block with a zero
 interior to ``_bareiss``; it visits blocks in the order of a memoized recursion but
 drops a block once the block it is the interior of has condensed, so O(n^2) blocks
@@ -143,12 +143,12 @@ def _minors(matrix: Matrix) -> _Minors:
 
 class _Minors(dict):
     """A matrix's minor table.  ``table[drop_rows, drop_cols]`` deletes those ascending
-    1-based rows and columns and is the pair (integer elimination of the slice, product
-    of its kept rows' multipliers), whose quotient is the minor; the denominator depends
-    on the deleted rows alone.  An index past the matrix deletes nothing, so the counts
-    expose it (IndexError).  ``halves`` reads, signs and finishes the half-determinants
-    of one splitting choice, and writes back as minors those it had to compute;
-    ``pairs`` writes the five minors of Jacobi pairs, and ``pair`` reads them.
+    1-based rows and columns and is the integer elimination of the slice; the minor is
+    that integer over ``q(drop_rows)``, which depends on the deleted rows alone.  An
+    index past the matrix deletes nothing, so the counts expose it (IndexError).
+    ``halves`` reads, signs and finishes the half-determinants of one splitting choice,
+    and writes back as minors those it had to compute; ``pairs`` writes the five minors
+    of Jacobi pairs, and ``pair`` reads them.
 
     The table keeps the cleared integer rows.  A minor and a core elimination each copy
     their own slice of them (``_slice``) and eliminate it; nothing mutates the rows, so
@@ -160,13 +160,17 @@ class _Minors(dict):
         self.n_rows = matrix.rows
         self.n_cols = matrix.cols
 
+    def q(self, drop_rows: tuple[int, ...]) -> int:
+        """The denominator of every minor that deletes ``drop_rows``: the product of the
+        kept rows' multipliers."""
+        return prod(m for i, m in enumerate(self.mults, 1) if i not in drop_rows)
+
     def _slice(
         self, drop_rows: tuple[int, ...], drop_cols: tuple[int, ...], chosen: tuple[int, ...] = ()
-    ) -> tuple[int, list[list[int]]]:
-        """The kept rows' product of multipliers, and a fresh copy of the kept rows (all
-        but ``drop_rows``) over the kept columns (all but ``drop_cols``) with the
-        ``chosen`` columns appended.  Each half of the slice, r of the chosen columns
-        appended to the kept ones, must be square."""
+    ) -> list[list[int]]:
+        """A fresh copy of the kept rows (all but ``drop_rows``) over the kept columns (all
+        but ``drop_cols``) with the ``chosen`` columns appended.  Each half of the slice, r
+        of the chosen columns appended to the kept ones, must be square."""
         n_rows, n_cols = self.n_rows, self.n_cols
         keep_rows = [i for i in range(n_rows) if i + 1 not in drop_rows]
         keep_cols = [j for j in range(n_cols) if j + 1 not in drop_cols]
@@ -181,13 +185,12 @@ class _Minors(dict):
                 f"columns {_quote_indices(drop_cols)} is not square"
             )
         cols = keep_cols + [c - 1 for c in chosen]
-        work = [[row[j] for j in cols] for row in [self.rows[i] for i in keep_rows]]
-        return prod(self.mults[i] for i in keep_rows), work
+        return [[row[j] for j in cols] for row in [self.rows[i] for i in keep_rows]]
 
-    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
-        q, work = self._slice(*key)
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        work = self._slice(*key)
         split = len(work) >= _SPLIT_MIN_ORDER and _can_split()
-        value = self[key] = _split(work) if split else _bareiss(work), q
+        value = self[key] = _split(work) if split else _bareiss(work)
         return value
 
     def halves(
@@ -197,20 +200,19 @@ class _Minors(dict):
 
         The core deletes ``drop_rows`` and all 2r chosen ``cols``.  Returns (q, half):
         ``half[positions]`` = q * det(core | the chosen columns at those positions) as an
-        integer, and q the kept rows' product of multipliers, which every half shares, so
-        any product of two halves is an integer over q^2.  Each half is the minor that
-        deletes the rows and the other chosen columns, times the column-append sign
-        (-1)^#{(x, y) : x a core column, y appended, x > y}, and is read from the table.
-        Halves the table lacks share one core elimination: the slice of the kept rows
-        over the core columns with the chosen ones appended (``_slice``), eliminated over
-        the core columns only, swapping rows at a zero pivot (every half is 0 if a core
-        column has no pivot).  Each entry of the r x 2r block left under the chosen
-        columns is a bordered minor of the core that reads one chosen column, and the
-        core steps and swaps do not depend on which r chosen columns are appended; so
-        each half finishes as the r x r elimination of its columns of that block, bit
-        for bit, and goes back into the table as a minor.  Each position set is read
-        once: in a splitting sum it is the left side of one term and the right of
-        another."""
+        integer, and q = ``q(drop_rows)``, which every half shares, so any product of two
+        halves is an integer over q^2.  Each half is the minor that deletes the rows and
+        the other chosen columns, times the column-append sign (-1)^#{(x, y) : x a core
+        column, y appended, x > y}, and is read from the table.  Halves the table lacks
+        share one core elimination: the slice of the kept rows over the core columns
+        with the chosen ones appended (``_slice``), eliminated over the core columns
+        only, swapping rows at a zero pivot (every half is 0 if a core column has no
+        pivot).  Each entry of the r x 2r block left under the chosen columns is a
+        bordered minor of the core that reads one chosen column, and the core steps and
+        swaps do not depend on which r chosen columns are appended; so each half
+        finishes as the r x r elimination of its columns of that block, bit for bit, and
+        goes back into the table as a minor.  Each position set is read once: in a
+        splitting sum it is the left side of one term and the right of another."""
         r = len(cols) // 2
         # the chosen column at position p has n - c_p columns after it, 2r - p of them
         # chosen: the positions that flip the sign an odd number of times
@@ -227,31 +229,31 @@ class _Minors(dict):
             if found is None:
                 missing.append((left, key, sign))
             else:
-                value, q = found
-                half[left] = sign * value
+                half[left] = sign * found
         if missing:
-            q, work = self._slice(drop_rows, cols, cols)
+            work = self._slice(drop_rows, cols, cols)
             depth = len(work) - r
             swaps, prev = _reduce(work, depth, 1)
             for left, key, append_sign in missing:
                 columns = [[row[depth + p - 1] for p in left] for row in work[depth:]]
                 value = half[left] = swaps * _bareiss(columns, prev) if swaps else 0
-                self[key] = append_sign * value, q
-        return q, half
+                self[key] = append_sign * value
+        return self.q(drop_rows), half
 
     def pair(self, i: int, j: int) -> tuple[int, ...]:
         """The five minors of the pair {i, j}, (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}, q_i *
-        q_j): integers as the table holds them, and the one denominator of a product that
-        keeps every row twice but i and j once.  The one reader of a pair's minors: those
-        ``pairs`` wrote are read back, any other is eliminated as a fresh slice (so an
-        index past the matrix raises its IndexError)."""
-        m_ij, q_i = self[(i,), (j,)]
-        m_ji, q_j = self[(j,), (i,)]
+        q_j): integers as the table holds them, and ``q((i,)) * q((j,))``, the one
+        denominator of a product that keeps every row twice but i and j once.  The one
+        reader of a pair's minors: those ``pairs`` wrote are read back, any other is
+        eliminated as a fresh slice (so an index past the matrix raises its IndexError
+        before any ``q``)."""
+        m_ij = self[(i,), (j,)]
+        m_ji = self[(j,), (i,)]
         pair = (i, j) if i < j else (j, i)
-        m_pair, _ = self[pair, pair]
-        m_ii, _ = self[(i,), (i,)]
-        m_jj, _ = self[(j,), (j,)]
-        return m_ii, m_jj, m_ij, m_ji, m_pair, q_i * q_j
+        m_pair = self[pair, pair]
+        m_ii = self[(i,), (i,)]
+        m_jj = self[(j,), (j,)]
+        return m_ii, m_jj, m_ij, m_ji, m_pair, self.q((i,)) * self.q((j,))
 
     def pairs(self, indices: tuple[int, ...]) -> None:
         """Write the five minors of each pair i < j of the ascending ``indices`` into the
@@ -267,21 +269,19 @@ class _Minors(dict):
         every other index.  A zero pivot writes nothing for the pairs below it; ``pair``
         eliminates their minors as fresh slices."""
         every = tuple(range(1, self.n_rows + 1))
-        self._pairs(every, self.rows, 1, (indices,), prod(self.mults))
+        self._pairs(every, self.rows, 1, (indices,))
 
-    def _pairs(self, ix, block, prev, parts, total) -> None:
+    def _pairs(self, ix, block, prev, parts) -> None:
         """``pairs`` on the block over indices ``ix`` with last pivot ``prev``, for the
-        pairs inside the one part of ``parts`` or across its two; ``total`` is the
-        product of every row's multiplier."""
+        pairs inside the one part of ``parts`` or across its two."""
         if len(ix) == 2:
             (a, b), (c, d) = block
             i, j = ix
-            q_i, q_j = total // self.mults[i - 1], total // self.mults[j - 1]
             sign = (-1) ** (i + j + 1)
             five = (d, a, sign * c, sign * b, prev)
             keys = ((i,), (i,)), ((j,), (j,)), ((i,), (j,)), ((j,), (i,)), ((i, j), (i, j))
-            for key, value, q in zip(keys, five, (q_i, q_j, q_i, q_j, q_i // self.mults[j - 1])):
-                self.setdefault(key, (value, q))
+            for key, value in zip(keys, five):
+                self.setdefault(key, value)
             return
         halves = [(p[: len(p) // 2], p[len(p) // 2 :]) if len(p) > 1 else (p,) for p in parts]
         if len(parts) == 1:
@@ -294,7 +294,7 @@ class _Minors(dict):
             if len(keep) < 2:
                 continue
             if len(keep) == len(ix):
-                self._pairs(ix, block, prev, child, total)
+                self._pairs(ix, block, prev, child)
                 continue
             order = [p for p, x in enumerate(ix) if x not in keep]
             drop = len(order)
@@ -303,7 +303,7 @@ class _Minors(dict):
             reached, last = _eliminate(work, 0, drop, prev)
             if reached == drop:
                 kept = tuple(ix[p] for p in order[drop:])
-                self._pairs(kept, [row[drop:] for row in work[drop:]], last, child, total)
+                self._pairs(kept, [row[drop:] for row in work[drop:]], last, child)
 
 
 def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int, int]:
@@ -524,12 +524,13 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
     central minor of size s-2 (det of the 0x0 block is 1).  The recursion visits
     contiguous blocks of the matrix's minor table's cleared rows (``_minors``), the
     rows every minor is sliced from, so each division is an exact ``//`` and the value
-    is over the product of the table's multipliers; a block with a zero interior goes
-    to ``_bareiss`` on a copy of its rows instead, and the first such fallback is
-    recorded.  Neither ``_Blocks`` nor the table writes to those rows.  Each block is
-    computed once and dropped once the block it is the interior of has condensed
-    (``_Blocks``), so at most O(n^2) blocks are live.  Each level of the recursion nests a frame; an
-    order too deep for the interpreter's recursion limit raises ValueError.
+    is over the table's ``q(())``, the product of all its multipliers; a block with a
+    zero interior goes to ``_bareiss`` on a copy of its rows instead, and the first such
+    fallback is recorded.  Neither ``_Blocks`` nor the table writes to those rows.  Each
+    block is computed once and dropped once the block it is the interior of has
+    condensed (``_Blocks``), so at most O(n^2) blocks are live.  Each level of the
+    recursion nests a frame; an order too deep for the interpreter's recursion limit
+    raises ValueError.
     """
     n = _require_square(matrix)
     if n < 1:
@@ -542,19 +543,22 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
         raise ValueError(
             f"condensation of order {n} nests deeper than the recursion limit allows"
         ) from None
-    return DodgsonResult(Fraction(value, prod(minors.mults)), table.depth > 0, table.depth)
+    return DodgsonResult(Fraction(value, minors.q(())), table.depth > 0, table.depth)
 
 
 def complementary_minor(
     matrix: Matrix, rows: Iterable[int], cols: Iterable[int]
 ) -> Fraction:
-    """Unsigned minor from the matrix's ``_minors`` table, deleting a row and a column set.
+    """Unsigned minor from the matrix's ``_minors`` table, deleting a row and a column set:
+    the table's integer over its ``q`` of the deleted rows.
 
     Deleting nothing gives det(A), everything 1 (empty determinant convention).
     The sets must have equal size; an index past the matrix raises IndexError.
     """
     _require_square(matrix)
-    return Fraction(*_minors(matrix)[index_set(rows), index_set(cols)])
+    table = _minors(matrix)
+    drop_rows = index_set(rows)
+    return Fraction(table[drop_rows, index_set(cols)], table.q(drop_rows))
 
 
 def first_minor(matrix: Matrix, i: int, j: int) -> Fraction:

@@ -20,11 +20,11 @@ Two families, both over the matrix's one minor table:
   are that step on one validated choice; the CLI's splitting sweeps run it over
   all of an order's choices as one batch, ``_splitting_residuals``.
 
-Both sum integers: the table gives each minor as an integer over the product of
-its kept rows' multipliers, and every product in one residual keeps the same rows
-with the same multiplicity (each row twice but i and j once for the two-by-two
-identity; the core rows twice for a splitting), so all its products share one
-denominator and one ``Fraction`` is built per residual.
+Both sum integers: the table holds each minor as an integer over ``_Minors.q`` of its
+deleted rows, the product of its kept rows' multipliers, and every product in one
+residual keeps the same rows with the same multiplicity (each row twice but i and j
+once for the two-by-two identity; the core rows twice for a splitting), so all its
+products share one denominator and one ``Fraction`` is built per residual.
 
 Every function returns the residual as an exact Scalar so callers assert
 zero themselves; a nonzero residual always signals an implementation bug,
@@ -95,7 +95,7 @@ def _jacobi_residuals(
     table.pairs(indices)
     # det A is the table's own elimination in index order, so each residual compares two
     # elimination orders; each product keeps every row twice but i and j once
-    det, _ = table[(), ()]
+    det = table[(), ()]
     residuals = {}
     for pair in combinations(indices, 2):
         m_ii, m_jj, m_ij, m_ji, m_pair, q = table.pair(*pair)

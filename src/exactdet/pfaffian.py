@@ -199,11 +199,14 @@ def embedding_labels(n: int) -> tuple[str, ...]:
 
 def _parse_label(label: str, n: int) -> tuple[int, bool]:
     """(i, starred) for a label ``i`` or ``i*``, i in 1..n read as headers and index lists are."""
+    error = f"malformed label {_quote(label)}"
+    if not isinstance(label, str):
+        raise ValueError(error)
     text = label.strip()
     starred = text.endswith("*")
     if starred:
         text = text[:-1]
-    idx = _parse_count(text, f"malformed label {_quote(label)}")
+    idx = _parse_count(text, error)
     if not 1 <= idx <= n:
         raise ValueError(f"label {_quote(label)} out of range for order {n}")
     return idx, starred

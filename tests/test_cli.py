@@ -620,6 +620,34 @@ class TestOneMinorTable:
         assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == GOLDEN[case]
         assert len(unwritten) == len(set(unwritten)) == fallbacks
 
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_table_writers_store_plain_minors(self, n, write, capsys, monkeypatch):
+        # the three writers of a minor table, a fresh minor (``__missing__``), the halves'
+        # write-back and the Jacobi recursion's leaves, each store the integer alone: the
+        # minor is that integer over ``q`` of its deleted rows
+        gen = trial_stream(800 + n, 0)
+        entries = [Fraction(gen.next_int(-9, 9), gen.next_int(1, 9)) for _ in range(n * n)]
+        matrix = Matrix.from_rows([entries[k : k + n] for k in range(0, n * n, n)])
+        written = defaultdict(set)
+        for name in ("__missing__", "halves", "pairs"):
+            def recorded(table, *args, good=getattr(engines._Minors, name), name=name):
+                before = set(table)
+                result = good(table, *args)
+                written[name].update(set(table) - before)
+                return result
+
+            monkeypatch.setattr(engines._Minors, name, recorded)
+        assert main(["verify", write(emit_matrix_text(matrix))]) == 0
+        held, table = engines._held
+        assert held == matrix
+        assert set(table) == set().union(*written.values())
+        assert all(written[name] for name in ("__missing__", "pairs"))
+        assert bool(written["halves"]) == (n >= 4)
+        for (rows, cols), value in table.items():
+            assert type(value) is int, (rows, cols)
+            minor = det_laplace(submatrix_delete(matrix, rows, cols))
+            assert Fraction(value, table.q(rows)) == minor, (rows, cols)
+
     def test_embed_minors(self, write, capsys, monkeypatch):
         # det, 25 first minors and 10 principal double minors
         path = write(emit_matrix_text(random_matrix(trial_stream(5, 0), 5, 5, 9)))
@@ -697,6 +725,37 @@ class TestFaultInjection:
         ("minor_three_term_residual", ["pluecker", "--rows", "1,2", "--cols", "1,2,3,4"]),
     ]
 
+    @pytest.mark.parametrize(
+        "name, r", [(name, r) for name, orders in cli._SPLITTINGS.items() for r in orders]
+    )
+    def test_splitting_policy_names_each_formula(self, name, r, write, capsys, monkeypatch):
+        # a single selection calls the seam its order's formula names, and the sweep hands
+        # that order's choices to the batch with the same formula
+        seams = ("minor_three_term_residual", "generalized_pluecker_residual")
+        expected = seams[0] if cli._SPLITTINGS[name][r] else seams[1]
+        called = []
+        for seam in seams:
+            def recorded(*args, good=getattr(cli, seam), seam=seam):
+                called.append(seam)
+                return good(*args)
+
+            monkeypatch.setattr(cli, seam, recorded)
+        batches = []
+
+        def batch(matrix, choices, three_term, good=cli._splitting_residuals):
+            batches.append((len(choices[0][0]), three_term))
+            return good(matrix, choices, three_term)
+
+        monkeypatch.setattr(cli, "_splitting_residuals", batch)
+        path = write(emit_matrix_text(random_matrix(trial_stream(6, 0), 6, 6, 9)))
+        rows = ",".join(map(str, range(1, r + 1)))
+        cols = ",".join(map(str, range(1, 2 * r + 1)))
+        assert main(["verify", path, "--identity", name, "--rows", rows, "--cols", cols]) == 0
+        assert called == [expected]
+        assert main(["verify", path, "--identity", name]) == 0
+        assert called == [expected] and (r, cli._SPLITTINGS[name][r]) in batches
+        assert len(batches) == len(cli._SPLITTINGS[name])
+
     @staticmethod
     def _failing(report: dict) -> set[str]:
         return {rec["check"] for rec in report["results"] if not rec["pass"]}
@@ -750,10 +809,10 @@ class TestFaultInjection:
         good = engines._Minors._slice
 
         def perturbed(table, drop_rows, drop_cols, chosen=()):
-            q, work = good(table, drop_rows, drop_cols, chosen)
+            work = good(table, drop_rows, drop_cols, chosen)
             if drop_rows:
                 work[-1][-1] += 1
-            return q, work
+            return work
 
         monkeypatch.setattr(engines._Minors, "_slice", perturbed)
         path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))

@@ -15,6 +15,7 @@ from exactdet import (
     submatrix_delete,
 )
 from exactdet.core import _quote
+from exactdet.randgen import SplitMix64
 
 GOLDEN = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
 
@@ -62,6 +63,14 @@ class TestParseScalar:
     )
     def test_diagnostics_quote_at_most_20_characters(self, value, quoted):
         assert _quote(value) == quoted
+
+    @pytest.mark.parametrize("digits", [1, 20, 21, 77, 78, 79, 4299, 4300])
+    def test_int_quotes_are_cut_reprs(self, digits):
+        # from 257 bits an int is quoted from its leading digits: the same characters
+        for value in (10 ** (digits - 1), 10**digits - 1, 2**256 - 1, 2**256):
+            for signed in (value, -value):
+                shown = repr(signed)
+                assert _quote(signed) == shown[:20] + ("..." if len(shown) > 20 else "")
 
     def test_scalar_rejects_floats(self):
         with pytest.raises(ValueError):
@@ -221,3 +230,27 @@ class TestAugmentColumns:
 def test_validation_errors(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, quoted",
+    [
+        pytest.param(
+            lambda: index_set((10**5000, 10**5000)), "1" + "0" * 19 + "...", id="duplicate-index"
+        ),
+        pytest.param(
+            lambda: index_set((-(10**5000),)), "-1" + "0" * 18 + "...", id="negative-index"
+        ),
+        pytest.param(
+            lambda: SplitMix64(1).next_int(0, 10**5000), "1" + "0" * 19 + "...", id="draw-range"
+        ),
+    ],
+)
+def test_ints_past_the_string_limit_get_the_programs_diagnostic(call, quoted):
+    # repr refuses an int of more than 4300 digits; the quote reads its leading digits
+    with pytest.raises(ValueError) as caught:
+        call()
+    message = str(caught.value)
+    assert len(message) < 200
+    assert quoted in message
+    assert "set_int_max_str_digits" not in message

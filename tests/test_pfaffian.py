@@ -365,6 +365,12 @@ class TestEmbeddedMinor:
         with pytest.raises(ValueError, match="malformed label"):
             embedded_minor(m, {digit, "2*"})
 
+    @pytest.mark.parametrize("label", [1, None, 1.5])
+    def test_non_string_label_is_malformed(self, label):
+        m = Matrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=re.escape(f"malformed label {label!r}")):
+            embedded_minor(m, [label, "1*"])
+
     @pytest.mark.parametrize("label", ["7" * 100_000, "x" * 100_000 + "*"])
     def test_long_label_diagnostic_is_bounded(self, label):
         # the diagnostic quotes the label cut to 20 characters

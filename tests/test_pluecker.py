@@ -270,7 +270,8 @@ def _reference(matrix, del_rows, cols):
 
 def _assert_halves(matrix, del_rows, cols):
     """``halves`` is every index-ordered minor times its column-append sign, and the
-    minor table holds each of those minors under its deletion key afterwards."""
+    minor table holds each of those minors under its deletion key afterwards, over the
+    table's denominator for the deleted rows."""
     q, half = engines._minors(matrix).halves(del_rows, cols)
     minors, reference_q = _reference(matrix, del_rows, cols)
     assert q == reference_q
@@ -278,7 +279,8 @@ def _assert_halves(matrix, del_rows, cols):
     table = engines._minors(matrix)
     for left, (minor, _) in minors.items():
         right = tuple(c for p, c in enumerate(cols, 1) if p not in left)
-        assert table.get((del_rows, right)) == (minor, q)
+        assert table.get((del_rows, right)) == minor
+    assert table.q(del_rows) == q
     return half
 
 
