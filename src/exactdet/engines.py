@@ -5,15 +5,17 @@
 products; the CLI stops it at n=7).  Every other determinant and minor comes from
 ``_minors``, one table per matrix that clears its denominators once (the one call of
 ``_integer_rows``) and caches each minor as the integer elimination of its slice, over
-one denominator that only ``_Minors.q`` computes.  ``complementary_minor`` is the one
-public accessor that reads it: ``det_bareiss``, ``first_minor`` and ``signed_cofactor``
-delegate to it and inherit its index checks, and it builds one ``Fraction``; the
-residual kernels combine the integers themselves.  A minor copies its slice of the
-cleared rows and eliminates it (``_Minors._slice``).  The table alone serves the
-half-determinants det(core | r of the 2r chosen columns) of a splitting choice
-(``_Minors.halves``): each is a signed minor, and those it lacks share one core
-elimination, run at most once per choice, that leaves an r x 2r block; each finishes as
-the r x r elimination of its columns of that block.  The five minors of a Jacobi pair
+one denominator that only ``_Minors.q`` computes.  Every reader of the table returns
+integers alone (``halves`` a choice's signed halves, ``pair`` a pair's five minors); a
+caller that needs a value asks ``q`` for its denominator.  ``complementary_minor`` is
+the one public accessor that reads it: ``det_bareiss``, ``first_minor`` and
+``signed_cofactor`` delegate to it and inherit its index checks, and it builds one
+``Fraction``; the residual batches combine the integers themselves and ask ``q`` only
+for a nonzero residual.  A minor copies its slice of the cleared rows and eliminates it
+(``_Minors._slice``).  The table alone serves the half-determinants det(core | r of the
+2r chosen columns) of a splitting choice (``_Minors.halves``): each is a signed minor,
+and those it lacks share one core elimination, run at most once per choice, that leaves
+an r x 2r block; each finishes as the r x r elimination of its columns of that block.  The five minors of a Jacobi pair
 {i, j} need no slice of their own: eliminating every other index with principal pivots
 leaves them in a 2 x 2 block over its last pivot, and one recursion over halves of the
 indices serves every pair in O(n^3) cell updates (``_Minors.pairs``), which only writes
@@ -195,19 +197,18 @@ class _Minors(dict):
 
     def halves(
         self, drop_rows: tuple[int, ...], cols: tuple[int, ...]
-    ) -> tuple[int, dict[tuple[int, ...], int]]:
-        """The half-determinants of one splitting choice, over their one denominator.
+    ) -> dict[tuple[int, ...], int]:
+        """The half-determinants of one splitting choice, as integers.
 
-        The core deletes ``drop_rows`` and all 2r chosen ``cols``.  Returns (q, half):
-        ``half[positions]`` = q * det(core | the chosen columns at those positions) as an
-        integer, and q = ``q(drop_rows)``, which every half shares, so any product of two
-        halves is an integer over q^2.  Each half is the minor that deletes the rows and
-        the other chosen columns, times the column-append sign (-1)^#{(x, y) : x a core
-        column, y appended, x > y}, and is read from the table.  Halves the table lacks
-        share one core elimination: the slice of the kept rows over the core columns
-        with the chosen ones appended (``_slice``), eliminated over the core columns
-        only, swapping rows at a zero pivot (every half is 0 if a core column has no
-        pivot).  Each entry of the r x 2r block left under the chosen columns is a
+        The core deletes ``drop_rows`` and all 2r chosen ``cols``.  ``half[positions]`` =
+        q * det(core | the chosen columns at those positions), with q = ``q(drop_rows)``,
+        which every half shares, so any product of two halves is an integer over q^2.
+        Each half is the minor that deletes the rows and the other chosen columns, times
+        the column-append sign (-1)^#{(x, y) : x a core column, y appended, x > y}, and
+        is read from the table.  Halves the table lacks share one core elimination: the
+        slice of the kept rows over the core columns with the chosen ones appended
+        (``_slice``), eliminated over the core columns only, swapping rows at a zero
+        pivot (every half is 0 if a core column has no pivot).  Each entry of the r x 2r block left under the chosen columns is a
         bordered minor of the core that reads one chosen column, and the core steps and
         swaps do not depend on which r chosen columns are appended; so each half
         finishes as the r x r elimination of its columns of that block, bit for bit, and
@@ -238,22 +239,20 @@ class _Minors(dict):
                 columns = [[row[depth + p - 1] for p in left] for row in work[depth:]]
                 value = half[left] = swaps * _bareiss(columns, prev) if swaps else 0
                 self[key] = append_sign * value
-        return self.q(drop_rows), half
+        return half
 
-    def pair(self, i: int, j: int) -> tuple[int, ...]:
-        """The five minors of the pair {i, j}, (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}, q_i *
-        q_j): integers as the table holds them, and ``q((i,)) * q((j,))``, the one
-        denominator of a product that keeps every row twice but i and j once.  The one
-        reader of a pair's minors: those ``pairs`` wrote are read back, any other is
-        eliminated as a fresh slice (so an index past the matrix raises its IndexError
-        before any ``q``)."""
+    def pair(self, i: int, j: int) -> tuple[int, int, int, int, int]:
+        """The five minors of the pair {i, j}, (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}), as the
+        integers the table holds.  The one reader of a pair's minors: those ``pairs``
+        wrote are read back, any other is eliminated as a fresh slice (so an index past
+        the matrix raises its IndexError)."""
         m_ij = self[(i,), (j,)]
         m_ji = self[(j,), (i,)]
         pair = (i, j) if i < j else (j, i)
         m_pair = self[pair, pair]
         m_ii = self[(i,), (i,)]
         m_jj = self[(j,), (j,)]
-        return m_ii, m_jj, m_ij, m_ji, m_pair, self.q((i,)) * self.q((j,))
+        return m_ii, m_jj, m_ij, m_ji, m_pair
 
     def pairs(self, indices: tuple[int, ...]) -> None:
         """Write the five minors of each pair i < j of the ascending ``indices`` into the

@@ -1,6 +1,6 @@
 """Exact-zero residuals for the minor identities of a single square matrix.
 
-Two families, both over the matrix's one minor table:
+Two families, both over the matrix's one minor table, each checked by one batch:
 
 * the two-by-two minor identity
   ``M_ii * M_jj - M_ij * M_ji = comp(A; {i,j}, {i,j}) * det A`` on unsigned minors:
@@ -9,22 +9,24 @@ Two families, both over the matrix's one minor table:
   which the CLI's sweep reads, and the pair itself for ``jacobi_residual``, the
   one-leaf case; each pair's minors are then read back (``_Minors.pair``), which
   eliminates those a zero pivot left unwritten.  det A is the table's own elimination
-  in index order, so each residual compares two elimination orders,
+  in index order, so each residual compares two elimination orders; the batch is
+  ``_jacobi_residuals``,
 * the splitting relations over r deleted rows and 2r chosen columns.  Deleting
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
   times its column-append sign, and the table serves all of one choice's halves
-  (``_Minors.halves``).  One step, ``_choice_sum``, sums one choice's
-  integer halves: the full signed splitting sum, or at r = 2 the three-term
-  formula.  ``generalized_pluecker_residual`` and ``minor_three_term_residual``
-  are that step on one validated choice; the CLI's splitting sweeps run it over
-  all of an order's choices as one batch, ``_splitting_residuals``.
+  (``_Minors.halves``).  The batch ``_splitting_residuals`` sums each choice's
+  integer halves: the full signed splitting sum, or at r = 2 the three-term formula.
+  The CLI's splitting sweeps run it over all of an order's choices, and
+  ``generalized_pluecker_residual`` and ``minor_three_term_residual`` on one
+  validated choice.
 
-Both sum integers: the table holds each minor as an integer over ``_Minors.q`` of its
-deleted rows, the product of its kept rows' multipliers, and every product in one
-residual keeps the same rows with the same multiplicity (each row twice but i and j
-once for the two-by-two identity; the core rows twice for a splitting), so all its
-products share one denominator and one ``Fraction`` is built per residual.
+The two batches are the only code that turns table integers into residuals, and they
+share one contract: each returns only the nonzero residuals, and asks ``_Minors.q`` for
+a denominator only for those.  Every product in one residual keeps the same rows with
+the same multiplicity (each row twice but i and j once for the two-by-two identity; the
+core rows twice for a splitting), so all its products share one denominator, and a
+passing batch builds no ``Fraction``.
 
 Every function returns the residual as an exact Scalar so callers assert
 zero themselves; a nonzero residual always signals an implementation bug,
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 from .core import Matrix, _Record, index_set
 from .engines import _minors
@@ -80,16 +82,17 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
     pair = index_set((i, j))
     if pair[1] > matrix.rows:
         _minors(matrix).pair(i, j)  # an index past the matrix: the table raises IndexError
-    return _jacobi_residuals(matrix, pair)[pair]
+    return _jacobi_residuals(matrix, pair).get(pair, Fraction(0))
 
 
 def _jacobi_residuals(
     matrix: Matrix, indices: tuple[int, ...] = ()
 ) -> dict[tuple[int, int], Fraction]:
-    """The residual of each pair i < j of the ascending ``indices`` (by default every
-    pair): one recursion (``_Minors.pairs``) writes their minors into the table, a single
-    pair (i, j) being its one-leaf case, and each pair's are read back (``_Minors.pair``).
-    A residual is symmetric in i and j, so it serves both ordered pairs."""
+    """The nonzero residual of each pair i < j of the ascending ``indices`` (by default
+    every pair): one recursion (``_Minors.pairs``) writes their minors into the table, a
+    single pair (i, j) being its one-leaf case, and each pair's are read back
+    (``_Minors.pair``).  A residual is symmetric in i and j, so it serves both ordered
+    pairs."""
     table = _minors(matrix)
     indices = indices or tuple(range(1, matrix.rows + 1))
     table.pairs(indices)
@@ -97,9 +100,11 @@ def _jacobi_residuals(
     # elimination orders; each product keeps every row twice but i and j once
     det = table[(), ()]
     residuals = {}
-    for pair in combinations(indices, 2):
-        m_ii, m_jj, m_ij, m_ji, m_pair, q = table.pair(*pair)
-        residuals[pair] = Fraction(m_ii * m_jj - m_ij * m_ji - m_pair * det, q)
+    for i, j in combinations(indices, 2):
+        m_ii, m_jj, m_ij, m_ji, m_pair = table.pair(i, j)
+        total = m_ii * m_jj - m_ij * m_ji - m_pair * det
+        if total:
+            residuals[i, j] = Fraction(total, table.q((i,)) * table.q((j,)))
     return residuals
 
 
@@ -111,7 +116,7 @@ def verify_all_jacobi(matrix: Matrix) -> IdentityReport:
     witnesses = [
         ((i, j), res)
         for i, j in permutations(range(1, n + 1), 2)
-        if (res := residuals[min(i, j), max(i, j)]) != 0
+        if (res := residuals.get((min(i, j), max(i, j))))
     ]
     checked = n * (n - 1)
     return IdentityReport(
@@ -141,8 +146,8 @@ def minor_three_term_residual(
     rows, quad = _checked(matrix, row_pair, cols)
     if len(rows) != 2:
         raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {len(rows)}")
-    q, total = _choice_sum(_minors(matrix).halves, rows, quad, three_term=True)
-    return Fraction(total, q * q)
+    found = _splitting_residuals(matrix, [(rows, quad)], three_term=True)
+    return found[0][2] if found else Fraction(0)
 
 
 def generalized_pluecker_residual(
@@ -154,38 +159,26 @@ def generalized_pluecker_residual(
     raw-index sign prefactor of the signed-cofactor reading is a constant across terms
     and is deliberately not reproduced."""
     rows, cols = _checked(matrix, del_rows, chosen_cols)
-    q, total = _choice_sum(_minors(matrix).halves, rows, cols, three_term=False)
-    return Fraction(total, q * q)
-
-
-def _choice_sum(
-    halves: Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, Mapping[tuple[int, ...], int]]],
-    rows: tuple[int, ...],
-    cols: tuple[int, ...],
-    three_term: bool,
-) -> tuple[int, int]:
-    """One choice's residual as (q, total), the residual being total / q^2: its halves
-    read from the table once (``halves`` is ``_Minors.halves``) and summed as integers,
-    by the three-term formula if ``three_term`` (the caller's r = 2 choice), else by the
-    full signed splitting sum."""
-    q, half = halves(rows, cols)
-    return q, _three_term(half) if three_term else _splitting_sum(len(rows), half)
+    found = _splitting_residuals(matrix, [(rows, cols)], three_term=False)
+    return found[0][2] if found else Fraction(0)
 
 
 def _splitting_residuals(
     matrix: Matrix, choices: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], three_term: bool
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
     """The nonzero splitting residuals of the square matrix at the ``choices``, in their
-    order, each as (rows, cols, residual): ``_choice_sum`` over one minor table.
-    A choice is r ascending deleted rows and 2r ascending chosen columns, with 2r at most
-    the order, and r = 2 if ``three_term``; the caller has checked that.  Only a nonzero
-    sum becomes a ``Fraction``."""
-    halves = _minors(matrix).halves
+    order, each as (rows, cols, residual).  Each choice's halves are read from the table
+    once (``_Minors.halves``) and summed as integers, by the three-term formula if
+    ``three_term``, else by the full signed splitting sum.  A choice is r ascending
+    deleted rows and 2r ascending chosen columns, with 2r at most the order, and r = 2 if
+    ``three_term``; the caller has checked that."""
+    table = _minors(matrix)
     found = []
     for rows, cols in choices:
-        q, total = _choice_sum(halves, rows, cols, three_term)
+        half = table.halves(rows, cols)
+        total = _three_term(half) if three_term else _splitting_sum(len(rows), half)
         if total:
-            found.append((rows, cols, Fraction(total, q * q)))
+            found.append((rows, cols, Fraction(total, table.q(rows) ** 2)))
     return found
 
 

@@ -25,12 +25,12 @@ def _shaped(rows, cols, body, convert) -> Matrix:
         shown = f"{_quote(rows)} {_quote(cols)}"
         raise ValueError(f"matrix dimensions must be positive integers, got {shown}")
     if not isinstance(body, list):
-        raise ValueError(f"expected a list of {rows} matrix rows, got {_quote(body)}")
+        raise ValueError(f"expected a list of {_quote(rows)} matrix rows, got {_quote(body)}")
     if len(body) != rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(body)}")
+        raise ValueError(f"expected {_quote(rows)} matrix rows, found {len(body)}")
     for row in body:
         if not isinstance(row, list) or len(row) != cols:
-            raise ValueError(f"expected {cols} entries per row, got {_quote(row)}")
+            raise ValueError(f"expected {_quote(cols)} entries per row, got {_quote(row)}")
     seen: dict = {}
 
     def entry(value):

@@ -89,17 +89,24 @@ def antisymmetric_from_matrix(matrix: Matrix) -> AntisymmetricMatrix:
         if matrix.at(i, i) != 0:
             raise ValueError(
                 f"not antisymmetric: diagonal entry ({i},{i}) is "
-                f"{format_scalar(matrix.at(i, i))}, expected 0"
+                f"{_shown(matrix.at(i, i))}, expected 0"
             )
         for j in range(i + 1, n + 1):
             if matrix.at(j, i) != -matrix.at(i, j):
                 raise ValueError(
                     f"not antisymmetric at ({i},{j}): a[{j},{i}] = "
-                    f"{format_scalar(matrix.at(j, i))} but -a[{i},{j}] = "
-                    f"{format_scalar(-matrix.at(i, j))}"
+                    f"{_shown(matrix.at(j, i))} but -a[{i},{j}] = "
+                    f"{_shown(-matrix.at(i, j))}"
                 )
             upper.append(matrix.at(i, j))
     return AntisymmetricMatrix(n, tuple(upper))
+
+
+def _shown(value: Fraction) -> str:
+    """An entry as a diagnostic shows it: its text cut to the first 20 characters, with
+    "..." marking a cut, as ``parse_scalar`` shows a scalar with too many digits."""
+    text = format_scalar(value)
+    return text[:20] + "..." if len(text) > 20 else text
 
 
 def _skew_integer(matrix: AntisymmetricMatrix) -> tuple[list[int], list[list[int]]]:

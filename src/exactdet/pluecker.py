@@ -15,9 +15,11 @@ asserted against zero, so it carries no information.
 Every half-determinant of one sum keeps the same rows, so the minor table gives
 each as an integer over one shared denominator q (the product of those rows'
 multipliers); a minor table of M | vectors (``engines._Minors``, built directly so
-the caller's held table stays) reads, signs and computes them all in ``halves``.
+the caller's held table stays) reads, signs and computes them all in ``halves``,
+which returns the integers alone; ``_half_dets`` asks that table's ``q`` itself.
 This module keeps only the kernels: ``_splitting_sum`` and ``_three_term`` sum
-integer products, and each residual is one ``Fraction(total, q^2)``.
+integer products, and each residual is one ``Fraction(total, q^2)``.  ``jacobi``'s
+splitting batch runs the same kernels and asks for q only for a nonzero sum.
 """
 
 from __future__ import annotations
@@ -79,17 +81,13 @@ def _half_dets(
         raise ValueError(
             f"matrix must be {n}x{n - r} for a splitting of order {r}, got {n}x{matrix.cols}"
         )
-    return _Minors(augment_columns(matrix, vectors)).halves((), tuple(range(n - r + 1, n + r + 1)))
-
-
-def _signed_products(r: int, half: _Half) -> list[tuple[SplitTerm, int]]:
-    """Per-splitting signed products sign * half[left] * half[right]."""
-    return [(t, t.sign * half[t.left] * half[t.right]) for t in _splittings(r)]
+    table = _Minors(augment_columns(matrix, vectors))
+    return table.q(()), table.halves((), tuple(range(n - r + 1, n + r + 1)))
 
 
 def _splitting_sum(r: int, half: _Half) -> int:
     """The full signed splitting sum over ``half``."""
-    return sum(value for _, value in _signed_products(r, half))
+    return sum(t.sign * half[t.left] * half[t.right] for t in _splittings(r))
 
 
 def _three_term(half: _Half) -> int:
@@ -106,7 +104,10 @@ def pluecker_terms(
 ) -> list[tuple[SplitTerm, Fraction]]:
     """Per-splitting signed products sign * det(M|left) * det(M|right)."""
     q, half = _half_dets(matrix, vectors)
-    return [(t, Fraction(value, q * q)) for t, value in _signed_products(len(vectors) // 2, half)]
+    return [
+        (t, Fraction(t.sign * half[t.left] * half[t.right], q * q))
+        for t in _splittings(len(vectors) // 2)
+    ]
 
 
 def pluecker_sum(

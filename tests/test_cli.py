@@ -593,6 +593,24 @@ class TestOneMinorTable:
         assert main(["verify", path]) == 0
         assert counts == {"index_set": 0, "halves": halves}
 
+    # both residual batches ask the table for a denominator only for a nonzero residual,
+    # so a passing sweep asks for none; while the table's readers returned it with the
+    # integers, every choice's halves and every Jacobi pair did: 905, 492 and 666 calls
+    @pytest.mark.parametrize("n", [6, 12, 18])
+    def test_passing_verify_asks_no_denominator(self, n, write, capsys, monkeypatch):
+        path = write(emit_matrix_text(random_matrix(trial_stream(n, 0), n, n, 9)))
+        calls = []
+        good = engines._Minors.q
+
+        def counted(table, drop_rows):
+            calls.append(drop_rows)
+            return good(table, drop_rows)
+
+        monkeypatch.setattr(engines._Minors, "q", counted)
+        assert main(["verify", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["pass"] is True
+        assert calls == []
+
     # a zero principal pivot leaves the pairs below it unwritten, and the table reads
     # (``_Minors.pair``) eliminate their minors as fresh slices: every pair when the
     # diagonal is zero, none on a seeded input; the reports stay the golden ones
@@ -764,10 +782,13 @@ class TestFaultInjection:
     def _break(seam: str, monkeypatch) -> None:
         """Replace a sweep seam in ``jacobi`` with a stand-in whose every residual is
         nonzero.  The Jacobi batch ``_jacobi_residuals``, which ``verify_all_jacobi``
-        reads, maps each pair to one; each kernel the splitting batch reads sums every
-        choice's halves to one."""
+        reads, maps each pair i < j to one; each kernel the splitting batch reads sums
+        every choice's halves to one."""
         if seam == "_jacobi_residuals":
-            monkeypatch.setattr(jacobi, seam, lambda *args: defaultdict(lambda: Fraction(1)))
+            def broken(matrix):
+                return dict.fromkeys(combinations(range(1, matrix.rows + 1), 2), Fraction(1))
+
+            monkeypatch.setattr(jacobi, seam, broken)
         else:
             monkeypatch.setattr(jacobi, seam, lambda *args: 1)
 

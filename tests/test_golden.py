@@ -175,7 +175,8 @@ _LONG = "9" * 4300
 _PAST_2_64 = "1" + "0" * 20
 
 # inputs that must be refused with exit code 2 before any report is printed, in one
-# short stderr line: a diagnostic quotes at most 20 characters of any index or bound
+# short stderr line: a diagnostic quotes at most 20 characters of any index, bound, count
+# or entry
 ERRORS: dict[str, tuple[list[str], str]] = {
     "det-non-square": (["det", "-"], "2 3\n1 2 3\n4 5 6\n"),
     "verify-non-square": (["verify", "-"], "2 3\n1 2 3\n4 5 6\n"),
@@ -204,6 +205,12 @@ ERRORS: dict[str, tuple[list[str], str]] = {
         + ["--rows", "1,2", "--cols", f"1,2,{_LONG},{_LONG}"],
         _matrix_text(6),
     ),
+    # a diagnostic cuts a long count or entry too
+    "text-long-row-count": (["det", "-"], f"{_LONG} 1\n1\n"),
+    "text-long-column-count": (["det", "-"], f"1 {_LONG}\n1\n"),
+    "json-long-row-count": (["det", "-"], f'{{"rows": {_LONG}, "cols": 1, "entries": "1"}}'),
+    "pfaffian-long-diagonal-entry": (["pfaffian", "-"], f"2 2\n{_LONG} 1\n-1 0\n"),
+    "pfaffian-long-off-diagonal-entry": (["pfaffian", "-"], f"2 2\n0 {_LONG}\n1 0\n"),
 }
 
 # case -> (exit code, SHA-256 of stdout)

@@ -114,7 +114,9 @@ class TestScalarDigitLimit:
         assert "set_int_max_str_digits" not in str(info.value)
 
     def test_longest_header_count_reaches_the_shape_check(self):
-        with pytest.raises(ValueError, match=f"^expected {LONGEST} matrix rows, found 1$"):
+        # which quotes the count cut to its first 20 characters
+        message = rf"^expected {LONGEST[:20]}\.\.\. matrix rows, found 1$"
+        with pytest.raises(ValueError, match=message):
             parse_matrix_text(f"{LONGEST} 1\n1\n")
 
     def test_longest_scalars_parse(self):

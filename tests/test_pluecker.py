@@ -272,11 +272,10 @@ def _assert_halves(matrix, del_rows, cols):
     """``halves`` is every index-ordered minor times its column-append sign, and the
     minor table holds each of those minors under its deletion key afterwards, over the
     table's denominator for the deleted rows."""
-    q, half = engines._minors(matrix).halves(del_rows, cols)
-    minors, reference_q = _reference(matrix, del_rows, cols)
-    assert q == reference_q
-    assert half == {left: sign * minor for left, (minor, sign) in minors.items()}
     table = engines._minors(matrix)
+    half = table.halves(del_rows, cols)
+    minors, q = _reference(matrix, del_rows, cols)
+    assert half == {left: sign * minor for left, (minor, sign) in minors.items()}
     for left, (minor, _) in minors.items():
         right = tuple(c for p, c in enumerate(cols, 1) if p not in left)
         assert table.get((del_rows, right)) == minor
