@@ -150,13 +150,11 @@ def _choices(r: int, n: int, gen: SplitMix64) -> list[tuple[tuple[int, ...], tup
 
 def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witness]]:
     """The number of residuals one family's sweep checks, and its nonzero ones.  The
-    Jacobi sweep is ``verify_all_jacobi``, every ordered pair from one batch; a 1 x 1
-    matrix has no pair, so it checks none.  A splitting family's sweep is one batch per
-    order r, ``_splitting_residuals`` over all its choices through the formula
-    ``_SPLITTINGS`` names; only a nonzero residual gets a witness label."""
+    Jacobi sweep is ``verify_all_jacobi``, every ordered pair from one batch (a 1 x 1
+    matrix has none).  A splitting family's sweep is one batch per order r,
+    ``_splitting_residuals`` over all its choices through the formula ``_SPLITTINGS``
+    names; only a nonzero residual gets a witness label."""
     if name == "jacobi":
-        if matrix.rows < 2:
-            return 0, []
         report = verify_all_jacobi(matrix)
         witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
         return report.residuals_checked, witnesses
@@ -198,8 +196,9 @@ def _differential(n: int) -> tuple[str, ...]:
 
 def _determinants(
     matrix: Matrix, engines: Sequence[str]
-) -> tuple[dict[str, Fraction], DodgsonResult | None]:
-    """Each engine's value, plus the Dodgson result when that engine ran."""
+) -> tuple[dict[str, Fraction], DodgsonResult | None, bool]:
+    """Each engine's value, the Dodgson result when that engine ran, and the
+    differential's verdict: whether every engine gave the same value."""
     values: dict[str, Fraction] = {}
     dodgson = None
     for engine in engines:
@@ -210,7 +209,7 @@ def _determinants(
         else:
             dodgson = det_dodgson(matrix)
             values[engine] = dodgson.value
-    return values, dodgson
+    return values, dodgson, len(set(values.values())) == 1
 
 
 def _cmd_det(args: argparse.Namespace) -> dict:
@@ -219,7 +218,7 @@ def _cmd_det(args: argparse.Namespace) -> dict:
     if args.engine not in _differential(n) + ("all",):
         raise ValueError(f"--engine laplace runs only up to n = {LAPLACE_LIMIT}, got n = {n}")
     engines = _differential(n) if args.engine == "all" else (args.engine,)
-    values, dodgson = _determinants(matrix, engines)
+    values, dodgson, agree = _determinants(matrix, engines)
     records = []
     for engine, value in values.items():
         operands = f"n={n}"
@@ -229,7 +228,6 @@ def _cmd_det(args: argparse.Namespace) -> dict:
                 operands += f" depth={dodgson.fallback_depth}"
         records.append(_value_record(engine, operands, value))
     if args.engine == "all":
-        agree = len(set(values.values())) == 1
         records.append(
             _value_record("engines-agree", f"n={n} engines={len(values)}", values["bareiss"], agree)
         )
@@ -365,12 +363,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> dict:
         gen = trial_stream(args.seed, trial)
         n = gen.next_int(2, args.size_max)
         matrix = random_matrix(gen, n, n, args.entry_bound)
-        values, dodgson = _determinants(matrix, _differential(n))
+        values, dodgson, agree = _determinants(matrix, _differential(n))
         operands = (
             f"trial={trial} n={n} engines={len(values)} "
             f"fallback={str(dodgson.fallback_used).lower()}"
         )
-        agree = len(set(values.values())) == 1
         records.append(_value_record("engines", operands, values["bareiss"], agree))
         for name in identities:
             rec = _sweep_record(name, matrix, gen)

@@ -107,8 +107,14 @@ def as_vector(values: Iterable[ScalarLike]) -> tuple[Fraction, ...]:
 
 
 def index_set(indices: Iterable[int]) -> tuple[int, ...]:
-    """Normalize to a strictly increasing tuple of positive 1-based indices."""
-    out = tuple(sorted(indices))
+    """Normalize to a strictly increasing tuple of positive 1-based indices.  A list
+    that cannot be ordered holds a non-integer, and the first one in input order is
+    named."""
+    out = tuple(indices)
+    try:
+        out = tuple(sorted(out))
+    except TypeError:
+        out = tuple(x for x in out if not isinstance(x, int) or isinstance(x, bool))
     for x in out:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise ValueError(f"index sets hold positive integers, got {_quote(x)}")

@@ -242,17 +242,11 @@ class _Minors(dict):
         return half
 
     def pair(self, i: int, j: int) -> tuple[int, int, int, int, int]:
-        """The five minors of the pair {i, j}, (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}), as the
+        """The five minors of the pair i < j, (M_ii, M_jj, M_ij, M_ji, M_{ij,ij}), as the
         integers the table holds.  The one reader of a pair's minors: those ``pairs``
-        wrote are read back, any other is eliminated as a fresh slice (so an index past
-        the matrix raises its IndexError)."""
-        m_ij = self[(i,), (j,)]
-        m_ji = self[(j,), (i,)]
-        pair = (i, j) if i < j else (j, i)
-        m_pair = self[pair, pair]
-        m_ii = self[(i,), (i,)]
-        m_jj = self[(j,), (j,)]
-        return m_ii, m_jj, m_ij, m_ji, m_pair
+        wrote are read back, any other is eliminated as a fresh slice."""
+        m_ii, m_jj = self[(i,), (i,)], self[(j,), (j,)]
+        return m_ii, m_jj, self[(i,), (j,)], self[(j,), (i,)], self[(i, j), (i, j)]
 
     def pairs(self, indices: tuple[int, ...]) -> None:
         """Write the five minors of each pair i < j of the ascending ``indices`` into the
@@ -520,7 +514,8 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
         det B = (M11 * Mnn - M1n * Mn1) / interior
 
     where the M's are the corner minors of size s-1 and ``interior`` is the
-    central minor of size s-2 (det of the 0x0 block is 1).  The recursion visits
+    central minor of size s-2 (det of the 0x0 block is 1, so the 0x0 matrix condenses
+    to ``DodgsonResult(1, False, 0)``, every engine's value for it).  The recursion visits
     contiguous blocks of the matrix's minor table's cleared rows (``_minors``), the
     rows every minor is sliced from, so each division is an exact ``//`` and the value
     is over the table's ``q(())``, the product of all its multipliers; a block with a
@@ -532,8 +527,6 @@ def det_dodgson(matrix: Matrix) -> DodgsonResult:
     raises ValueError.
     """
     n = _require_square(matrix)
-    if n < 1:
-        raise ValueError("condensation requires n >= 1")
     minors = _minors(matrix)
     table = _Blocks(minors.rows)
     try:

@@ -7,10 +7,10 @@ Two families, both over the matrix's one minor table, each checked by one batch:
   one recursive principal-pivot elimination (``_Minors.pairs``) writes the minors of
   every pair of an index set into the table: all indices for ``verify_all_jacobi``,
   which the CLI's sweep reads, and the pair itself for ``jacobi_residual``, the
-  one-leaf case; each pair's minors are then read back (``_Minors.pair``), which
-  eliminates those a zero pivot left unwritten.  det A is the table's own elimination
-  in index order, so each residual compares two elimination orders; the batch is
-  ``_jacobi_residuals``,
+  one-leaf case; each ascending pair's minors are then read back (``_Minors.pair``),
+  which eliminates those a zero pivot left unwritten.  det A is the table's own
+  elimination in index order, so each residual compares two elimination orders; the
+  batch is ``_jacobi_residuals``.  A matrix of order 0 or 1 has no pair and passes,
 * the splitting relations over r deleted rows and 2r chosen columns.  Deleting
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
@@ -18,8 +18,10 @@ Two families, both over the matrix's one minor table, each checked by one batch:
   (``_Minors.halves``).  The batch ``_splitting_residuals`` sums each choice's
   integer halves: the full signed splitting sum, or at r = 2 the three-term formula.
   The CLI's splitting sweeps run it over all of an order's choices, and
-  ``generalized_pluecker_residual`` and ``minor_three_term_residual`` on one
-  validated choice.
+  ``generalized_pluecker_residual`` and ``minor_three_term_residual`` each on one
+  choice, through the one step that validates it (``_one_choice``).
+
+Both families share one check that the matrix is square (``_require_square``).
 
 The two batches are the only code that turns table integers into residuals, and they
 share one contract: each returns only the nonzero residuals, and asks ``_Minors.q`` for
@@ -74,14 +76,15 @@ def jacobi_residual(matrix: Matrix, i: int, j: int) -> Fraction:
     Rejects i == j: the left side degenerates to zero but the double-deleted
     minor is undefined under any deletion convention.  The indices are then read as
     an index set, as ``complementary_minor`` reads them: a non-integer, a bool or an
-    index below 1 raises ValueError, one past the matrix IndexError.
+    index below 1 raises ValueError, and one past the matrix the IndexError of the
+    table's read of M_ij, which names i and j in the caller's order.
     """
-    _require_order_2(matrix)
+    _require_square(matrix)
     if i == j:
         raise ValueError("indices i and j must differ")
     pair = index_set((i, j))
     if pair[1] > matrix.rows:
-        _minors(matrix).pair(i, j)  # an index past the matrix: the table raises IndexError
+        _minors(matrix)[(i,), (j,)]  # an index past the matrix: the table raises IndexError
     return _jacobi_residuals(matrix, pair).get(pair, Fraction(0))
 
 
@@ -109,8 +112,9 @@ def _jacobi_residuals(
 
 
 def verify_all_jacobi(matrix: Matrix) -> IdentityReport:
-    """Evaluate the two-by-two minor identity over every ordered pair i != j."""
-    _require_order_2(matrix)
+    """Evaluate the two-by-two minor identity over every ordered pair i != j; a matrix
+    of order 0 or 1 has none, and passes with 0 residuals checked."""
+    _require_square(matrix)
     n = matrix.rows
     residuals = _jacobi_residuals(matrix)
     witnesses = [
@@ -128,9 +132,9 @@ def verify_all_jacobi(matrix: Matrix) -> IdentityReport:
     )
 
 
-def _require_order_2(matrix: Matrix) -> None:
-    if not matrix.is_square or matrix.rows < 2:
-        raise ValueError(f"need a square matrix of order >= 2, got {matrix.rows}x{matrix.cols}")
+def _require_square(matrix: Matrix) -> None:
+    if not matrix.is_square:
+        raise ValueError(f"need a square matrix, got {matrix.rows}x{matrix.cols}")
 
 
 def minor_three_term_residual(
@@ -143,11 +147,7 @@ def minor_three_term_residual(
     returns (-1)^(k+l+s+r) * (comp(k,l)comp(s,r) - comp(k,s)comp(l,r) + comp(k,r)comp(l,s)):
     each product of two halves carries that common column-append sign.
     """
-    rows, quad = _checked(matrix, row_pair, cols)
-    if len(rows) != 2:
-        raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {len(rows)}")
-    found = _splitting_residuals(matrix, [(rows, quad)], three_term=True)
-    return found[0][2] if found else Fraction(0)
+    return _one_choice(matrix, row_pair, cols, three_term=True)
 
 
 def generalized_pluecker_residual(
@@ -158,9 +158,7 @@ def generalized_pluecker_residual(
     restricted to the surviving rows, in ascending order, signed by list positions.  The
     raw-index sign prefactor of the signed-cofactor reading is a constant across terms
     and is deliberately not reproduced."""
-    rows, cols = _checked(matrix, del_rows, chosen_cols)
-    found = _splitting_residuals(matrix, [(rows, cols)], three_term=False)
-    return found[0][2] if found else Fraction(0)
+    return _one_choice(matrix, del_rows, chosen_cols, three_term=False)
 
 
 def _splitting_residuals(
@@ -182,18 +180,21 @@ def _splitting_residuals(
     return found
 
 
-def _checked(
-    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The deleted rows and chosen columns as index sets, once they form a splitting of
-    the square matrix: r >= 1 rows, 2r columns and an order of at least 2r."""
+def _one_choice(
+    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int], three_term: bool
+) -> Fraction:
+    """``_splitting_residuals`` on one choice, once the deleted rows and chosen columns,
+    read as index sets, form a splitting of the square matrix: r >= 1 rows, 2r columns,
+    an order of at least 2r, and r = 2 if ``three_term``."""
     rows = index_set(del_rows)
     cols = index_set(chosen_cols)
     r = len(rows)
     if r < 1 or len(cols) != 2 * r:
         raise ValueError(f"need r deleted rows and 2r chosen columns, got {r} and {len(cols)}")
-    if not matrix.is_square:
-        raise ValueError(f"need a square matrix, got {matrix.rows}x{matrix.cols}")
+    _require_square(matrix)
     if matrix.rows < 2 * r:
         raise ValueError(f"order {matrix.rows} too small for 2r = {2 * r} chosen columns")
-    return rows, cols
+    if three_term and r != 2:
+        raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {r}")
+    found = _splitting_residuals(matrix, [(rows, cols)], three_term)
+    return found[0][2] if found else Fraction(0)

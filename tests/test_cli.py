@@ -942,6 +942,36 @@ class TestFaultInjection:
         assert "more)" in out
         assert hashlib.sha256(out.encode()).hexdigest() == self.FAILING[case]
 
+    # failing reports of structural golden inputs: a passing report names only the order
+    # and the residual counts, so these pin which matrix each golden case checks.  The
+    # singular-core input passes under d -> d + d^3, which maps its zero minors to zero
+    GOLDEN_FAILING = {
+        "verify-json-q-n6": "5d003a55a085bdbf379587c4de182569ffc5983b020d683bb269d3d3589b0e77",
+        "verify-json-q-n9": "2a0cf8464bd20dadcaaab3fea3909d396842e47d273b55ab155ebac6c226bb56",
+        "verify-json-chain-stops": (
+            "6b0b1c4bf0de74c03f04773b185221ba1946cc907a51ad30d4c315fd35ad0ea9"
+        ),
+        "verify-json-jacobi-zero-diagonal": (
+            "45b93139f9718c8e0d6b19ba8585df157e54ec0a5f8863256cbc16fe1b1d106a"
+        ),
+        "verify-json-chain-singular-cores": (
+            "684273fa7760959ec179bfd0e5521c8bdbecddd0f6842f65f640801d20ea9f42"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_FAILING))
+    def test_elimination_fault_golden_report_is_pinned(self, case, capsys, monkeypatch):
+        good = engines._bareiss
+        if case == "verify-json-chain-singular-cores":
+            monkeypatch.setattr(engines, "_bareiss", lambda *args: good(*args) + 1)
+        else:
+            self._odd_fault(monkeypatch)
+        argv, stdin = CASES[case]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_FAILING[case]
+
     def test_elimination_fault_jacobi_matches_the_minor_formula(self, monkeypatch):
         # the recursion's minors never pass through _bareiss, det A does
         self._odd_fault(monkeypatch)

@@ -273,8 +273,28 @@ class TestDodgson:
         assert peak < 4_000_000
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            det_dodgson(Matrix.from_rows([]))
+        # the 0 x 0 matrix is not refused: it condenses through the size-0 base case to 1,
+        # the value every engine gives it
+        empty = Matrix.from_rows([])
+        assert det_dodgson(empty) == DodgsonResult(Fraction(1), False, 0)
+        assert det_dodgson(empty).value == det_bareiss(empty) == det_laplace(empty)
+
+    def test_refuses_nesting_past_the_recursion_limit(self):
+        # a condensation of order 200 nests ~100 frames, past a limit 60 above this frame
+        matrix = random_matrix(trial_stream(200, 0), 200, 200, 9)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            with pytest.raises(ValueError) as error:
+                det_dodgson(matrix)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert str(error.value) == (
+            "condensation of order 200 nests deeper than the recursion limit allows"
+        )
 
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,9 @@ captured before Jacobi pairs moved onto recursive principal-pivot eliminations,
 and ``verify-json-q-n6`` and ``-n9`` (p/q entries) before the splitting sweeps
 became one integer batch.  A passing sweep's report names only the order and the
 residual counts, so these two share their digests with ``verify-json-n6`` and
-``-n9``: they pin that every residual on p/q entries is exactly zero.
+``-n9``: they pin that every residual on p/q entries is exactly zero.  Which matrix
+each structural ``verify`` case checks is pinned by its failing report under an
+elimination fault (``TestFaultInjection.GOLDEN_FAILING`` in ``test_cli.py``).
 Any change to a report's bytes, its record order or its witness labels shows
 up here.  Error cases pin exit code 2, an empty stdout, the diagnostic prefix
 and one stderr line under 200 bytes, not the message text.

@@ -19,6 +19,7 @@ from exactdet import (
     three_term_residual,
     verify_all_jacobi,
 )
+from exactdet.core import index_set
 from exactdet.randgen import random_matrix, trial_stream
 
 from oracles import det_leibniz, permutation_parity
@@ -224,45 +225,87 @@ def test_cross_module_proof_construction():
         assert comp_value == sign * det_leibniz(augmented)
 
 
+EMPTY = Matrix.from_rows([])
 ONE_BY_ONE = Matrix.from_rows([[5]])
 TWO_BY_THREE = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
 
 @pytest.mark.parametrize(
-    "call, fragment",
+    "call, outcome",
     [
         pytest.param(
             lambda: jacobi_residual(ONE_BY_ONE, 1, 2),
-            "need a square matrix of order >= 2, got 1x1",
+            IndexError("rows (1,) or columns (2,) out of range for the 1x1 matrix"),
             id="jacobi-1x1",
         ),
         pytest.param(
             lambda: jacobi_residual(TWO_BY_THREE, 1, 2),
-            "need a square matrix of order >= 2, got 2x3",
+            ValueError("need a square matrix, got 2x3"),
             id="jacobi-2x3",
         ),
         pytest.param(
-            lambda: verify_all_jacobi(ONE_BY_ONE),
-            "need a square matrix of order >= 2, got 1x1",
+            # the probe reads M_ij in the caller's order, whichever index is past the matrix
+            lambda: jacobi_residual(GOLDEN, 9, 1),
+            IndexError("rows (9,) or columns (1,) out of range"),
+            id="jacobi-caller-order",
+        ),
+        pytest.param(
+            # orders 0 and 1 have no pair: a passing report with nothing checked
+            lambda: [
+                (report.passed, report.residuals_checked)
+                for report in (verify_all_jacobi(EMPTY), verify_all_jacobi(ONE_BY_ONE))
+            ],
+            [(True, 0), (True, 0)],
             id="verify-all-1x1",
         ),
         pytest.param(
             lambda: verify_all_jacobi(TWO_BY_THREE),
-            "need a square matrix of order >= 2, got 2x3",
+            ValueError("need a square matrix, got 2x3"),
             id="verify-all-2x3",
         ),
         pytest.param(
             lambda: minor_three_term_residual(seeded(36, 6), (1, 2, 3), (1, 2, 3, 4, 5, 6)),
-            "need 2 deleted rows and 4 chosen columns, got 3",
+            ValueError("need 2 deleted rows and 4 chosen columns, got 3"),
             id="three-term-three-rows",
         ),
         pytest.param(
             lambda: generalized_pluecker_residual(TWO_BY_THREE, (1,), (1, 2)),
-            "need a square matrix, got 2x3",
+            ValueError("need a square matrix, got 2x3"),
             id="generalized-2x3",
+        ),
+        # an index list that cannot be ordered names its first non-integer
+        pytest.param(
+            lambda: jacobi_residual(GOLDEN, 1, "2"),
+            ValueError("index sets hold positive integers, got '2'"),
+            id="jacobi-str-index",
+        ),
+        pytest.param(
+            lambda: complementary_minor(GOLDEN, [1, "2"], [1, 2]),
+            ValueError("index sets hold positive integers, got '2'"),
+            id="minor-str-index",
+        ),
+        pytest.param(
+            lambda: submatrix_delete(GOLDEN, [1, "x"], []),
+            ValueError("index sets hold positive integers, got 'x'"),
+            id="submatrix-str-index",
+        ),
+        pytest.param(
+            lambda: minor_three_term_residual(Matrix.identity(4), [1, "2"], [1, 2, 3, 4]),
+            ValueError("index sets hold positive integers, got '2'"),
+            id="three-term-str-index",
+        ),
+        pytest.param(
+            lambda: index_set([1, None]),
+            ValueError("index sets hold positive integers, got None"),
+            id="index-set-none",
         ),
     ],
 )
-def test_validation_errors(call, fragment):
-    with pytest.raises(ValueError, match=re.escape(fragment)):
-        call()
+def test_validation_errors(call, outcome):
+    """Each call's error at the check boundary, or its result where an empty order is
+    accepted."""
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome), match=f"^{re.escape(str(outcome))}"):
+            call()
+    else:
+        assert call() == outcome
