@@ -26,6 +26,7 @@ from typing import Iterator, Sequence, TextIO
 from .core import Matrix, _parse_count, _quote, format_scalar
 from .engines import (
     DodgsonResult,
+    _minors,
     complementary_minor,
     det_bareiss,
     det_dodgson,
@@ -333,6 +334,9 @@ def _cmd_embed(args: argparse.Namespace) -> dict:
     operands = f"n={n} det={format_scalar(det)} pf={format_scalar(pf)}"
     records = [_residual_record("embedding", operands, pf - det)]
     if args.minors:
+        # one recursion writes every first minor and principal double minor the cases
+        # read into the table; those a zero pivot leaves out are eliminated as slices
+        _minors(matrix).pairs(tuple(range(1, n + 1)))
         mismatch: tuple[str, Fraction] | None = None
         for checked, (label, removal, expected) in enumerate(_embedded_minor_cases(matrix), 1):
             got = embedded_minor(matrix, removal)

@@ -29,13 +29,13 @@ are live, not ~n^3/3.  All engines agree exactly.
 A fresh minor (``det_bareiss`` among them) is eliminated in ``_Minors.__missing__``,
 the one place that may split an elimination across two processes: from order
 ``_SPLIT_MIN_ORDER`` = 64 up, when ``os.fork`` exists, two CPUs are usable and no other
-thread runs, a forked worker takes every other column, and the two send each other the
-next pivot column over one socket pair, so the value is the serial one bit for bit
-(``_split``).  Every other elimination is serial: Dodgson's fallback blocks
-(``_bareiss``), the splitting cores, the halves' finishes and the pair recursion
-(``_pairs``).  The split stays rather than Bareiss's two-step elimination alone, which
-was bit-identical but slower on the benchmark's large determinants (about 4.45 against
-5.2 operations per second on 2 vCPUs) and peaked higher (19.4 against 17.8 MB RSS).
+thread runs, a forked worker takes every other column, and before each pair of steps
+each sends the other the one of the two pivot columns it owns, over one socket pair, so
+the value is the serial one bit for bit (``_split``).  Every other elimination is
+serial: Dodgson's fallback blocks (``_bareiss``), the splitting cores, the halves'
+finishes and the pair recursion (``_pairs``).  Both the serial loop (``_eliminate``)
+and the split's two sides take Bareiss's steps two at a time, bit for bit what single
+steps give.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -301,24 +301,51 @@ class _Minors(dict):
 
 def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int, int]:
     """Bareiss steps k, ..., stop - 1 on ``work`` in place, the last pivot so far being
-    ``prev``: each row below the pivot row becomes (row * pivot - factor * pivot row)
-    // prev, an exact division, and its pivot-column entry 0, which frees the integer
-    there as the elimination goes.  Stops at the first zero pivot; returns the step it
-    reached and the last pivot."""
+    ``prev``, two at a time (Bareiss, Math. Comp. 22, 1968): Sylvester's identity on the
+    3 x 3 bordered minors, three products and one exact division per entry where two
+    single steps take four and two.  Row k + 1 takes step k, as in one step, and its
+    pivot p2 is the next; each row i below it becomes (a_ij p2 - a_{k+1,j} c1 + a_kj c2)
+    // prev from the values before the pair, with c1 = (a_kk a_{i,k+1} - a_{k,k+1} a_ik)
+    // prev and c2 = (a_{k+1,k} a_{i,k+1} - a_{k+1,k+1} a_ik) // prev.  A zero p2, or an
+    odd ``stop`` - k at the end, takes step k alone: each row below the pivot row
+    becomes (row * pivot - factor * pivot row) // prev.  Each eliminated entry becomes
+    0, which frees its integer as the elimination goes, and ``work`` ends bit for bit as
+    single steps leave it.  Stops at the first zero pivot; returns the step it reached
+    and the last pivot."""
     height = len(work)
-    for k in range(k, stop):
+    while k < stop:
         row_k = work[k]
         pivot = row_k[k]
         if pivot == 0:
             return k, prev
         width = len(row_k)
-        for i in range(k + 1, height):
+        k1, k2 = k + 1, k + 2
+        p2 = 0
+        if k1 < stop:
+            row_1 = work[k1]
+            b0, b1, a1 = row_1[k], row_1[k1], row_k[k1]
+            p2 = (b1 * pivot - b0 * a1) // prev
+        if p2 == 0:
+            for i in range(k1, height):
+                row_i = work[i]
+                factor = row_i[k]
+                for j in range(k1, width):
+                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+                row_i[k] = 0
+            return k1, pivot
+        old = row_1[:]
+        for j in range(k2, width):
+            row_1[j] = (old[j] * pivot - b0 * row_k[j]) // prev
+        row_1[k], row_1[k1] = 0, p2
+        for i in range(k2, height):
             row_i = work[i]
-            factor = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+            x, y = row_i[k], row_i[k1]
+            c1 = (y * pivot - x * a1) // prev
+            c2 = (y * b0 - x * b1) // prev
+            for j in range(k2, width):
+                row_i[j] = (row_i[j] * p2 - old[j] * c1 + row_k[j] * c2) // prev
+            row_i[k] = row_i[k1] = 0
+        k, prev = k2, p2
     return stop, prev
 
 
@@ -342,21 +369,22 @@ def _reduce(work: list[list[int]], stop: int, prev: int) -> tuple[int, int]:
 
 
 def _bareiss(work: list[list[int]], prev: int = 1) -> int:
-    """Determinant of a square integer matrix, eliminated in place (1 if empty).  Given
-    the last pivot ``prev`` of the core elimination (``halves``) that ``work`` was sliced
-    from, it finishes that slice's elimination instead and returns the slice's
-    determinant, det(work) / prev^(order - 1).  A zero pivot swaps rows with sign
-    tracking, and a pivotless column gives 0.  Always serial, for Dodgson's fallback
-    blocks and the halves' finishes too: only a fresh minor of order
-    ``_SPLIT_MIN_ORDER`` or more splits instead (``_Minors.__missing__``)."""
+    """Determinant of a square integer matrix, eliminated in place two steps at a time
+    (``_reduce``; 1 if empty).  Given the last pivot ``prev`` of the core elimination
+    (``halves``) that ``work`` was sliced from, it finishes that slice's elimination
+    instead and returns the slice's determinant, det(work) / prev^(order - 1).  A zero
+    pivot swaps rows with sign tracking, and a pivotless column gives 0.  Always serial,
+    for Dodgson's fallback blocks and the halves' finishes too: only a fresh minor of
+    order ``_SPLIT_MIN_ORDER`` or more splits instead (``_Minors.__missing__``)."""
     sign, prev = _reduce(work, len(work), prev)
     return sign * prev
 
 
 # the least order of a fresh minor that ``_Minors.__missing__`` splits in two processes.
-# Measured on 2 vCPUs (medians of 10 alternating pairs): the split took 1.49x the
-# serial time at order 40, 0.91x at 48, 0.77x at 60, 0.78x at 64 and 0.56x at 150,
-# faster in 10 of 10 pairs from 56 up; below 64 it saves at most a few milliseconds
+# Measured on 2 vCPUs (medians of 10 alternating pairs, two steps at a time on both
+# sides): the split took 1.56x the serial time at order 40, 1.00x at 48, 0.87x at 56,
+# 0.78x at 64 and 0.56x at 150, faster in 0, 5, 9 and 10 of 10 pairs from 40 to 64;
+# below 64 it saves at most a few milliseconds
 _SPLIT_MIN_ORDER = 64
 
 
@@ -410,37 +438,60 @@ def _split(work: list[list[int]]) -> int:
 
 
 def _deal(work: list[list[int]], first: int, reader, peer) -> int:
-    """One side of ``_split``: ``_reduce``'s steps on the columns ``first``, ``first``
-    + 2, ... of ``work``, copied out and each held from the pivot row down.  At step k
-    the side that owns column k has it; the other reads it from ``reader`` (column 0
-    both sides copy).  Both then pick the same row swap from it, and each updates its
-    own columns, column k + 1 first: its owner sends that one to ``peer`` as soon as it
-    is done.  Returns the signed last pivot, 0 if a column has no pivot, as both sides
-    find it."""
+    """One side of ``_split``: ``_reduce``'s steps, two at a time as in ``_eliminate``,
+    on the columns ``first``, ``first`` + 2, ... of ``work``, copied out and each held
+    from the pivot row down.  Steps from k read the pivot columns k and k + 1, one of
+    each side's: at k = 0 both sides copy them; later the owner of column k sends it to
+    ``peer`` as soon as it has updated it, and the owner of column k + 1 sends its own
+    once it has read column k from ``reader``, so the two never both wait on a send.
+    Both sides then pick the same row swap and compute the same pivots and row
+    coefficients from the two columns, and each updates its own columns, the next pivot
+    column first.  A zero second pivot takes one step, and so does a last single column.
+    Returns the signed last pivot, 0 if a column has no pivot, as both sides find it."""
     n = len(work)
     own = {j: [row[j] for row in work] for j in range(first, n, 2)}
-    column = [row[0] for row in work]
     sign = prev = 1
-    for k in range(n):
-        if k in own:
-            column = own.pop(k)
-        elif k:
-            column = _receive(reader)
-        if column[0] == 0:
-            swap = next((i for i, x in enumerate(column) if x), 0)
+    k = 0
+    while k < n:
+        held = dict(own)
+        theirs = k + 1 if k in own else k
+        if theirs < n:
+            held[theirs] = _receive(reader) if k else [row[theirs] for row in work]
+            if k and k + 1 in own:
+                _send(peer, own[k + 1])
+        col_k, col_1 = held[k], held.get(k + 1)
+        if col_k[0] == 0:
+            swap = next((i for i, x in enumerate(col_k) if x), 0)
             if not swap:
                 return 0
-            for c in (column, *own.values()):
+            for c in held.values():
                 c[0], c[swap] = c[swap], c[0]
             sign = -sign
-        pivot = column[0]
-        factors = column[1:]
-        for j, c in own.items():
-            head = c[0]
-            c = own[j] = [(x * pivot - f * head) // prev for x, f in zip(c[1:], factors)]
-            if j == k + 1:
-                _send(peer, c)
-        prev = pivot
+        pivot = col_k[0]
+        own.pop(k, None)
+        if col_1 is None:
+            return sign * pivot
+        b0, a1, b1 = col_k[1], col_1[0], col_1[1]
+        p2 = (b1 * pivot - b0 * a1) // prev
+        if p2:
+            own.pop(k + 1, None)
+            pairs = list(zip(col_k[2:], col_1[2:]))
+            c1 = [(y * pivot - x * a1) // prev for x, y in pairs]
+            c2 = [(y * b0 - x * b1) // prev for x, y in pairs]
+            for j, c in own.items():
+                a, b = c[0], c[1]
+                c = own[j] = [(x * p2 - b * y + a * z) // prev for x, y, z in zip(c[2:], c1, c2)]
+                if j == k + 2:
+                    _send(peer, c)
+            k, prev = k + 2, p2
+        else:
+            factors = col_k[1:]
+            for j, c in own.items():
+                head = c[0]
+                c = own[j] = [(x * pivot - f * head) // prev for x, f in zip(c[1:], factors)]
+                if j == k + 1:
+                    _send(peer, c)
+            k, prev = k + 1, pivot
     return sign * prev
 
 

@@ -254,6 +254,10 @@ class TestVerify:
         )
         assert code == 0
         assert "residual 0: pass" in capsys.readouterr().out
+        # r = 1 on a 2 x 2 matrix, the smallest that admits it
+        path = write(SKEW2, "two.txt")
+        assert main(["verify", path, "--identity", "generalized", "--rows", "1", "--cols", "1,2"]) == 0
+        assert "residual 0: pass" in capsys.readouterr().out
 
     def test_jacobi_pair_selection(self, write, capsys):
         assert main(["verify", write(GOLDEN_TEXT), "--identity", "jacobi", "--pair", "1,3"]) == 0
@@ -427,6 +431,11 @@ class TestEmbed:
     def test_minors_flag(self, write, capsys):
         assert main(["embed", write(GOLDEN_TEXT), "--minors"]) == 0
         assert "embedded-minors" in capsys.readouterr().err
+        # J - I: the zero diagonal stops the Jacobi-pair recursion at its first pivot, so
+        # every minor the cases read is eliminated as a fresh slice
+        ones = "4 4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"
+        assert main(["embed", write(ones), "--minors"]) == 0
+        assert "embedded-minors [n=4 correspondences=22]: residual 0: pass" in capsys.readouterr().err
 
 
 class TestFuzz:
@@ -667,11 +676,12 @@ class TestOneMinorTable:
             assert Fraction(value, table.q(rows)) == minor, (rows, cols)
 
     def test_embed_minors(self, write, capsys, monkeypatch):
-        # det, 25 first minors and 10 principal double minors
+        # det alone: one Jacobi-pair recursion writes the 25 first minors and 10 principal
+        # double minors, with no zero pivot here, so none is eliminated as a slice
         path = write(emit_matrix_text(random_matrix(trial_stream(5, 0), 5, 5, 9)))
         counts = self._counted(monkeypatch)
         assert main(["embed", path, "--minors"]) == 0
-        assert counts == {"_bareiss": 36, "_integer_rows": 1}
+        assert counts == {"_bareiss": 1, "_integer_rows": 1}
 
     def test_pfaffian_square(self, write, capsys, monkeypatch):
         # det_bareiss alone: the Pfaffian neither clears nor eliminates through them

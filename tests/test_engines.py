@@ -1,6 +1,8 @@
 import marshal
 import os
 import random
+import signal
+import socket
 import sys
 import threading
 import tracemalloc
@@ -680,6 +682,68 @@ class TestRationalMinors:
         assert any(residuals)
 
 
+def _one_step(work, k, stop, prev):
+    """The one-step Bareiss loop that ``engines._eliminate``'s two-step form replaced,
+    kept as the reference it must match: return value and every cell of ``work``."""
+    height = len(work)
+    for k in range(k, stop):
+        row_k = work[k]
+        pivot = row_k[k]
+        if pivot == 0:
+            return k, prev
+        width = len(row_k)
+        for i in range(k + 1, height):
+            row_i = work[i]
+            factor = row_i[k]
+            for j in range(k + 1, width):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return stop, prev
+
+
+class TestTwoStepElimination:
+    @staticmethod
+    def _inputs(n):
+        """20 seeded n x w integer blocks, each with a step to start from: w is n, n + 1
+        or n + 2 (a splitting core is wider than high); five have entries in -1..1, where
+        zero pivots are common; and in every other one, row z repeats row z - 1 on its
+        first z + 1 columns, so the pivot at step z is 0, for z one or two steps past the
+        start: the second pivot of the first pair, or the first of the next."""
+        for seed in range(20):
+            rng = random.Random(1000 * n + seed)
+            bound = 1 if seed < 5 else 9
+            rows = [[rng.randint(-bound, bound) for _ in range(n + seed % 3)] for _ in range(n)]
+            start = rng.randrange(n)
+            z = start + 1 + seed // 2 % 2
+            if seed % 2 and z < n:
+                rows[z][: z + 1] = rows[z - 1][: z + 1]
+            yield rows, start
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_one_step(self, n):
+        # from the step the reference reaches towards the start, over its last pivot, as
+        # ``_pairs`` continues a block, to every stop; ``seen`` names what the grid met
+        seen = set()
+        for rows, start in self._inputs(n):
+            k, prev = _one_step(rows, 0, start, 1)
+            for stop in range(k, n + 1):
+                expected = [row[:] for row in rows]
+                got = [row[:] for row in rows]
+                reached, last = _one_step(expected, k, stop, prev)
+                assert engines._eliminate(got, k, stop, prev) == (reached, last)
+                assert got == expected, (k, stop)
+                if k and prev != 1:
+                    seen.add("continued")
+                if len(rows[0]) > n:
+                    seen.add("wide")
+                if k < reached < stop:
+                    # the zero pivot is the first or the second of a pair of steps
+                    seen.add(("first", "second")[(reached - k) % 2])
+        if n >= 4:
+            assert seen == {"continued", "wide", "first", "second"}
+
+
 def _serial(rows):
     """The one-process elimination of a copy of ``rows``."""
     sign, last = engines._reduce([row[:] for row in rows], len(rows), 1)
@@ -714,7 +778,10 @@ def split(monkeypatch):
 # (rows, determinant, or None for the Laplace oracle's): a zero leading pivot at step 0
 # (the caller's column) and at step 1 (the worker's); no pivot in column 0, and none in
 # column 1 once column 0 is eliminated; the identity; J - I, whose determinant is
-# (-1)^(n-1) (n-1); a circulant with a zero diagonal
+# (-1)^(n-1) (n-1); a circulant with a zero diagonal; at odd order 7, a singular leading
+# 2 x 2 block (the second pivot of the first pair, at step 1 in the worker's column, is
+# 0, so one step is taken) and rows 4 and 5 equal on their first 5 columns (the same at
+# step 4 in the caller's column), which leaves the last column single
 SPECIAL = [
     ([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 1, 2], [3, 4, 5, 7]], None),
     ([[1, 2, 3, 4], [2, 4, 5, 6], [3, 7, 1, 2], [4, 1, 5, 9]], None),
@@ -723,6 +790,12 @@ SPECIAL = [
     ([[int(i == j) for j in range(12)] for i in range(12)], 1),
     ([[int(i != j) for j in range(9)] for i in range(9)], 8),
     ([[(i - j) % 5 for j in range(7)] for i in range(7)], None),
+    (
+        [[1, 2, 3, 4, 5, 6, 7], [2, 4, 1, 5, 9, 2, 6], [3, 1, 4, 1, 5, 9, 2],
+         [6, 5, 3, 5, 8, 9, 7], [6, 5, 3, 5, 8, 3, 2], [9, 3, 2, 3, 8, 4, 6],
+         [2, 6, 4, 3, 3, 8, 3]],
+        None,
+    ),
 ]
 
 
@@ -807,6 +880,43 @@ class TestSplitElimination:
         with pytest.raises(OSError, match="other process of a split elimination exited"):
             engines._split([row[:] for row in rows])
         _no_child_left()
+
+    def test_columns_outgrow_the_socket_buffers(self, split, monkeypatch):
+        # both sides send one column per pair of steps; if each could wait in a send for
+        # the other to read, columns larger than the socket buffers would deadlock them
+        good_pair, good_send = socket.socketpair, engines._send
+        room, sent = [], []
+
+        def small_pair():
+            ends = good_pair()
+            for end in ends:
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            # what one direction holds unread: one end's send buffer, the other's receive
+            room.append(sum(end.getsockopt(socket.SOL_SOCKET, size) for end, size in
+                            zip(ends, (socket.SO_SNDBUF, socket.SO_RCVBUF))))
+            return ends
+
+        def measured(peer, column):
+            sent.append(len(marshal.dumps(column)))
+            good_send(peer, column)
+
+        def hung(signum, frame):
+            raise TimeoutError("the split elimination hung")
+
+        monkeypatch.setattr(socket, "socketpair", small_pair)
+        monkeypatch.setattr(engines, "_send", measured)
+        rng = random.Random(24)
+        rows = [[rng.randint(-(10**400), 10**400) for _ in range(24)] for _ in range(24)]
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            assert engines._split([row[:] for row in rows]) == _serial(rows)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        _no_child_left()
+        assert max(sent) > max(room)
 
     def test_only_a_fresh_minor_forks(self, split):
         # Dodgson's fallback blocks, the halves' core elimination and finishes stay serial

@@ -167,6 +167,8 @@ class TestGeneralizedResidual:
     def test_r1_cancellation(self):
         m = seeded(30, 4)
         assert generalized_pluecker_residual(m, (2,), (1, 3)) == 0
+        # the smallest matrix that admits r = 1: 2r = 2 columns, one core row
+        assert generalized_pluecker_residual(seeded(30, 2), (1,), (1, 2)) == 0
 
     def test_r2_agrees_with_three_term(self):
         m = seeded(31, 4)
