@@ -21,10 +21,8 @@ leaves them in a 2 x 2 block over its last pivot, and one recursion over halves 
 indices serves every pair in O(n^3) cell updates (``_Minors.pairs``), which only writes
 them into the table; ``_Minors.pair`` reads a pair's five minors, and eliminates as
 fresh slices those a zero pivot left unwritten.
-``det_dodgson`` condenses the table's own cleared rows and hands a block with a zero
-interior to ``_bareiss``; it visits blocks in the order of a memoized recursion but
-drops a block once the block it is the interior of has condensed, so O(n^2) blocks
-are live, not ~n^3/3.  All engines agree exactly.
+``det_dodgson`` condenses the table's cleared rows level by level and eliminates a
+zero-interior block (``_bareiss``) only when a condensation reads it.  All engines agree.
 
 A fresh minor (``det_bareiss`` among them) is eliminated in ``_Minors.__missing__``,
 the one place that may split an elimination across two processes: from order
@@ -58,9 +56,9 @@ from .core import Matrix, _quote_indices, _Record, index_set
 class DodgsonResult(_Record):
     """Condensation outcome: value plus fallback instrumentation.
 
-    ``fallback_depth`` is the condensation level at which a zero interior
-    divisor first forced a Bareiss fallback (the full matrix sits at level 1,
-    a size-s block at level n-s+1); it is 0 when no fallback occurred.
+    ``fallback_depth`` is the level of the first block with a zero interior in the
+    top-down recursion's visit order (the full matrix sits at level 1, a size-s block
+    at level n-s+1); it is 0 when no interior is zero.
     """
 
     __slots__ = __match_args__ = ("value", "fallback_used", "fallback_depth")
@@ -515,78 +513,80 @@ def _receive(reader) -> list[int]:
     return marshal.loads(read(int.from_bytes(read(8), "little")))
 
 
-class _Blocks(dict):
-    """``det_dodgson``'s block table: ``table[r0, c0, size]`` is the integer determinant
-    of the contiguous size x size block at 0-based row r0 and column c0 of ``rows``.
+def _condense(rows: list[list[int]], flags: list[bytearray]) -> int | None:
+    """The determinant of the order-n ``rows``, n >= 1, condensed level by level (level s
+    holds the s x s blocks; levels s - 2 to s are live), or None if it stays unknown.  A
+    block with a 0 or unknown interior is unknown (None, a row of them one tuple, a 1 in
+    its level's bytearray in ``flags``) until a condensation reads it as a corner and
+    ``_bareiss`` fills it in.  Two levels without a condensation leave all above unknown."""
+    n = len(rows)
+    inner, below = [[1] * (n + 1)] * (n + 1), rows
+    for m in range(n - 1, 0, -1):  # m x m blocks of size n - m + 1
+        nones, flag, level = (None,) * m, bytearray(m * m), []
+        for i in range(m):
+            up, down, mid = below[i], below[i + 1], inner[i + 1]
+            try:
+                row = [(a * d - b * c) // e
+                       for a, b, c, d, e in zip(up, up[1:], down, down[1:], mid[1:])]
+            except (TypeError, ZeroDivisionError):
+                row = [None] * m
+                for j, e in enumerate(mid[1 : m + 1]):
+                    if not e:
+                        flag[i * m + j] = 1
+                        continue
+                    try:
+                        row[j] = (up[j] * down[j + 1] - up[j + 1] * down[j]) // e
+                    except TypeError:
+                        for r, c in (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1):
+                            if below[r][c] is None:
+                                block = [x[c : c + n - m] for x in rows[r : r + n - m]]
+                                below[r] = list(below[r])
+                                below[r][c] = _bareiss(block)
+                        up, down = below[i], below[i + 1]
+                        row[j] = (up[j] * down[j + 1] - up[j + 1] * down[j]) // e
+                row = nones if row.count(None) == m else row
+            level.append(row)
+        flags.append(flag)
+        if all(type(row) is tuple for row in below + level):  # two levels, no condensation
+            return None
+        inner, below = below, level
+    return below[0][0]
 
-    A miss condenses the block from its interior and its four corners, in that order,
-    or hands it to ``_bareiss`` when the interior is zero and records the level of the
-    first such fallback in ``depth``.  After a condensation the interior is dropped.
-    Besides this block, only the block's four corners read that interior, and the
-    block has just asked for all four, so nothing asks for it again.  A zero interior
-    stays, because its block never asked for its corners.  Blocks on the border are the
-    interior of no block and stay too, so the table holds about 2n^2 blocks plus those
-    still being condensed, not all ~n^3/3.
-    """
 
-    def __init__(self, rows: list[list[int]]) -> None:
-        self.rows = rows
-        self.depth = 0
-
-    def __missing__(self, key: tuple[int, int, int]) -> int:
-        r0, c0, size = key
-        if size < 2:
-            value = self.rows[r0][c0] if size else 1
-        else:
-            r1 = r0 + 1
-            c1 = c0 + 1
-            inner = (r1, c1, size - 2)
-            interior = self[inner]
-            if interior == 0:
-                self.depth = self.depth or len(self.rows) - size + 1
-                value = _bareiss([row[c0 : c0 + size] for row in self.rows[r0 : r0 + size]])
-            else:
-                corner = size - 1
-                m11 = self[r1, c1, corner]
-                mnn = self[r0, c0, corner]
-                m1n = self[r1, c0, corner]
-                mn1 = self[r0, c1, corner]
-                value = (m11 * mnn - m1n * mn1) // interior
-                del self[inner]
-        self[key] = value
-        return value
+def _first_fallback(flags: list[bytearray], n: int) -> int:
+    """The level n - s + 1 of the first flagged block, of size s, in the recursion's order
+    (interior, block, then unless flagged corners m11, mnn, m1n, mn1; bit 2 marks one seen),
+    walked from the top's interior chain at the last level in ``flags``: all above is flagged."""
+    c = (n - len(flags)) // 2
+    stack = [(n - 2 * c, c, c, False)]
+    while stack:
+        s, i, j, check = stack.pop()
+        if s < 2:
+            continue
+        flag, k = flags[s - 2], i * (n - s + 1) + j
+        if check and flag[k] & 1:
+            return n - s + 1
+        if not (check or flag[k] & 2):
+            flag[k] |= 2
+            stack += [(s - 1, i, j + 1, False), (s - 1, i + 1, j, False), (s - 1, i, j, False),
+                      (s - 1, i + 1, j + 1, False), (s, i, j, True), (s - 2, i + 1, j + 1, False)]
+    return 2 * c - 1
 
 
 def det_dodgson(matrix: Matrix) -> DodgsonResult:
-    """Determinant by condensation on the two-by-two corner-minor recurrence.
-
-    Each square block B of size s >= 2 satisfies
-
-        det B = (M11 * Mnn - M1n * Mn1) / interior
-
-    where the M's are the corner minors of size s-1 and ``interior`` is the
-    central minor of size s-2 (det of the 0x0 block is 1, so the 0x0 matrix condenses
-    to ``DodgsonResult(1, False, 0)``, every engine's value for it).  The recursion visits
-    contiguous blocks of the matrix's minor table's cleared rows (``_minors``), the
-    rows every minor is sliced from, so each division is an exact ``//`` and the value
-    is over the table's ``q(())``, the product of all its multipliers; a block with a
-    zero interior goes to ``_bareiss`` on a copy of its rows instead, and the first such
-    fallback is recorded.  Neither ``_Blocks`` nor the table writes to those rows.  Each
-    block is computed once and dropped once the block it is the interior of has
-    condensed (``_Blocks``), so at most O(n^2) blocks are live.  Each level of the
-    recursion nests a frame; an order too deep for the interpreter's recursion limit
-    raises ValueError.
-    """
+    """Determinant by condensation: det B = (M11 * Mnn - M1n * Mn1) / interior for a block
+    B of size s >= 2, over its corners of size s-1 and central minor of size s-2 (1 for
+    the 0x0 matrix), of the minor table's cleared rows (``_minors``): each ``//`` is exact,
+    the value is over ``q(())``.  A fallback is used when some interior reads 0, which the
+    top-down recursion meets too (every block is a corner of a larger one)."""
     n = _require_square(matrix)
     minors = _minors(matrix)
-    table = _Blocks(minors.rows)
-    try:
-        value = table[0, 0, n]
-    except RecursionError:
-        raise ValueError(
-            f"condensation of order {n} nests deeper than the recursion limit allows"
-        ) from None
-    return DodgsonResult(Fraction(value, minors.q(())), table.depth > 0, table.depth)
+    flags: list[bytearray] = []
+    value = _condense(minors.rows, flags) if n else 1
+    if value is None:
+        value = _bareiss([row[:] for row in minors.rows])
+    depth = _first_fallback(flags, n) if any(1 in flag for flag in flags) else 0
+    return DodgsonResult(Fraction(value, minors.q(())), depth > 0, depth)
 
 
 def complementary_minor(

@@ -145,10 +145,11 @@ class TestDet:
         assert "more than 4300 digits" in captured.err
         assert "set_int_max_str_digits" not in captured.err
 
-    def test_condensation_too_deep_exits_2_with_own_diagnostic(self, write):
-        # a zero matrix's interiors nest one condensation frame per two orders: 200
-        # frames here, past a limit of 150 whether or not the interpreter also counts
-        # the C call into each frame (3.11 and older do, 3.12 does not)
+    def test_deep_condensation_needs_no_recursion_limit(self, write):
+        # condensation goes level by level and nests no frames: a zero matrix of order
+        # 400, whose interiors a recursion would nest 200 frames deep, condenses under a
+        # limit of 150 whether or not the interpreter also counts the C call into each
+        # frame (3.11 and older do, 3.12 does not)
         path = write("400 400\n" + (" ".join(["0"] * 400) + "\n") * 400)
         probe = (
             "import sys\nfrom exactdet.cli import main\nsys.setrecursionlimit(150)\n"
@@ -160,11 +161,11 @@ class TestDet:
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env
         )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr == (
-            "exactdet: error: condensation of order 400 nests deeper than the"
-            " recursion limit allows\n"
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == (
+            "dodgson [n=400 fallback=true depth=397]: value 0: pass\n"
+            "overall: pass (1 checks, 0 failures)\n"
         )
 
     @pytest.mark.skipif(not engines._can_split(), reason="no os.fork or fewer than two usable CPUs")

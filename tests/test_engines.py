@@ -243,10 +243,36 @@ class TestDodgson:
                 seen.add(m.entries)
                 assert det_dodgson(m) == _global_memo_dodgson(m), m.entries
 
-    # _bareiss calls made by the condensation, recorded while every block was held
-    # for the whole run: a block dropped too early and computed again repeats the
-    # fallbacks beneath it
-    FALLBACK_CALLS = [((60, 60, 9), 258), ((61, 40, 1), 2505), (None, 1406)]
+    # beyond the grid: p/q entries, structured zeros, and orders up to the benchmark's
+    # (-9..9 integers at 60, p/q with p in -9..9 and q in 1..9 at 48)
+    WIDER = [
+        *[pytest.param(lambda n=n: seeded_rational(700 + n, n), id=f"rational-{n}")
+          for n in range(1, 11)],
+        pytest.param(lambda: Matrix.from_rows(
+            [[*row, *[0] * 4] for row in seeded(710, 4).entries]
+            + [[*[0] * 4, *row] for row in seeded(711, 4).entries]), id="block-diagonal"),
+        pytest.param(lambda: Matrix.from_rows(
+            [[0] * 8 if i == 3 else row for i, row in enumerate(seeded(712, 8).entries)]),
+            id="zero-row"),
+        pytest.param(lambda: Matrix.from_rows(
+            [[0 if j == 4 else v for j, v in enumerate(row)] for row in seeded(713, 8).entries]),
+            id="zero-column"),
+        pytest.param(lambda: Matrix.from_rows(
+            [[int(j == (3 * i + 1) % 8) for j in range(8)] for i in range(8)]), id="permutation"),
+        *[pytest.param(lambda n=n: seeded(n, n, 1), id=f"bound1-{n}") for n in range(20, 41)],
+        pytest.param(lambda: seeded(60, 60), id="integer-60"),
+        pytest.param(lambda: seeded_rational(48, 48), id="rational-48"),
+    ]
+
+    @pytest.mark.parametrize("build", WIDER)
+    def test_identical_to_global_memo_beyond_the_grid(self, build):
+        m = build()
+        assert det_dodgson(m) == _global_memo_dodgson(m)
+
+    # _bareiss calls made by the condensation, recorded with each zero-interior block
+    # eliminated only when a condensation reads it as a corner, or as the whole matrix:
+    # a block eliminated twice, or one no condensation reads, adds calls
+    FALLBACK_CALLS = [((60, 60, 9), 258), ((61, 40, 1), 2207), (None, 1406)]
 
     @pytest.mark.parametrize("case, calls", FALLBACK_CALLS)
     def test_no_block_computed_twice(self, case, calls, monkeypatch):
@@ -274,6 +300,20 @@ class TestDodgson:
             tracemalloc.stop()
         assert peak < 4_000_000
 
+    @pytest.mark.parametrize("n, zero", [(60, False), (400, True)], ids=["identity-60", "zero-400"])
+    def test_zero_heavy_blocks_stay_small(self, n, zero):
+        # the unknown blocks' flags are one byte each, and a row of unknown blocks is one
+        # shared tuple; flags kept as sets of tuples peaked at 7.3 MB on the identity
+        m = Matrix.from_rows([[0] * n] * n) if zero else Matrix.identity(n)
+        tracemalloc.start()
+        try:
+            result = det_dodgson(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.value == (0 if zero else 1)
+        assert peak < 4_000_000
+
     def test_rejects_empty(self):
         # the 0 x 0 matrix is not refused: it condenses through the size-0 base case to 1,
         # the value every engine gives it
@@ -281,8 +321,9 @@ class TestDodgson:
         assert det_dodgson(empty) == DodgsonResult(Fraction(1), False, 0)
         assert det_dodgson(empty).value == det_bareiss(empty) == det_laplace(empty)
 
-    def test_refuses_nesting_past_the_recursion_limit(self):
-        # a condensation of order 200 nests ~100 frames, past a limit 60 above this frame
+    def test_condenses_past_the_recursion_limit(self):
+        # condensation nests no frames: order 200, which a recursion would nest ~100
+        # frames deep, condenses under a limit 60 above this frame
         matrix = random_matrix(trial_stream(200, 0), 200, 200, 9)
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -290,13 +331,10 @@ class TestDodgson:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 60)
         try:
-            with pytest.raises(ValueError) as error:
-                det_dodgson(matrix)
+            value = det_dodgson(matrix).value
         finally:
             sys.setrecursionlimit(limit)
-        assert str(error.value) == (
-            "condensation of order 200 nests deeper than the recursion limit allows"
-        )
+        assert value == det_bareiss(matrix)
 
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
