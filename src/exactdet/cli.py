@@ -48,6 +48,7 @@ from .pfaffian import (
     jacobi_recurrence_residual,
     pfaffian,
 )
+from .pluecker import _THREE_TERM, _generalized, _splitting_sum
 from .randgen import SplitMix64, random_matrix, trial_stream
 
 EXIT_OK = 0
@@ -62,12 +63,13 @@ LAPLACE_LIMIT = 7  # largest order fed to the Laplace oracle
 IDENTITY_NAMES = ("jacobi", "three-term", "generalized", "pluecker")
 
 # splitting orders r (r rows, 2r columns) per row-and-column family, the orders a sweep
-# covers and the only ones a single selection accepts, each mapped to its formula: True
-# for the signed three-term formula, False for the full signed splitting sum
+# covers and the only ones a single selection accepts, each mapped to its formula's
+# signed terms: the three-term formula, the full signed splitting sum, or (generalized
+# r = 3) the single-exchange relation
 _SPLITTINGS = {
-    "three-term": {2: True},
-    "generalized": {1: False, 2: False, 3: False},
-    "pluecker": {1: False, 2: True},
+    "three-term": {2: _THREE_TERM},
+    "generalized": {r: _generalized(r) for r in (1, 2, 3)},
+    "pluecker": {1: _splitting_sum(1), 2: _THREE_TERM},
 }
 
 Witness = tuple[str, Fraction]
@@ -160,12 +162,12 @@ def _sweep(name: str, matrix: Matrix, gen: SplitMix64) -> tuple[int, list[Witnes
         witnesses = [(f"i={i} j={j}", res) for (i, j), res in report.witnesses]
         return report.residuals_checked, witnesses
     checked, witnesses = 0, []
-    for r, three_term in _SPLITTINGS[name].items():
+    for r, terms in _SPLITTINGS[name].items():
         if 2 * r > matrix.rows:
             break
         choices = _choices(r, matrix.rows, gen)
         checked += len(choices)
-        for rows, cols, res in _splitting_residuals(matrix, choices, three_term):
+        for rows, cols, res in _splitting_residuals(matrix, choices, terms):
             where = f"rows={rows} cols={cols}"
             witnesses.append((where if name == "three-term" else f"r={r} {where}", res))
     return checked, witnesses
@@ -291,7 +293,11 @@ def _verify_selection(matrix: Matrix, args: argparse.Namespace) -> dict:
         orders = _SPLITTINGS[name]
         if len(rows) not in orders or len(cols) != 2 * len(rows):
             raise ValueError(f"{name} selection needs r rows and 2r columns, r in {set(orders)}")
-        check = minor_three_term_residual if orders[len(rows)] else generalized_pluecker_residual
+        check = (
+            minor_three_term_residual
+            if orders[len(rows)] is _THREE_TERM
+            else generalized_pluecker_residual
+        )
         residual = check(matrix, rows, cols)
     return _residual_record(name, operands, residual)
 

@@ -13,10 +13,11 @@ the one public accessor that reads it: ``det_bareiss``, ``first_minor`` and
 ``Fraction``; the residual batches combine the integers themselves and ask ``q`` only
 for a nonzero residual.  A minor copies its slice of the cleared rows and eliminates it
 (``_Minors._slice``).  The table alone serves the half-determinants det(core | r of the
-2r chosen columns) of a splitting choice (``_Minors.halves``): each is a signed minor,
-and those it lacks share one core elimination, run at most once per choice, that leaves
-an r x 2r block; each finishes as the r x r elimination of its columns of that block.  The five minors of a Jacobi pair
-{i, j} need no slice of their own: eliminating every other index with principal pivots
+2r chosen columns) of a splitting choice that its formula names (``_Minors.halves``):
+each is a signed minor, and those it lacks share one core elimination, run at most once
+per choice, that leaves an r x 2r block; each finishes as the r x r elimination of its
+columns of that block.  The five minors of a Jacobi pair {i, j} need no slice of their
+own: eliminating every other index with principal pivots
 leaves them in a 2 x 2 block over its last pivot, and one recursion over halves of the
 indices serves every pair in O(n^3) cell updates (``_Minors.pairs``), which only writes
 them into the table; ``_Minors.pair`` reads a pair's five minors, and eliminates as
@@ -48,6 +49,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import lcm, prod
+from operator import itemgetter
 from typing import Iterable
 
 from .core import Matrix, _quote_indices, _Record, index_set
@@ -194,9 +196,13 @@ class _Minors(dict):
         return value
 
     def halves(
-        self, drop_rows: tuple[int, ...], cols: tuple[int, ...]
+        self,
+        drop_rows: tuple[int, ...],
+        cols: tuple[int, ...],
+        positions: Iterable[tuple[int, ...]] | None = None,
     ) -> dict[tuple[int, ...], int]:
-        """The half-determinants of one splitting choice, as integers.
+        """The half-determinants of one splitting choice at the position sets
+        ``positions`` (every set of r of the positions 1..2r by default), as integers.
 
         The core deletes ``drop_rows`` and all 2r chosen ``cols``.  ``half[positions]`` =
         q * det(core | the chosen columns at those positions), with q = ``q(drop_rows)``,
@@ -206,29 +212,32 @@ class _Minors(dict):
         is read from the table.  Halves the table lacks share one core elimination: the
         slice of the kept rows over the core columns with the chosen ones appended
         (``_slice``), eliminated over the core columns only, swapping rows at a zero
-        pivot (every half is 0 if a core column has no pivot).  Each entry of the r x 2r block left under the chosen columns is a
-        bordered minor of the core that reads one chosen column, and the core steps and
-        swaps do not depend on which r chosen columns are appended; so each half
-        finishes as the r x r elimination of its columns of that block, bit for bit, and
-        goes back into the table as a minor.  Each position set is read once: in a
-        splitting sum it is the left side of one term and the right of another."""
+        pivot (every half is 0 if a core column has no pivot).  Each entry of the r x 2r
+        block left under the chosen columns is a bordered minor of the core that reads
+        one chosen column, and the core steps and swaps do not depend on which r chosen
+        columns are appended; so each half finishes as the r x r elimination of its
+        columns of that block, bit for bit, and goes back into the table as a minor.
+        The position sets, their bit masks and their complements come from one table per
+        order (``_position_sets``)."""
         r = len(cols) // 2
-        # the chosen column at position p has n - c_p columns after it, 2r - p of them
-        # chosen: the positions that flip the sign an odd number of times
-        odd = {p for p, c in enumerate(cols, 1) if (self.n_cols - c - 2 * r + p) % 2}
+        sets = _position_sets(r)
+        # the chosen column c at 0-based position p has n - c columns after it, 2r - p - 1
+        # of them chosen: bit p marks an odd count of core columns, which flips the sign
+        odd, base = 0, self.n_cols + 1
+        for p, c in enumerate(cols):
+            if (base - c + p) % 2:
+                odd |= 1 << p
         half = {}
         missing = []
-        # position sets in lexicographic order, and their complements' columns: taking
-        # complements reverses that order
-        rights = reversed(list(combinations(cols, r)))
-        for left, right in zip(combinations(range(1, 2 * r + 1), r), rights):
-            key = drop_rows, right
-            sign = -1 if len(odd.intersection(left)) % 2 else 1
+        for left in sets if positions is None else positions:
+            mask, deleted = sets[left]
+            key = drop_rows, deleted(cols)
             found = self.get(key)
+            negative = (odd & mask).bit_count() % 2
             if found is None:
-                missing.append((left, key, sign))
+                missing.append((left, key, -1 if negative else 1))
             else:
-                half[left] = sign * found
+                half[left] = -found if negative else found
         if missing:
             work = self._slice(drop_rows, cols, cols)
             depth = len(work) - r
@@ -295,6 +304,21 @@ class _Minors(dict):
             if reached == drop:
                 kept = tuple(ix[p] for p in order[drop:])
                 self._pairs(kept, [row[drop:] for row in work[drop:]], last, child)
+
+
+@cache
+def _position_sets(r: int) -> dict[tuple[int, ...], tuple[int, itemgetter]]:
+    """Every set of r of the positions 1..2r of a splitting choice's chosen columns, in
+    lexicographic order, mapped to its bit mask (bit p - 1 for position p) and a getter of
+    the chosen columns at its complement's positions, as a tuple: the columns its half
+    deletes (at r = 1 a one-item slice, since a one-index getter returns no tuple)."""
+    universe = range(1, 2 * r + 1)
+    sets = {}
+    for left in combinations(universe, r):
+        rest = [p - 1 for p in universe if p not in left]
+        getter = itemgetter(*rest) if r > 1 else itemgetter(slice(rest[0], rest[0] + 1))
+        sets[left] = sum(1 << (p - 1) for p in left), getter
+    return sets
 
 
 def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int, int]:
@@ -518,13 +542,19 @@ def _condense(rows: list[list[int]], flags: list[bytearray]) -> int | None:
     holds the s x s blocks; levels s - 2 to s are live), or None if it stays unknown.  A
     block with a 0 or unknown interior is unknown (None, a row of them one tuple, a 1 in
     its level's bytearray in ``flags``) until a condensation reads it as a corner and
-    ``_bareiss`` fills it in.  Two levels without a condensation leave all above unknown."""
+    ``_bareiss`` fills it in; a row whose interiors are all 0 or unknown is flagged whole
+    without reading its corners.  Two levels without a condensation leave all above
+    unknown."""
     n = len(rows)
     inner, below = [[1] * (n + 1)] * (n + 1), rows
     for m in range(n - 1, 0, -1):  # m x m blocks of size n - m + 1
         nones, flag, level = (None,) * m, bytearray(m * m), []
         for i in range(m):
             up, down, mid = below[i], below[i + 1], inner[i + 1]
+            if not any(mid[1 : m + 1]):  # every interior 0 or unknown: the row is unknown
+                flag[i * m : i * m + m] = b"\1" * m
+                level.append(nones)
+                continue
             try:
                 row = [(a * d - b * c) // e
                        for a, b, c, d, e in zip(up, up[1:], down, down[1:], mid[1:])]

@@ -15,11 +15,13 @@ Two families, both over the matrix's one minor table, each checked by one batch:
   the rows and every chosen column leaves a core block; each half-determinant
   det(core | some chosen columns, restricted to the kept rows) is a minor of A
   times its column-append sign, and the table serves all of one choice's halves
-  (``_Minors.halves``).  The batch ``_splitting_residuals`` sums each choice's
-  integer halves: the full signed splitting sum, or at r = 2 the three-term formula.
-  The CLI's splitting sweeps run it over all of an order's choices, and
-  ``generalized_pluecker_residual`` and ``minor_three_term_residual`` each on one
-  choice, through the one step that validates it (``_one_choice``).
+  (``_Minors.halves``).  Each formula is a list of signed terms (``pluecker``): the
+  full signed splitting sum, the three-term formula at r = 2, or the single-exchange
+  relation at r = 3, where the balanced sum cancels for any halves.  The batch
+  ``_splitting_residuals`` reads only the halves a formula's terms name and sums
+  them as integers.  The CLI's splitting sweeps run it over all of an order's
+  choices, and ``generalized_pluecker_residual`` and ``minor_three_term_residual``
+  each on one choice, through the one step that validates it (``_one_choice``).
 
 Both families share one check that the matrix is square (``_require_square``).
 
@@ -43,7 +45,7 @@ from typing import Iterable
 
 from .core import Matrix, _Record, index_set
 from .engines import _minors
-from .pluecker import _splitting_sum, _three_term
+from .pluecker import _THREE_TERM, _generalized, _Terms, _total
 
 
 class IdentityReport(_Record):
@@ -153,28 +155,30 @@ def minor_three_term_residual(
 def generalized_pluecker_residual(
     matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int]
 ) -> Fraction:
-    """Splitting relation over r deleted rows and 2r chosen columns: the splitting sum
-    over the core block (the rows and all chosen columns deleted) and the chosen columns
-    restricted to the surviving rows, in ascending order, signed by list positions.  The
-    raw-index sign prefactor of the signed-cofactor reading is a constant across terms
-    and is deliberately not reproduced."""
+    """Splitting relation over r deleted rows and 2r chosen columns, over the core block
+    (the rows and all chosen columns deleted) and the chosen columns restricted to the
+    surviving rows, in ascending order, signed by list positions: the balanced splitting
+    sum, except at r = 3, where that sum cancels for any halves and the single-exchange
+    relation with I = (1, 2) and J = (3, 4, 5, 6) is summed instead; 0 on every valid
+    input.  The raw-index sign prefactor of the signed-cofactor reading is a constant
+    across terms and is deliberately not reproduced."""
     return _one_choice(matrix, del_rows, chosen_cols, three_term=False)
 
 
 def _splitting_residuals(
-    matrix: Matrix, choices: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], three_term: bool
+    matrix: Matrix, choices: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], terms: _Terms
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
     """The nonzero splitting residuals of the square matrix at the ``choices``, in their
-    order, each as (rows, cols, residual).  Each choice's halves are read from the table
-    once (``_Minors.halves``) and summed as integers, by the three-term formula if
-    ``three_term``, else by the full signed splitting sum.  A choice is r ascending
-    deleted rows and 2r ascending chosen columns, with 2r at most the order, and r = 2 if
-    ``three_term``; the caller has checked that."""
+    order, each as (rows, cols, residual).  Each choice reads from the table, once, only
+    the halves that the formula ``terms`` names (``_Minors.halves``), and sums them as
+    integers (``_total``).  A choice is r ascending deleted rows and 2r ascending chosen
+    columns, with 2r at most the order and r the formula's order; the caller has checked
+    that."""
     table = _minors(matrix)
+    positions = tuple(dict.fromkeys(p for _, left, right in terms for p in (left, right)))
     found = []
     for rows, cols in choices:
-        half = table.halves(rows, cols)
-        total = _three_term(half) if three_term else _splitting_sum(len(rows), half)
+        total = _total(terms, table.halves(rows, cols, positions))
         if total:
             found.append((rows, cols, Fraction(total, table.q(rows) ** 2)))
     return found
@@ -196,5 +200,6 @@ def _one_choice(
         raise ValueError(f"order {matrix.rows} too small for 2r = {2 * r} chosen columns")
     if three_term and r != 2:
         raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {r}")
-    found = _splitting_residuals(matrix, [(rows, cols)], three_term)
+    terms = _THREE_TERM if three_term else _generalized(r)
+    found = _splitting_residuals(matrix, [(rows, cols)], terms)
     return found[0][2] if found else Fraction(0)

@@ -1,4 +1,4 @@
-"""Plucker relations: the signed quadratic sum over column splittings.
+"""Plucker relations: signed quadratic sums of half-determinants.
 
 Given a matrix M with r fewer columns than rows and 2r extra column vectors,
 the signed sum of products det(M | left half) * det(M | right half) over all
@@ -7,19 +7,27 @@ special case (r=2) is the classical relation
 
     |Mab||Mcd| - |Mac||Mbd| + |Mad||Mbc| = 0.
 
+At odd r each splitting (L, R) cancels its mirror (R, L) whatever the halves are,
+so the balanced sum checks nothing there.  At r = 3 the ``generalized`` family
+sums the single-exchange Grassmann-Plucker relation with I = (1, 2) and
+J = (3, 4, 5, 6) instead, sum over k of (-1)^k |M I j_k| |M J-j_k|: 8 of the 20
+halves, every position set ascending, and it fails when the halves are not the
+minors of one matrix.
+
 Signs are taken from positions 1..2r within the supplied vector list, never
 from any external column numbering.  A constant global factor present in the
 underlying Laplace-expansion derivation is dropped throughout: the sums are
 asserted against zero, so it carries no information.
 
-Every half-determinant of one sum keeps the same rows, so the minor table gives
-each as an integer over one shared denominator q (the product of those rows'
-multipliers); a minor table of M | vectors (``engines._Minors``, built directly so
-the caller's held table stays) reads, signs and computes them all in ``halves``,
-which returns the integers alone; ``_half_dets`` asks that table's ``q`` itself.
-This module keeps only the kernels: ``_splitting_sum`` and ``_three_term`` sum
-integer products, and each residual is one ``Fraction(total, q^2)``.  ``jacobi``'s
-splitting batch runs the same kernels and asks for q only for a nonzero sum.
+Each formula is written once, as its signed terms (sign, left, right), and
+``_total`` sums any of them over integer halves.  Every half-determinant of one
+sum keeps the same rows, so the minor table gives each as an integer over one
+shared denominator q (the product of those rows' multipliers); a minor table of
+M | vectors (``engines._Minors``, built directly so the caller's held table
+stays) reads, signs and computes them all in ``halves``, which returns the
+integers alone; ``_half_dets`` asks that table's ``q`` itself, and each residual
+is one ``Fraction(total, q^2)``.  ``jacobi``'s splitting batch sums the same
+terms and asks for q only for a nonzero sum.
 """
 
 from __future__ import annotations
@@ -34,6 +42,20 @@ from .engines import _Minors
 
 # integer half-determinants by position set, all over one shared denominator
 _Half = Mapping[tuple[int, ...], int]
+# a splitting formula: its signed terms (sign, left positions, right positions)
+_Terms = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+
+# |Mab||Mcd| - |Mac||Mbd| + |Mad||Mbc| at positions a..d = 1..4
+_THREE_TERM: _Terms = ((1, (1, 2), (3, 4)), (-1, (1, 3), (2, 4)), (1, (1, 4), (2, 3)))
+
+# the single-exchange relation at r = 3, I = (1, 2) and J = (3, 4, 5, 6): term k is
+# (-1)^k |M I j_k| |M J-j_k|, and I + j_k is ascending, so no term needs a reordering sign
+_EXCHANGE: _Terms = (
+    (-1, (1, 2, 3), (4, 5, 6)),
+    (1, (1, 2, 4), (3, 5, 6)),
+    (-1, (1, 2, 5), (3, 4, 6)),
+    (1, (1, 2, 6), (3, 4, 5)),
+)
 
 
 class SplitTerm(_Record):
@@ -85,18 +107,21 @@ def _half_dets(
     return table.q(()), table.halves((), tuple(range(n - r + 1, n + r + 1)))
 
 
-def _splitting_sum(r: int, half: _Half) -> int:
-    """The full signed splitting sum over ``half``."""
-    return sum(t.sign * half[t.left] * half[t.right] for t in _splittings(r))
+@cache
+def _splitting_sum(r: int) -> _Terms:
+    """The full signed splitting sum at order r as terms."""
+    return tuple((t.sign, t.left, t.right) for t in _splittings(r))
 
 
-def _three_term(half: _Half) -> int:
-    """|Mab||Mcd| - |Mac||Mbd| + |Mad||Mbc| over ``half`` at positions a..d = 1..4."""
-    return (
-        half[1, 2] * half[3, 4]
-        - half[1, 3] * half[2, 4]
-        + half[1, 4] * half[2, 3]
-    )
+def _generalized(r: int) -> _Terms:
+    """The ``generalized`` family's formula at order r: the exchange relation at r = 3,
+    where the balanced sum cancels for any halves, and the balanced sum otherwise."""
+    return _EXCHANGE if r == 3 else _splitting_sum(r)
+
+
+def _total(terms: _Terms, half: _Half) -> int:
+    """The sum of ``terms`` over the integer halves ``half``."""
+    return sum(sign * half[left] * half[right] for sign, left, right in terms)
 
 
 def pluecker_terms(
@@ -119,7 +144,7 @@ def pluecker_sum(
     so callers and tests can check the cancellation themselves.
     """
     q, half = _half_dets(matrix, vectors)
-    return Fraction(_splitting_sum(len(vectors) // 2, half), q * q)
+    return Fraction(_total(_splitting_sum(len(vectors) // 2), half), q * q)
 
 
 def three_term_residual(
@@ -135,4 +160,4 @@ def three_term_residual(
     each unordered splitting pair contributes the same product twice there.
     """
     q, half = _half_dets(matrix, (a, b, c, d))
-    return Fraction(_three_term(half), q * q)
+    return Fraction(_total(_THREE_TERM, half), q * q)

@@ -18,6 +18,7 @@ import exactdet.cli as cli
 import exactdet.core as core
 import exactdet.engines as engines
 import exactdet.jacobi as jacobi
+import exactdet.pluecker as pluecker
 from exactdet import (
     DodgsonResult,
     Matrix,
@@ -523,11 +524,12 @@ class TestOneMinorTable:
             monkeypatch.setattr(engines, name, counted)
         return counts
 
-    # det, then (from order 4) the non-principal double minors and, at order 6, the
-    # C(6,3)^2 minors of the r = 3 splittings: the Jacobi recursion writes every first and
-    # principal double minor back; ``before`` counts those too, read through the table
-    # (the principal double minors below order 4), as while Jacobi pairs read it
-    ELIMINATIONS = {2: 1, 3: 1, 4: 31, 5: 91, 6: 611}
+    # det, then (from order 4) the non-principal double minors and, at order 6, the 8
+    # halves each of the 20 r = 3 exchange relations reads (611 while each summed all
+    # C(6,3) = 20 splittings): the Jacobi recursion writes every first and principal
+    # double minor back; ``before`` counts those too, read through the table (the
+    # principal double minors below order 4), as while Jacobi pairs read it
+    ELIMINATIONS = {2: 1, 3: 1, 4: 31, 5: 91, 6: 371}
 
     @pytest.mark.parametrize("n, before", [(2, 6), (3, 13), (4, 53), (5, 126), (6, 662)])
     def test_verify(self, n, before, write, capsys, monkeypatch):
@@ -541,8 +543,10 @@ class TestOneMinorTable:
     # fresh minor made 29916 at order 6 and 2070070 at order 12, and its own minor resumed
     # from a shared elimination of the whole matrix 15139 and 964879, so a half that stops
     # resuming its choice's shared core elimination, finishing as an r x r block, fails
-    # here; ``before`` is the sum while Jacobi pairs read the table
-    CUBES = {6: 12696, 12: 41234}
+    # here; ``before`` is the sum while Jacobi pairs read the table.  The r = 3 exchange
+    # relation finishes 8 halves per choice where the splitting sum finished 20: the
+    # sums were 12696 and 41234
+    CUBES = {6: 6216, 12: 22172}
 
     @pytest.mark.parametrize("n, before", [(6, 13875), (12, 92021)])
     def test_verify_finishes_halves_from_one_core(self, n, before, write, capsys, monkeypatch):
@@ -563,8 +567,10 @@ class TestOneMinorTable:
     # shared eliminations of the whole matrix, kept at the steps asked for, the sums were
     # 4233, 66152 and 243319 (4285, 78370 and 369818 while Jacobi pairs read those too).
     # Deleting the shared eliminations trades these extra updates for less code and a
-    # lower traced peak: 1.32 MB against 1.89 MB for ``verify`` at order 30
-    CELLS = {6: 4650, 12: 96365, 18: 370993}
+    # lower traced peak: 1.32 MB against 1.89 MB for ``verify`` at order 30.  The r = 3
+    # exchange relation's 8 finishes per choice, where the splitting sum made 20, took
+    # them from 4650, 96365 and 370993
+    CELLS = {6: 3453, 12: 92835, 18: 367393}
 
     @pytest.mark.parametrize("n", [6, 12, 18])
     def test_verify_cell_updates(self, n, write, capsys, monkeypatch):
@@ -738,9 +744,11 @@ def _wrong_dodgson(matrix):
 class TestFaultInjection:
     """Every family's residual seam and the Dodgson engine must be able to fail a run."""
 
-    # a splitting sweep is one batch per order, ``_splitting_residuals``, whose every choice sums
-    # its halves with one of two kernels: the three-term formula (three-term, and
-    # pluecker at r = 2) or the full splitting sum (generalized, and pluecker at r = 1)
+    # a splitting sweep is one batch per order, ``_splitting_residuals``, whose every choice
+    # sums its halves (``_total``) by one of three formulas, each named by its ``pluecker``
+    # terms: the three-term formula (three-term, and pluecker at r = 2), the full splitting
+    # sum (generalized at r = 1 and 2, and pluecker at r = 1) or the exchange relation
+    # (generalized at r = 3, which a 4 x 4 matrix does not reach; ``test_exchange_seam``)
     SWEEP_SEAMS = [
         ("_three_term", {"three-term", "pluecker"}),
         ("_splitting_sum", {"generalized", "pluecker"}),
@@ -761,7 +769,7 @@ class TestFaultInjection:
         # a single selection calls the seam its order's formula names, and the sweep hands
         # that order's choices to the batch with the same formula
         seams = ("minor_three_term_residual", "generalized_pluecker_residual")
-        expected = seams[0] if cli._SPLITTINGS[name][r] else seams[1]
+        expected = seams[0] if cli._SPLITTINGS[name][r] is pluecker._THREE_TERM else seams[1]
         called = []
         for seam in seams:
             def recorded(*args, good=getattr(cli, seam), seam=seam):
@@ -771,9 +779,9 @@ class TestFaultInjection:
             monkeypatch.setattr(cli, seam, recorded)
         batches = []
 
-        def batch(matrix, choices, three_term, good=cli._splitting_residuals):
-            batches.append((len(choices[0][0]), three_term))
-            return good(matrix, choices, three_term)
+        def batch(matrix, choices, terms, good=cli._splitting_residuals):
+            batches.append((len(choices[0][0]), terms))
+            return good(matrix, choices, terms)
 
         monkeypatch.setattr(cli, "_splitting_residuals", batch)
         path = write(emit_matrix_text(random_matrix(trial_stream(6, 0), 6, 6, 9)))
@@ -793,15 +801,25 @@ class TestFaultInjection:
     def _break(seam: str, monkeypatch) -> None:
         """Replace a sweep seam in ``jacobi`` with a stand-in whose every residual is
         nonzero.  The Jacobi batch ``_jacobi_residuals``, which ``verify_all_jacobi``
-        reads, maps each pair i < j to one; each kernel the splitting batch reads sums
-        every choice's halves to one."""
+        reads, maps each pair i < j to one; for a splitting formula, the sum the splitting
+        batch reads (``_total``) sums every choice's halves to one under that formula's
+        terms (every order's, for the full splitting sum)."""
         if seam == "_jacobi_residuals":
             def broken(matrix):
                 return dict.fromkeys(combinations(range(1, matrix.rows + 1), 2), Fraction(1))
 
             monkeypatch.setattr(jacobi, seam, broken)
+            return
+        if seam == "_splitting_sum":
+            formulas = [pluecker._splitting_sum(r) for r in (1, 2)]
         else:
-            monkeypatch.setattr(jacobi, seam, lambda *args: 1)
+            formulas = [getattr(pluecker, seam.upper())]
+        good = jacobi._total
+
+        def broken(terms, half):
+            return 1 if any(terms is f for f in formulas) else good(terms, half)
+
+        monkeypatch.setattr(jacobi, "_total", broken)
 
     @pytest.mark.parametrize("seam, families", SWEEP_SEAMS)
     def test_verify_sweep(self, seam, families, write, capsys, monkeypatch):
@@ -814,6 +832,17 @@ class TestFaultInjection:
         self._break(seam, monkeypatch)
         assert main(["fuzz", "--seed", "3", "--trials", "4", "--size-max", "5"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == families
+
+    def test_exchange_seam(self, capsys, monkeypatch):
+        # generalized r = 3 alone sums the exchange relation: a sweep at order 6 and a
+        # fuzz run up to order 7 each fail only generalized
+        self._break("_exchange", monkeypatch)
+        matrix = random_matrix(trial_stream(6, 0), 6, 6, 9)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(emit_matrix_text(matrix)))
+        assert main(["verify", "-", "--json"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"generalized"}
+        assert main(["fuzz", "--seed", "3", "--trials", "6", "--size-max", "7"]) == 1
+        assert self._failing(json.loads(capsys.readouterr().out)) == {"generalized"}
 
     @pytest.mark.parametrize("seam, selection", SELECTION_SEAMS)
     def test_selection(self, seam, selection, write, capsys, monkeypatch):
@@ -893,6 +922,22 @@ class TestFaultInjection:
         assert main(["verify", path, "--json"]) == 1
         assert self._failing(json.loads(capsys.readouterr().out)) == set(cli.IDENTITY_NAMES)
 
+    @pytest.mark.parametrize("n, nonzero", [(6, 245), (9, 120), (12, 120)])
+    def test_elimination_fault_fails_generalized_r3(self, n, nonzero, capsys, monkeypatch):
+        # every residual but r = 1's fails: 90 r = 1 choices at order 6 and 60 beyond
+        # cancel for any halves, and the exchange relation at r = 3 fails with r = 2's
+        # (the full splitting sum failed 225 and 60: none at r = 3)
+        self._odd_fault(monkeypatch)
+        matrix = random_matrix(trial_stream(n, 0), n, n, 9)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(emit_matrix_text(matrix)))
+        assert main(["verify", "-", "--identity", "generalized"]) == 1
+        residuals = 335 if n == 6 else 180
+        assert f"residuals={residuals} nonzero={nonzero} " in capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(emit_matrix_text(matrix)))
+        selection = ["--rows", "1,3,5", "--cols", "1,2,3,4,5,6"]
+        assert main(["verify", "-", "--identity", "generalized", *selection]) == 1
+        assert capsys.readouterr().out.endswith("overall: FAIL (1 checks, 1 failures)\n")
+
     def test_elimination_fault_jacobi_witnesses(self, monkeypatch):
         self._odd_fault(monkeypatch)
         m = parse_matrix(RATIONAL6)
@@ -912,30 +957,34 @@ class TestFaultInjection:
         # witness rounded anywhere, changes these bytes; the digest was first captured
         # when every minor and product was still its own Fraction, and re-pinned when
         # Jacobi pairs moved onto the recursion: its minors do not pass through _bareiss,
-        # and the splitting families read the ones it writes back
+        # and the splitting families read the ones it writes back; and re-pinned when
+        # generalized r = 3 became the exchange relation, whose 20 choices all fail here
+        # (nonzero=225 -> 245, every other byte as before)
         self._odd_fault(monkeypatch)
         monkeypatch.setattr(sys, "stdin", io.StringIO(RATIONAL6))
         assert main(["verify", "-", "--json"]) == 1
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "16e21ea9d64c87e70e7f0fb6eef88028ecaa6cdbe9a63e834df9cd165014d743"
+        assert digest == "14fdffd6bfdeacb6c010e1ff6a6b848f0cc1c25899c98966d41da1c369fce80b"
         # each splitting family run on its own, where no recursion writes minors back,
         # reports the records the whole report carried before: their own computation is
-        # unchanged
+        # unchanged (re-pinned with the digest above)
         records = []
         for name in ("three-term", "generalized", "pluecker"):
             monkeypatch.setattr(sys, "stdin", io.StringIO(RATIONAL6))
             assert main(["verify", "-", "--identity", name, "--json"]) == 1
             records += json.loads(capsys.readouterr().out)["results"]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-        assert digest == "8d6b2f6ffd950cc30cf96884f12510d6829f20e49ef1e747357c5ac834627010"
+        assert digest == "6164df24192dedb8b40779a299f6ff5df73cf36ce46ffc629351767fb25f3dca"
 
     # failing reports under the fault, pinned before the splitting sweeps became one
     # batch that labels only nonzero residuals: the witness labels, their order and
-    # values, and the nonzero= and (+k more) counts; golden digests see passing reports
+    # values, and the nonzero= and (+k more) counts; golden digests see passing reports.
+    # Re-pinned when generalized r = 3 became the exchange relation: only generalized's
+    # nonzero= and (+k more) changed, 225 -> 245 at order 6 and 60 -> 120 at 8, 9 and 12
     FAILING = {
-        "verify-n6": "1c21c178dd756210c2ce3300745af96d7d3075ff6aedb4e904f54a649df40a8a",
-        "verify-n12": "b4f6093798d8a415a72db1ba7f72e9f0ab12cb279f562ec74630f1ac31b50e87",
-        "fuzz": "9cb78064b54a6c9d03ffa70f756453e6f9d393002f0cd67acb8ba8821892042e",
+        "verify-n6": "eda70a9adf6a5ad7c2bc5de8555265c0b7fdb250441162a0ddc71c3c37294bdb",
+        "verify-n12": "5a318e267196c91c52ef930e554d5ba720abc1703337e5201bbb3290a7382caa",
+        "fuzz": "405784374e2713c97d17e5d2ab74bb6bea68613d4d6c9d3a8f7a36a116b349a3",
     }
 
     @pytest.mark.parametrize("case", sorted(FAILING))
@@ -955,18 +1004,21 @@ class TestFaultInjection:
 
     # failing reports of structural golden inputs: a passing report names only the order
     # and the residual counts, so these pin which matrix each golden case checks.  The
-    # singular-core input passes under d -> d + d^3, which maps its zero minors to zero
+    # singular-core input passes under d -> d + d^3, which maps its zero minors to zero.
+    # Re-pinned when generalized r = 3 became the exchange relation: only generalized's
+    # nonzero= and (+k more) changed, 225 -> 245 (q-n6), 60 -> 120 (q-n9, chain-stops)
+    # and 39 -> 82 (singular-cores); the zero-diagonal case sweeps jacobi alone
     GOLDEN_FAILING = {
-        "verify-json-q-n6": "5d003a55a085bdbf379587c4de182569ffc5983b020d683bb269d3d3589b0e77",
-        "verify-json-q-n9": "2a0cf8464bd20dadcaaab3fea3909d396842e47d273b55ab155ebac6c226bb56",
+        "verify-json-q-n6": "ac6c565523ca05a1e0049e9de2b671c6e193bd1acbab818eca9c97dca348a485",
+        "verify-json-q-n9": "72bddfa244b1739950e3f436a5b201efe0c369a553941ac08578e835531ba7cf",
         "verify-json-chain-stops": (
-            "6b0b1c4bf0de74c03f04773b185221ba1946cc907a51ad30d4c315fd35ad0ea9"
+            "7f62e7f672620be5ed2120feeb148f3b4b422e632de4725aed8cb140867a120c"
         ),
         "verify-json-jacobi-zero-diagonal": (
             "45b93139f9718c8e0d6b19ba8585df157e54ec0a5f8863256cbc16fe1b1d106a"
         ),
         "verify-json-chain-singular-cores": (
-            "684273fa7760959ec179bfd0e5521c8bdbecddd0f6842f65f640801d20ea9f42"
+            "c7c82a0b3e6be386205e095ec374afefd86289afc236e4a5e8a19c02e3868e76"
         ),
     }
 

@@ -1,3 +1,4 @@
+import hashlib
 import marshal
 import os
 import random
@@ -15,6 +16,7 @@ from math import prod
 import pytest
 
 import exactdet.engines as engines
+import exactdet.pluecker as pluecker
 from exactdet import (
     DodgsonResult,
     Matrix,
@@ -313,6 +315,33 @@ class TestDodgson:
             tracemalloc.stop()
         assert result.value == (0 if zero else 1)
         assert peak < 4_000_000
+
+    # the flags ``_condense`` leaves, pinned while each row whose interiors are all 0 or
+    # unknown still ran the comprehension and then the per-element loop
+    DEAD_ROW_FLAGS = {
+        60: "c037ca737b4630b9fc9a576bce4c58cde85b4cf4e1922cb4c30704ca11cb9fea",
+        400: "b42e1236ee352c16a3625e42954438dde886f96868a804a397540a844b51b3ba",
+    }
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(60, DodgsonResult(Fraction(1), True, 58)), (400, DodgsonResult(Fraction(0), True, 397))],
+        ids=["identity-60", "zero-400"],
+    )
+    def test_dead_rows_flag_as_before(self, n, expected, monkeypatch):
+        # a row of blocks whose interiors are all 0 or unknown is flagged whole at once
+        m = Matrix.identity(n) if n == 60 else Matrix.from_rows([[0] * n] * n)
+        good = engines._condense
+        kept = []
+
+        def recorded(rows, flags):
+            value = good(rows, flags)
+            kept.append(b"".join(flags))
+            return value
+
+        monkeypatch.setattr(engines, "_condense", recorded)
+        assert det_dodgson(m) == expected
+        assert hashlib.sha256(kept[0]).hexdigest() == self.DEAD_ROW_FLAGS[n]
 
     def test_rejects_empty(self):
         # the 0 x 0 matrix is not refused: it condenses through the size-0 base case to 1,
@@ -690,7 +719,9 @@ class TestRationalMinors:
         """An odd, non-linear fault in the elimination (d -> d + d^3) survives a column
         permutation up to sign and breaks every cancellation.  So the residuals that
         read half-determinants as minors of A match those built from the core block
-        and the restricted columns only if each half carries its column-append sign."""
+        and the restricted columns only if each half carries its column-append sign.  At
+        r = 3 the generalized residual is the exchange relation, so it is compared with
+        that relation over the halves of the core and the restricted columns."""
         good = engines._bareiss
 
         def odd_fault(*args):
@@ -710,7 +741,12 @@ class TestRationalMinors:
                         for c in cols
                     ]
                     got = generalized_pluecker_residual(a, rows, cols)
-                    assert got == pluecker_sum(core, vectors), (rows, cols)
+                    if r == 3:
+                        q, half = pluecker._half_dets(core, vectors)
+                        expected = Fraction(pluecker._total(pluecker._EXCHANGE, half), q * q)
+                    else:
+                        expected = pluecker_sum(core, vectors)
+                    assert got == expected, (rows, cols)
                     residuals.append(got)
                     if r == 2:
                         got = minor_three_term_residual(a, rows, cols)
@@ -718,6 +754,9 @@ class TestRationalMinors:
                         residuals.append(got)
         assert len(residuals) == 560
         assert any(residuals)
+        # the last 20 are the r = 3 exchange residuals, every one nonzero under the
+        # fault, where the full splitting sum cancelled to 0 for each
+        assert all(residuals[-20:])
 
 
 def _one_step(work, k, stop, prev):

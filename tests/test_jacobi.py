@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -19,10 +20,13 @@ from exactdet import (
     three_term_residual,
     verify_all_jacobi,
 )
+from exactdet import jacobi, pluecker
 from exactdet.core import index_set
+from exactdet.matfile import parse_matrix
 from exactdet.randgen import random_matrix, trial_stream
 
 from oracles import det_leibniz, permutation_parity
+from test_golden import CASES
 
 GOLDEN = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
 
@@ -186,6 +190,49 @@ class TestGeneralizedResidual:
         )
         assert len(terms) == 20
         assert generalized_pluecker_residual(m, (1, 2, 3), (1, 2, 3, 4, 5, 6)) == 0
+
+    @staticmethod
+    def _exchange_inputs(n):
+        """Seeded order-n inputs for the r = 3 exchange relation: integer, p/q, and
+        zero-heavy (about four entries in five zero), where cores swap rows or lack a
+        pivot and many halves are 0."""
+        rng = random.Random(3000 + n)
+        integer = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rational = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                    for _ in range(n)]
+        sparse = [[rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(n)]
+                  for _ in range(n)]
+        return [Matrix.from_rows(rows) for rows in (integer, rational, sparse)]
+
+    @staticmethod
+    def _exchange_choices(n, rng):
+        """Every r = 3 choice at order 6, else 40 seeded draws of 3 rows and 6 columns."""
+        indices = range(1, n + 1)
+        if n == 6:
+            return [(rows, tuple(indices)) for rows in combinations(indices, 3)]
+        return [
+            (tuple(sorted(rng.sample(indices, 3))), tuple(sorted(rng.sample(indices, 6))))
+            for _ in range(40)
+        ]
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_r3_exchange_vanishes(self, n):
+        rng = random.Random(n)
+        for m in self._exchange_inputs(n):
+            choices = self._exchange_choices(n, rng)
+            assert jacobi._splitting_residuals(m, choices, pluecker._EXCHANGE) == []
+            for rows, cols in choices[:3]:
+                assert generalized_pluecker_residual(m, rows, cols) == 0
+
+    @pytest.mark.parametrize("case", ["verify-json-chain-stops", "verify-json-chain-singular-cores"])
+    def test_r3_exchange_vanishes_on_ci_inputs(self, case):
+        # two added choices: on the stopped-chain input the first one's core keeps the
+        # singular leading 2 x 2 block and swaps rows, and on the singular-core input the
+        # second one's core keeps the equal columns 3 and 9 and has no pivot
+        m = parse_matrix(CASES[case][1])
+        choices = self._exchange_choices(m.rows, random.Random(m.rows))
+        choices += [((5, 6, 7), (3, 4, 5, 6, 7, 8)), ((1, 2, 4), (1, 2, 5, 6, 7, 10))]
+        assert jacobi._splitting_residuals(m, choices, pluecker._EXCHANGE) == []
 
     def test_dimension_and_size_errors(self):
         with pytest.raises(ValueError):

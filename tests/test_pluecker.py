@@ -186,8 +186,9 @@ class TestThreeTerm:
 def test_one_core_elimination_per_choice(monkeypatch):
     """A choice runs one core elimination (``halves``) for all the halves the minor table
     lacks and finishes each of them once, as an r x r block; a choice whose halves are
-    all in the table runs none.  At r = 3 each of the C(6, 3) = 20 halves is computed
-    once, though it is the left side of one splitting and the right of another."""
+    all in the table runs none.  At r = 3 the exchange relation reads 8 of the
+    C(6, 3) = 20 halves, the 4 position sets (1, 2, j) and their complements, and only
+    those are computed, each once (the full splitting sum computed all 20)."""
     splits = []
     finished = []
     slice_ = engines._Minors._slice
@@ -208,17 +209,18 @@ def test_one_core_elimination_per_choice(monkeypatch):
     rows, cols = (2, 5, 7), (1, 3, 4, 6, 8, 9)
     assert generalized_pluecker_residual(m, rows, cols) == 0
     assert splits == [(rows, cols)]
-    assert finished == [3] * 20
+    assert finished == [3] * 8
     assert generalized_pluecker_residual(m, rows, cols) == 0
-    assert len(splits) == 1 and len(finished) == 20
-    # two halves read as minors first: the split finishes only the other 18
+    assert len(splits) == 1 and len(finished) == 8
+    # two halves read as minors first, at positions (4, 5, 6) and (1, 2, 3): the split
+    # finishes only the other 6
     m = random_matrix(trial_stream(4, 1), 9, 9, 9)
     complementary_minor(m, rows, (1, 3, 4))
     complementary_minor(m, rows, (6, 8, 9))
     finished.clear()
     assert generalized_pluecker_residual(m, rows, cols) == 0
     assert splits == [(rows, cols)] * 2
-    assert finished == [3] * 18
+    assert finished == [3] * 6
 
 
 def _kinds(n, rng):
@@ -361,7 +363,32 @@ def test_odd_order_splitting_sum_vanishes_for_any_halves(r, vacuous):
     those orders check nothing, and only even orders constrain the halves."""
     gen = trial_stream(90 + r, 0)
     half = {t.left: gen.next_int(-99, 99) for t in split_enumeration(r)}
-    assert (pluecker._splitting_sum(r, half) == 0) is vacuous
+    assert (pluecker._total(pluecker._splitting_sum(r), half) == 0) is vacuous
+
+
+@pytest.mark.parametrize("n", [6, 8, 9])
+def test_r3_generalized_is_the_exchange_sum(n, monkeypatch):
+    """``generalized_pluecker_residual`` at r = 3 is the exchange relation, term for term:
+    it equals that sum over ``_half_dets`` of the core and the restricted chosen columns,
+    on a fresh table of its own.  Under d -> d + d^3 in the elimination both are the same
+    nonzero value, where the full splitting sum gives 0 whatever the halves are."""
+    good = engines._bareiss
+    monkeypatch.setattr(engines, "_bareiss", lambda *args: (lambda d: d + d**3)(good(*args)))
+    rng = random.Random(400 + n)
+    m = random_matrix(trial_stream(400 + n, 0), n, n, 9)
+    for _ in range(6):
+        rows = tuple(sorted(rng.sample(range(1, n + 1), 3)))
+        cols = tuple(sorted(rng.sample(range(1, n + 1), 6)))
+        core = Matrix.from_rows(
+            [[m.at(i, j) for j in range(1, n + 1) if j not in cols]
+             for i in range(1, n + 1) if i not in rows],
+            cols=n - 6,
+        )
+        vectors = [[m.at(i, c) for i in range(1, n + 1) if i not in rows] for c in cols]
+        q, half = pluecker._half_dets(core, vectors)
+        got = generalized_pluecker_residual(m, rows, cols)
+        assert got == Fraction(pluecker._total(pluecker._EXCHANGE, half), q * q) != 0
+        assert pluecker_sum(core, vectors) == 0
 
 
 def test_splitting_sum_is_minus_two_of_three_term():
