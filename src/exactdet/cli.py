@@ -48,7 +48,7 @@ from .pfaffian import (
     jacobi_recurrence_residual,
     pfaffian,
 )
-from .pluecker import _THREE_TERM, _generalized, _splitting_sum
+from .pluecker import _THREE_TERM, _generalized, _splittings
 from .randgen import SplitMix64, random_matrix, trial_stream
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ IDENTITY_NAMES = ("jacobi", "three-term", "generalized", "pluecker")
 _SPLITTINGS = {
     "three-term": {2: _THREE_TERM},
     "generalized": {r: _generalized(r) for r in (1, 2, 3)},
-    "pluecker": {1: _splitting_sum(1), 2: _THREE_TERM},
+    "pluecker": {1: _splittings(1), 2: _THREE_TERM},
 }
 
 Witness = tuple[str, Fraction]

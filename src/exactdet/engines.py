@@ -542,19 +542,13 @@ def _condense(rows: list[list[int]], flags: list[bytearray]) -> int | None:
     holds the s x s blocks; levels s - 2 to s are live), or None if it stays unknown.  A
     block with a 0 or unknown interior is unknown (None, a row of them one tuple, a 1 in
     its level's bytearray in ``flags``) until a condensation reads it as a corner and
-    ``_bareiss`` fills it in; a row whose interiors are all 0 or unknown is flagged whole
-    without reading its corners.  Two levels without a condensation leave all above
-    unknown."""
+    ``_bareiss`` fills it in.  Two levels without a condensation leave all above unknown."""
     n = len(rows)
     inner, below = [[1] * (n + 1)] * (n + 1), rows
     for m in range(n - 1, 0, -1):  # m x m blocks of size n - m + 1
         nones, flag, level = (None,) * m, bytearray(m * m), []
         for i in range(m):
             up, down, mid = below[i], below[i + 1], inner[i + 1]
-            if not any(mid[1 : m + 1]):  # every interior 0 or unknown: the row is unknown
-                flag[i * m : i * m + m] = b"\1" * m
-                level.append(nones)
-                continue
             try:
                 row = [(a * d - b * c) // e
                        for a, b, c, d, e in zip(up, up[1:], down, down[1:], mid[1:])]

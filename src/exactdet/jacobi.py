@@ -149,7 +149,7 @@ def minor_three_term_residual(
     returns (-1)^(k+l+s+r) * (comp(k,l)comp(s,r) - comp(k,s)comp(l,r) + comp(k,r)comp(l,s)):
     each product of two halves carries that common column-append sign.
     """
-    return _one_choice(matrix, row_pair, cols, three_term=True)
+    return _one_choice(matrix, row_pair, cols, _THREE_TERM)
 
 
 def generalized_pluecker_residual(
@@ -162,7 +162,7 @@ def generalized_pluecker_residual(
     relation with I = (1, 2) and J = (3, 4, 5, 6) is summed instead; 0 on every valid
     input.  The raw-index sign prefactor of the signed-cofactor reading is a constant
     across terms and is deliberately not reproduced."""
-    return _one_choice(matrix, del_rows, chosen_cols, three_term=False)
+    return _one_choice(matrix, del_rows, chosen_cols, None)
 
 
 def _splitting_residuals(
@@ -185,11 +185,12 @@ def _splitting_residuals(
 
 
 def _one_choice(
-    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int], three_term: bool
+    matrix: Matrix, del_rows: Iterable[int], chosen_cols: Iterable[int], terms: _Terms | None
 ) -> Fraction:
-    """``_splitting_residuals`` on one choice, once the deleted rows and chosen columns,
-    read as index sets, form a splitting of the square matrix: r >= 1 rows, 2r columns,
-    an order of at least 2r, and r = 2 if ``three_term``."""
+    """``_splitting_residuals`` on one choice by the formula ``terms`` (``generalized``'s
+    at the choice's order if None), once the deleted rows and chosen columns, read as
+    index sets, form a splitting of the square matrix: r >= 1 rows, 2r columns, an order
+    of at least 2r, and r the order of ``terms``."""
     rows = index_set(del_rows)
     cols = index_set(chosen_cols)
     r = len(rows)
@@ -198,8 +199,10 @@ def _one_choice(
     _require_square(matrix)
     if matrix.rows < 2 * r:
         raise ValueError(f"order {matrix.rows} too small for 2r = {2 * r} chosen columns")
-    if three_term and r != 2:
-        raise ValueError(f"need 2 deleted rows and 4 chosen columns, got {r}")
-    terms = _THREE_TERM if three_term else _generalized(r)
+    if terms is None:
+        terms = _generalized(r)
+    elif len(terms[0][1]) != r:
+        k = len(terms[0][1])
+        raise ValueError(f"need {k} deleted rows and {2 * k} chosen columns, got {r}")
     found = _splitting_residuals(matrix, [(rows, cols)], terms)
     return found[0][2] if found else Fraction(0)

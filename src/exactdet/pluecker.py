@@ -71,18 +71,18 @@ def split_enumeration(r: int) -> list[SplitTerm]:
     """All C(2r, r) balanced splittings, ordered lexicographically by left set."""
     if r < 1:
         raise ValueError("splitting order r must be >= 1")
-    return list(_splittings(r))
+    return [SplitTerm(left, right, sign) for sign, left, right in _splittings(r)]
 
 
 @cache
-def _splittings(r: int) -> tuple[SplitTerm, ...]:
-    """``split_enumeration(r)``, built once per order r >= 1 and shared by every sum."""
+def _splittings(r: int) -> _Terms:
+    """The balanced splitting sum at order r >= 1 as terms, in ``split_enumeration``'s
+    order, built once per order and shared by every sum."""
     universe = range(1, 2 * r + 1)
     terms = []
     for left in combinations(universe, r):
         right = tuple(p for p in universe if p not in left)
-        sign = -1 if sum(left) % 2 else 1
-        terms.append(SplitTerm(left, right, sign))
+        terms.append((-1 if sum(left) % 2 else 1, left, right))
     return tuple(terms)
 
 
@@ -107,16 +107,10 @@ def _half_dets(
     return table.q(()), table.halves((), tuple(range(n - r + 1, n + r + 1)))
 
 
-@cache
-def _splitting_sum(r: int) -> _Terms:
-    """The full signed splitting sum at order r as terms."""
-    return tuple((t.sign, t.left, t.right) for t in _splittings(r))
-
-
 def _generalized(r: int) -> _Terms:
     """The ``generalized`` family's formula at order r: the exchange relation at r = 3,
     where the balanced sum cancels for any halves, and the balanced sum otherwise."""
-    return _EXCHANGE if r == 3 else _splitting_sum(r)
+    return _EXCHANGE if r == 3 else _splittings(r)
 
 
 def _total(terms: _Terms, half: _Half) -> int:
@@ -130,8 +124,8 @@ def pluecker_terms(
     """Per-splitting signed products sign * det(M|left) * det(M|right)."""
     q, half = _half_dets(matrix, vectors)
     return [
-        (t, Fraction(t.sign * half[t.left] * half[t.right], q * q))
-        for t in _splittings(len(vectors) // 2)
+        (SplitTerm(left, right, sign), Fraction(sign * half[left] * half[right], q * q))
+        for sign, left, right in _splittings(len(vectors) // 2)
     ]
 
 
@@ -144,7 +138,7 @@ def pluecker_sum(
     so callers and tests can check the cancellation themselves.
     """
     q, half = _half_dets(matrix, vectors)
-    return Fraction(_total(_splitting_sum(len(vectors) // 2), half), q * q)
+    return Fraction(_total(_splittings(len(vectors) // 2), half), q * q)
 
 
 def three_term_residual(

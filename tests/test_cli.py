@@ -748,7 +748,8 @@ class TestFaultInjection:
     # sums its halves (``_total``) by one of three formulas, each named by its ``pluecker``
     # terms: the three-term formula (three-term, and pluecker at r = 2), the full splitting
     # sum (generalized at r = 1 and 2, and pluecker at r = 1) or the exchange relation
-    # (generalized at r = 3, which a 4 x 4 matrix does not reach; ``test_exchange_seam``)
+    # (generalized at r = 3, which a 4 x 4 matrix does not reach; ``test_exchange_seam``);
+    # a formula's label is ``_three_term``, ``_splitting_sum`` or ``_exchange``
     SWEEP_SEAMS = [
         ("_three_term", {"three-term", "pluecker"}),
         ("_splitting_sum", {"generalized", "pluecker"}),
@@ -769,7 +770,7 @@ class TestFaultInjection:
         # a single selection calls the seam its order's formula names, and the sweep hands
         # that order's choices to the batch with the same formula
         seams = ("minor_three_term_residual", "generalized_pluecker_residual")
-        expected = seams[0] if cli._SPLITTINGS[name][r] is pluecker._THREE_TERM else seams[1]
+        expected = seams[0] if (name, r) in {("three-term", 2), ("pluecker", 2)} else seams[1]
         called = []
         for seam in seams:
             def recorded(*args, good=getattr(cli, seam), seam=seam):
@@ -811,7 +812,7 @@ class TestFaultInjection:
             monkeypatch.setattr(jacobi, seam, broken)
             return
         if seam == "_splitting_sum":
-            formulas = [pluecker._splitting_sum(r) for r in (1, 2)]
+            formulas = [pluecker._splittings(r) for r in (1, 2)]
         else:
             formulas = [getattr(pluecker, seam.upper())]
         good = jacobi._total

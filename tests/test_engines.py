@@ -316,8 +316,8 @@ class TestDodgson:
         assert result.value == (0 if zero else 1)
         assert peak < 4_000_000
 
-    # the flags ``_condense`` leaves, pinned while each row whose interiors are all 0 or
-    # unknown still ran the comprehension and then the per-element loop
+    # the flags ``_condense`` leaves where whole rows of blocks have interiors that are
+    # all 0 or unknown: a shortcut for such rows must leave these bytes as they are
     DEAD_ROW_FLAGS = {
         60: "c037ca737b4630b9fc9a576bce4c58cde85b4cf4e1922cb4c30704ca11cb9fea",
         400: "b42e1236ee352c16a3625e42954438dde886f96868a804a397540a844b51b3ba",
@@ -329,7 +329,6 @@ class TestDodgson:
         ids=["identity-60", "zero-400"],
     )
     def test_dead_rows_flag_as_before(self, n, expected, monkeypatch):
-        # a row of blocks whose interiors are all 0 or unknown is flagged whole at once
         m = Matrix.identity(n) if n == 60 else Matrix.from_rows([[0] * n] * n)
         good = engines._condense
         kept = []

@@ -363,7 +363,7 @@ def test_odd_order_splitting_sum_vanishes_for_any_halves(r, vacuous):
     those orders check nothing, and only even orders constrain the halves."""
     gen = trial_stream(90 + r, 0)
     half = {t.left: gen.next_int(-99, 99) for t in split_enumeration(r)}
-    assert (pluecker._total(pluecker._splitting_sum(r), half) == 0) is vacuous
+    assert (pluecker._total(pluecker._splittings(r), half) == 0) is vacuous
 
 
 @pytest.mark.parametrize("n", [6, 8, 9])
