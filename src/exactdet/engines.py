@@ -28,13 +28,14 @@ zero-interior block (``_bareiss``) only when a condensation reads it.  All engin
 A fresh minor (``det_bareiss`` among them) is eliminated in ``_Minors.__missing__``,
 the one place that may split an elimination across two processes: from order
 ``_SPLIT_MIN_ORDER`` = 64 up, when ``os.fork`` exists, two CPUs are usable and no other
-thread runs, a forked worker takes every other column, and before each pair of steps
-each sends the other the one of the two pivot columns it owns, over one socket pair, so
-the value is the serial one bit for bit (``_split``).  Every other elimination is
-serial: Dodgson's fallback blocks (``_bareiss``), the splitting cores, the halves'
-finishes and the pair recursion (``_pairs``).  Both the serial loop (``_eliminate``)
-and the split's two sides take Bareiss's steps two at a time, bit for bit what single
-steps give.
+thread runs, the caller and a forked worker each run ``_reduce`` and take alternate
+pairs of rows; before each pair of steps the owner of the two pivot rows sends them to
+the other over one socket pair, and each side runs ``_eliminate`` on them and its own
+rows, so the value is the serial one bit for bit (``_split``).  Every other elimination
+is serial: Dodgson's fallback blocks (``_bareiss``), the splitting cores, the halves'
+finishes and the pair recursion (``_pairs``).  ``_eliminate`` is the one loop that
+takes Bareiss's steps, two at a time, bit for bit what single steps give, and
+``_reduce`` the one rule that swaps rows at a zero pivot.
 
 Minor conventions: ``first_minor`` and ``complementary_minor`` are unsigned
 (plain determinants after deletion); signs live only in ``signed_cofactor``.
@@ -371,14 +372,17 @@ def _eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int
     return stop, prev
 
 
-def _reduce(work: list[list[int]], stop: int, prev: int) -> tuple[int, int]:
+def _reduce(work: list[list[int]], stop: int, prev: int, eliminate=None) -> tuple[int, int]:
     """Bareiss steps 0, ..., stop - 1 on ``work`` in place, the last pivot so far being
-    ``prev``; a zero pivot swaps in the first row below with a nonzero entry there.
-    Returns the sign of the swaps, 0 if a column has no pivot, and the last pivot."""
+    ``prev``, by ``eliminate`` (``_eliminate`` by default; one side of ``_split`` passes
+    its share of it); a zero pivot swaps in the first row below with a nonzero entry
+    there.  Returns the sign of the swaps, 0 if a column has no pivot, and the last
+    pivot."""
+    eliminate = eliminate or _eliminate
     sign = 1
     k = 0
     while True:
-        k, prev = _eliminate(work, k, stop, prev)
+        k, prev = eliminate(work, k, stop, prev)
         if k == stop:
             return sign, prev
         for i in range(k + 1, len(work)):
@@ -423,9 +427,9 @@ def _can_split() -> bool:
 
 
 def _split(work: list[list[int]]) -> int:
-    """``_bareiss(work)`` on two processes.  The forked worker eliminates the odd
-    columns and the caller the even ones (``_deal``), each sending the other the
-    columns it needs over one socket pair.  The worker leaves only through
+    """``_bareiss(work)`` on two processes: the caller and a forked worker each run
+    ``_reduce`` on ``work``, the one eliminating the even pairs of rows and the other the
+    odd ones (``_halve``), over one socket pair.  The worker leaves only through
     ``os._exit``, so it never returns into the caller's frames or flushes inherited
     stdio, and it exits at its first read or write after the caller is gone.  The
     caller reaps it on every path, killing it first when it leaves on an exception,
@@ -433,6 +437,7 @@ def _split(work: list[list[int]]) -> int:
     broken pipe)."""
     import socket
 
+    n = len(work)
     caller, worker = socket.socketpair()
     with caller, worker:
         pid = os.fork()
@@ -440,14 +445,15 @@ def _split(work: list[list[int]]) -> int:
             code = 1
             try:
                 caller.close()
-                _deal(work, 1, worker.makefile("rb"), worker)
+                _reduce(work, n, 1, _halve(1, worker.makefile("rb"), worker))
                 code = 0
             finally:
                 os._exit(code)
         worker.close()
         try:
             with caller.makefile("rb") as reader:
-                return _deal(work, 0, reader, caller)
+                sign, last = _reduce(work, n, 1, _halve(0, reader, caller))
+                return sign * last
         except (EOFError, ConnectionError):
             raise OSError("the other process of a split elimination exited") from None
         except BaseException:
@@ -459,74 +465,61 @@ def _split(work: list[list[int]]) -> int:
             os.waitpid(pid, 0)
 
 
-def _deal(work: list[list[int]], first: int, reader, peer) -> int:
-    """One side of ``_split``: ``_reduce``'s steps, two at a time as in ``_eliminate``,
-    on the columns ``first``, ``first`` + 2, ... of ``work``, copied out and each held
-    from the pivot row down.  Steps from k read the pivot columns k and k + 1, one of
-    each side's: at k = 0 both sides copy them; later the owner of column k sends it to
-    ``peer`` as soon as it has updated it, and the owner of column k + 1 sends its own
-    once it has read column k from ``reader``, so the two never both wait on a send.
-    Both sides then pick the same row swap and compute the same pivots and row
-    coefficients from the two columns, and each updates its own columns, the next pivot
-    column first.  A zero second pivot takes one step, and so does a last single column.
-    Returns the signed last pivot, 0 if a column has no pivot, as both sides find it."""
-    n = len(work)
-    own = {j: [row[j] for row in work] for j in range(first, n, 2)}
-    sign = prev = 1
-    k = 0
-    while k < n:
-        held = dict(own)
-        theirs = k + 1 if k in own else k
-        if theirs < n:
-            held[theirs] = _receive(reader) if k else [row[theirs] for row in work]
-            if k and k + 1 in own:
-                _send(peer, own[k + 1])
-        col_k, col_1 = held[k], held.get(k + 1)
-        if col_k[0] == 0:
-            swap = next((i for i, x in enumerate(col_k) if x), 0)
-            if not swap:
-                return 0
-            for c in held.values():
-                c[0], c[swap] = c[swap], c[0]
-            sign = -sign
-        pivot = col_k[0]
-        own.pop(k, None)
-        if col_1 is None:
-            return sign * pivot
-        b0, a1, b1 = col_k[1], col_1[0], col_1[1]
-        p2 = (b1 * pivot - b0 * a1) // prev
-        if p2:
-            own.pop(k + 1, None)
-            pairs = list(zip(col_k[2:], col_1[2:]))
-            c1 = [(y * pivot - x * a1) // prev for x, y in pairs]
-            c2 = [(y * b0 - x * b1) // prev for x, y in pairs]
-            for j, c in own.items():
-                a, b = c[0], c[1]
-                c = own[j] = [(x * p2 - b * y + a * z) // prev for x, y, z in zip(c[2:], c1, c2)]
-                if j == k + 2:
-                    _send(peer, c)
-            k, prev = k + 2, p2
-        else:
-            factors = col_k[1:]
-            for j, c in own.items():
-                head = c[0]
-                c = own[j] = [(x * pivot - f * head) // prev for x, f in zip(c[1:], factors)]
-                if j == k + 1:
-                    _send(peer, c)
-            k, prev = k + 1, pivot
-    return sign * prev
+def _halve(side: int, reader, peer):
+    """The ``eliminate`` of ``_reduce`` for one side of ``_split``: ``_eliminate``'s
+    steps k, ..., ``stop`` - 1 = len(work) - 1, shared with the other side.  From step k
+    the rows go in pairs, and side p % 2 (the caller 0, the worker 1) keeps the p-th pair
+    current.  Each side runs ``_eliminate`` on the two pivot rows and its own rows below,
+    so every row ends bit for bit as the serial loop leaves it, and drops the finished
+    pivot rows.  The owner of the next pair eliminates it first, over copies of the pivot
+    rows, and sends it to ``peer`` at once; the other side reads it from ``reader``
+    before the next pair of steps.  Only one side sends at a time, so neither waits on a
+    send while the other does.  At a zero pivot each side sends the other its rows
+    below, the worker first: both then hold every live row, and ``_reduce``'s swap picks
+    the same row on both."""
+
+    def eliminate(work: list[list[int]], k: int, stop: int, prev: int) -> tuple[int, int]:
+        start, n = k, len(work)
+        owned = [(i - start) // 2 % 2 == side for i in range(n)]
+        while k < stop:
+            end = min(k + 2, stop)
+            if k > start and not owned[k]:
+                work[k:end] = _receive(reader)
+            mine = [work[i] for i in range(end, n) if owned[i]]
+            ahead = 2 if end < stop and owned[end] else 0
+            if ahead:
+                # the next pivot rows first, over copies of these, and sent at once
+                pivots = [row[:] for row in work[k:end]]
+                if _eliminate(work[:k] + pivots + mine[:2], k, end, prev)[0] == end:
+                    _send(peer, mine[:2])
+            reached, prev = _eliminate(work[:end] + mine[ahead:], k, end, prev)
+            work[k:reached] = [[]] * (reached - k)
+            if reached < end:
+                if side:
+                    _send(peer, mine)
+                theirs = iter(_receive(reader))
+                for i in range(end, n):
+                    if not owned[i]:
+                        work[i] = next(theirs)
+                if not side:
+                    _send(peer, mine)
+                return reached, prev
+            k = end
+        return k, prev
+
+    return eliminate
 
 
-def _send(peer, column: list[int]) -> None:
-    """Send ``column`` to the socket ``peer``: the length of its ``marshal`` encoding in
+def _send(peer, rows: list[list[int]]) -> None:
+    """Send ``rows`` to the socket ``peer``: the length of their ``marshal`` encoding in
     8 bytes, then the encoding."""
-    data = marshal.dumps(column)
+    data = marshal.dumps(rows)
     peer.sendall(len(data).to_bytes(8, "little") + data)
 
 
-def _receive(reader) -> list[int]:
-    """Read one column that ``_send`` sent, from the buffered ``reader`` of a socket;
-    ``EOFError`` if the other side is gone, before the column or inside it."""
+def _receive(reader) -> list[list[int]]:
+    """Read the rows that one ``_send`` sent, from the buffered ``reader`` of a socket;
+    ``EOFError`` if the other side is gone, before the rows or inside them."""
 
     def read(size: int) -> bytes:
         data = reader.read(size)

@@ -851,13 +851,28 @@ def split(monkeypatch):
     return forks
 
 
+def _planted(n, zeros=(), dependent=None):
+    """A seeded n x n integer matrix whose pivot at each step z of ``zeros`` is 0 (row z
+    repeats row z - 1 on its first z + 1 columns) and, when ``dependent`` is a step,
+    whose column there is the sum of the first two, so no row has a pivot in it."""
+    rng = random.Random(n)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for z in zeros:
+        rows[z][: z + 1] = rows[z - 1][: z + 1]
+    if dependent is not None:
+        for row in rows:
+            row[dependent] = row[0] + row[1]
+    return rows
+
+
 # (rows, determinant, or None for the Laplace oracle's): a zero leading pivot at step 0
-# (the caller's column) and at step 1 (the worker's); no pivot in column 0, and none in
-# column 1 once column 0 is eliminated; the identity; J - I, whose determinant is
-# (-1)^(n-1) (n-1); a circulant with a zero diagonal; at odd order 7, a singular leading
-# 2 x 2 block (the second pivot of the first pair, at step 1 in the worker's column, is
-# 0, so one step is taken) and rows 4 and 5 equal on their first 5 columns (the same at
-# step 4 in the caller's column), which leaves the last column single
+# and at step 1, in the first pair of rows, which both sides hold; no pivot in column 0,
+# and none in column 1 once column 0 is eliminated; the identity; J - I, whose
+# determinant is (-1)^(n-1) (n-1); a circulant with a zero diagonal; at odd order 7, a
+# singular leading 2 x 2 block (the second pivot of the first pair, at step 1, is 0, so
+# one step is taken before the rows are exchanged) and rows 4 and 5 equal on their first
+# 5 columns (the same at step 4, in the worker's pair once the pairs restart at step 1),
+# which leaves the last step single
 SPECIAL = [
     ([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 1, 2], [3, 4, 5, 7]], None),
     ([[1, 2, 3, 4], [2, 4, 5, 6], [3, 7, 1, 2], [4, 1, 5, 9]], None),
@@ -993,6 +1008,90 @@ class TestSplitElimination:
             signal.signal(signal.SIGALRM, previous)
         _no_child_left()
         assert max(sent) > max(room)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_shares_the_serial_kernel(self, split, monkeypatch, n):
+        # an odd, non-linear fault in _eliminate (d -> d + d^3 on the pivot it returns)
+        # reaches the split wherever it reaches the serial elimination
+        good = engines._eliminate
+
+        def faulty(work, k, stop, prev):
+            reached, last = good(work, k, stop, prev)
+            return reached, last + last**3
+
+        monkeypatch.setattr(engines, "_eliminate", faulty)
+        _, rows = engines._integer_rows(seeded(n, n))
+        det = det_laplace(Matrix.from_rows(rows))
+        value = engines._split([row[:] for row in rows])
+        assert (value == det) == (_serial(rows) == det)
+        assert len(split) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "n, zeros, dependent",
+        [(20, (9,), None), (21, (12,), None), (24, (7, 14), None), (22, (), 17)],
+        ids=["odd-step", "even-step", "two-steps", "late-pivotless-column"],
+    )
+    def test_zero_pivots_past_the_first_pairs(self, split, monkeypatch, n, zeros, dependent):
+        # both sides exchange their rows below at each zero pivot, then swap alike; the
+        # caller records each step where the elimination met one
+        rows = _planted(n, zeros, dependent)
+        caller, good = os.getpid(), engines._eliminate
+        met = set()
+
+        def recorded(work, k, stop, prev):
+            reached, last = good(work, k, stop, prev)
+            if reached < stop and os.getpid() == caller:
+                met.add(reached)
+            return reached, last
+
+        monkeypatch.setattr(engines, "_eliminate", recorded)
+        value = engines._split([row[:] for row in rows])
+        assert len(split) == 1
+        _no_child_left()
+        assert met == {*zeros} | ({dependent} - {None})
+        monkeypatch.setattr(engines, "_eliminate", good)
+        assert value == _serial(rows)
+        assert (value == 0) == (dependent is not None)
+
+    def test_exchanged_rows_outgrow_the_socket_buffers(self, split, monkeypatch):
+        # at a zero pivot the worker sends its rows below first and the caller reads them
+        # before it sends its own; if both sent first, rows larger than the socket
+        # buffers would deadlock them
+        good_pair, good_send = socket.socketpair, engines._send
+        room, exchanged = [], []
+
+        def small_pair():
+            ends = good_pair()
+            for end in ends:
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            room.append(sum(end.getsockopt(socket.SOL_SOCKET, size) for end, size in
+                            zip(ends, (socket.SO_SNDBUF, socket.SO_RCVBUF))))
+            return ends
+
+        def measured(peer, rows):
+            if len(rows) > 2:  # more than a pair of pivot rows: an exchange
+                exchanged.append(len(marshal.dumps(rows)))
+            good_send(peer, rows)
+
+        def hung(signum, frame):
+            raise TimeoutError("the split elimination hung")
+
+        monkeypatch.setattr(socket, "socketpair", small_pair)
+        monkeypatch.setattr(engines, "_send", measured)
+        rng = random.Random(24)
+        rows = [[rng.randint(-(10**400), 10**400) for _ in range(24)] for _ in range(24)]
+        rows[13][:14] = rows[12][:14]
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            assert engines._split([row[:] for row in rows]) == _serial(rows)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        _no_child_left()
+        assert max(exchanged) > max(room)
 
     def test_only_a_fresh_minor_forks(self, split):
         # Dodgson's fallback blocks, the halves' core elimination and finishes stay serial
